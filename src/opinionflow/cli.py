@@ -27,9 +27,9 @@ from .dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, PopulationState,
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
 from .evolution import EvolutionConfig, run_evolution
 from .graph import InfluenceGraph
-from .harness import (basin_map, monte_carlo_convergence, sample_state,
-                      verify_phi_bounds, verify_stability_theorem,
-                      verify_type_bound)
+from .harness import (TrialStats, basin_map, monte_carlo_convergence, sample_state,
+                      verify_phi_bounds, verify_stability_theorem, verify_type_bound,
+                      wilson95)
 from .influence import InfluenceAssignment, InfluenceFunction
 from .seeding import generator, trial_seed
 from .stability import classify_stability
@@ -116,15 +116,11 @@ def parse_influence(spec) -> InfluenceAssignment:
 
 
 def parse_x0(spec, graph: InfluenceGraph, seed: int) -> PopulationState:
-    if isinstance(spec, dict):  # manifest echo: {"<id>": mass}
+    if isinstance(spec, (dict, list, tuple)):  # a dict is a manifest echo: {"<id>": mass}
         try:
             return PopulationState.from_masses(
-                graph, {int(k): float(v) for k, v in spec.items()})
-        except ValueError as exc:
-            raise _CliError(str(exc))
-    if isinstance(spec, (list, tuple)):
-        try:
-            return PopulationState.from_masses(graph, [float(v) for v in spec])
+                graph, {int(k): float(v) for k, v in spec.items()}
+                if isinstance(spec, dict) else [float(v) for v in spec])
         except ValueError as exc:
             raise _CliError(str(exc))
     text = str(spec).strip()
@@ -366,7 +362,6 @@ def _cmd_verify(args) -> int:
                 report = verify_phi_bounds(run_evolution(x0_i, cfg_i), cfg_i)
                 total_violations += len(report.violations)
                 ok_runs += int(report.ok)
-            from .harness import TrialStats, wilson95
             stats = TrialStats(trials, ok_runs, ok_runs / trials,
                                wilson95(ok_runs, trials), 1.0, 0.0,
                                "pass" if total_violations == 0 else "fail",

@@ -37,7 +37,8 @@ class PopulationState:
     """Masses on the simplex, tied to a graph snapshot.
 
     ``ids`` is the sorted vertex list of the graph at construction time and
-    fixes the coordinate order of ``x``.
+    fixes the coordinate order of ``x``, which may also hold a batch ``(B, n)``
+    of states for ``run_to_convergence``.
     """
 
     graph: InfluenceGraph
@@ -99,7 +100,8 @@ class _EdgeKernel:
 
     Edges are grouped by influence family so that the per-step work is a
     handful of array operations regardless of how many edges share a family.
-    Rebuilt whenever the graph version changes.
+    Rebuilt whenever the graph version changes. ``flows``, ``net`` and
+    ``step`` also take a batch ``(B, n)`` and compute each row as alone.
     """
 
     def __init__(self, graph: InfluenceGraph, assignment: InfluenceAssignment):
@@ -129,7 +131,7 @@ class _EdgeKernel:
             return np.asarray(self._groups[0][0]._eval_unchecked(d), dtype=float)
         out = np.empty_like(d)
         for f, idx in self._groups:
-            out[idx] = f._eval_unchecked(d[idx])
+            out[..., idx] = f._eval_unchecked(d[..., idx])
         return out
 
     def derivs(self, d: np.ndarray) -> np.ndarray:
@@ -147,22 +149,50 @@ class _EdgeKernel:
         A positive dead-zone zeroes every edge whose mass difference does
         not exceed delta.
         """
-        d = x[self.iu] - x[self.iv]
-        flows = x[self.iu] * x[self.iv] * self.values(d)
+        if x.ndim == 1:     # x[..., iu] costs a few times more than x[iu]
+            xu, xv = x[self.iu], x[self.iv]
+        else:
+            xu, xv = x[:, self.iu], x[:, self.iv]
+        d = xu - xv
+        flows = xu * xv * self.values(d)
         if delta > 0.0 and self.m:
             flows[np.abs(d) <= delta] = 0.0
         return flows
 
     def net(self, flows: np.ndarray) -> np.ndarray:
         """Net inflow per vertex from per-edge flows."""
-        if self.m == 0:
-            return np.zeros(self.n)
-        return (np.bincount(self.iu, weights=flows, minlength=self.n)
-                - np.bincount(self.iv, weights=flows, minlength=self.n))
+        if flows.ndim == 1:
+            return np.bincount(self.iu, flows, self.n) - np.bincount(self.iv, flows, self.n)
+        # one bincount over row*n + col bins: each bin sums its row's edges in edge order
+        rows, w = np.arange(len(flows))[:, None] * self.n, flows.ravel()
+        size = len(flows) * self.n
+        return (np.bincount((rows + self.iu).ravel(), w, size)
+                - np.bincount((rows + self.iv).ravel(), w, size)).reshape(-1, self.n)
 
     def raw_update(self, x: np.ndarray, delta: float = 0.0) -> np.ndarray:
         """One application of the update map, no renormalization."""
         return x + self.net(self.flows(x, delta))
+
+    def step(self, x: np.ndarray, delta: float = 0.0):
+        """One synchronous migration step, renormalized: (x_new, flows, residual).
+
+        All flows come from ``x`` and apply at once. ``residual`` is the
+        largest |sum - 1| before renormalization: the model conserves mass,
+        so drift beyond 1e-12 is a real bug and raises.
+        """
+        flows = self.flows(x, delta)
+        x_new = x + self.net(flows)
+        if x.ndim == 1:     # scalar arithmetic: long single-state runs live here
+            total = x_new.sum()
+            residual = abs(total - 1.0)
+        else:
+            total = x_new.sum(axis=1, keepdims=True)
+            residual = float(np.abs(total - 1.0).max())
+        if residual > _RENORM_TOL:
+            raise ArithmeticError(f"mass drifted by {residual:g} in one step; "
+                                  "check that sup|F| <= 1")
+        x_new /= total
+        return x_new, flows, residual
 
 
 def kernel_for(state: PopulationState, assignment: InfluenceAssignment,
@@ -195,25 +225,11 @@ class StepOutcome(NamedTuple):
 
 def migrate_step(state: PopulationState, assignment: InfluenceAssignment,
                  delta: float = 0.0, kernel: _EdgeKernel | None = None) -> StepOutcome:
-    """Apply one synchronous migration step.
-
-    All flows are computed from the current state and applied at once.
-    The result is renormalized to cancel float drift; the model itself
-    conserves mass, so anything beyond 1e-12 of drift is a real bug and
-    raises.
-    """
+    """Apply one synchronous migration step (see ``_EdgeKernel.step``)."""
     kernel = kernel_for(state, assignment, kernel)
-    flows = kernel.flows(state.x, delta)
-    x_new = state.x + kernel.net(flows)
-    total = x_new.sum()
-    residual = abs(total - 1.0)
-    if residual > _RENORM_TOL:
-        raise ArithmeticError(f"mass drifted by {residual:g} in one step; "
-                              "check that sup|F| <= 1")
-    x_new /= total
-    active = bool(np.any(flows != 0.0))
+    x_new, flows, residual = kernel.step(state.x, delta)
     new_state = PopulationState(state.graph, state.ids, x_new, state.t + 1)
-    return StepOutcome(new_state, active, residual)
+    return StepOutcome(new_state, bool(np.any(flows != 0.0)), residual)
 
 
 def potential_phi(state: PopulationState) -> float:
@@ -252,6 +268,7 @@ class ConvergenceResult:
     phi_trace: np.ndarray
     residual_max: float = 0.0
     trajectory: list[np.ndarray] | None = None
+    stops: np.ndarray | None = None
 
 
 def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
@@ -260,44 +277,59 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
                        record_phi: bool = True) -> ConvergenceResult:
     """Iterate the migration map (dead-zone off) until the L1 step is < tol.
 
-    ``converged`` is False only when max_iters runs out. phi_trace holds the
-    potential at x0 and after every applied step (empty if record_phi is
-    off, which bulk sweeps use). The loop works on raw arrays (equivalent
-    to repeated migrate_step) to keep long runs cheap.
+    ``iterations`` is the index of the step whose L1 size fell below tol,
+    or max_iters when the budget ran out (then ``converged`` is False).
+    phi_trace holds the potential at x0 and after every applied step
+    (empty if record_phi is off, which bulk sweeps use).
+
+    ``x0.x`` may also be a batch ``(B, n)``, which records neither phi nor
+    a trajectory. Row b leaves the batch at its own stop ``stops[b]`` with
+    the limit and stop it gets alone, bit for bit, and converged exactly
+    when ``stops[b] < max_iters``; ``iterations`` is ``stops.max()`` and
+    ``converged`` says whether every row converged. The last live row goes
+    on as one state, which costs less per step than a batch of one.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    kernel = kernel_for(x0, assignment)
-    x = x0.x.copy()
-    phi_trace = [float(x @ x)] if record_phi else None
-    trajectory = [x.copy()] if record_trajectory else None
-    residual_max = 0.0
-    converged = False
-    iterations = max_iters
-    for t in range(max_iters):
-        x_new = x + kernel.net(kernel.flows(x, 0.0))
-        total = x_new.sum()
-        residual = abs(total - 1.0)
-        if residual > _RENORM_TOL:
-            raise ArithmeticError(f"mass drifted by {residual:g} in one step; "
-                                  "check that sup|F| <= 1")
+    batch = x0.x.ndim == 2
+    if batch and (record_phi or record_trajectory):
+        raise ValueError("phi and trajectory recording need a single state")
+    step = kernel_for(x0, assignment).step
+    x = x0.x.reshape(-1, len(x0.ids))
+    out, stops, live = x.copy(), np.full(len(x), max_iters), np.arange(len(x))
+    phi_trace = [float(x0.x @ x0.x)] if record_phi else None
+    trajectory = [x0.x.copy()] if record_trajectory else None
+    residual_max, t = 0.0, 0
+    while t < max_iters and len(live) > 1:
+        x_new, _, residual = step(x)
         residual_max = max(residual_max, residual)
-        x_new /= total
-        if phi_trace is not None:
-            phi_trace.append(float(x_new @ x_new))
-        if trajectory is not None:
-            trajectory.append(x_new.copy())
-        step_l1 = float(np.abs(x_new - x).sum())
+        done = np.abs(x_new - x).sum(axis=1) < tol
         x = x_new
-        if step_l1 < tol:
-            converged = True
-            iterations = t
-            break
+        if done.any():
+            out[live[done]], stops[live[done]] = x[done], t
+            x, live = x[~done], live[~done]
+        t += 1
+    if len(live) == 1:
+        x = x[0]
+        for t in range(t, max_iters):
+            x_new, _, residual = step(x)
+            residual_max = max(residual_max, residual)
+            if phi_trace is not None:
+                phi_trace.append(float(x_new @ x_new))
+            if trajectory is not None:
+                trajectory.append(x_new.copy())
+            step_l1 = float(np.abs(x_new - x).sum())
+            x = x_new
+            if step_l1 < tol:
+                stops[live[0]] = t
+                break
+    out[live] = x
+    iterations = int(stops.max(initial=0))
+    converged = bool(np.all(stops < max_iters))
     applied = iterations + 1 if converged else max_iters
-    limit = PopulationState(x0.graph, x0.ids, x, x0.t + applied)
-    return ConvergenceResult(limit, iterations, converged,
-                             np.array(phi_trace if phi_trace is not None else []),
-                             residual_max, trajectory)
+    limit = PopulationState(x0.graph, x0.ids, out if batch else out[0], x0.t + applied)
+    return ConvergenceResult(limit, iterations, converged, np.array(phi_trace or []),
+                             residual_max, trajectory, stops if batch else None)
 
 
 def active_set(state: PopulationState, theta_active: float = THETA_ACTIVE) -> set[int]:

@@ -300,16 +300,14 @@ def _spawn_type(state: PopulationState, config: EvolutionConfig,
     return _rebuild(state.graph, masses, state.t), event
 
 
-def death_phase(state: PopulationState, config: EvolutionConfig,
-                rng: np.random.Generator | None = None
-                ) -> tuple[PopulationState, list[DeathEvent]]:
+def death_phase(state: PopulationState,
+                config: EvolutionConfig) -> tuple[PopulationState, list[DeathEvent]]:
     """Remove every type at or below epsilon, lowest mass first.
 
     Each dying type's mass is split equally among its neighbors at the
     instant of death (degree taken after earlier removals in the same
     phase). Redistribution only raises survivors, so the cascade
-    terminates; a sole survivor always ends it. ``rng`` is only consulted
-    by randomized rewiring policies; the built-in ones are deterministic.
+    terminates; a sole survivor always ends it.
     """
     if len(state.ids) < 2 or float(state.x.min()) > config.epsilon:
         return state, []
@@ -327,7 +325,7 @@ def death_phase(state: PopulationState, config: EvolutionConfig,
         for u in recipients:
             masses[u] += share
         del masses[v]
-        graph.remove_type(v, config.rewiring, rng)
+        graph.remove_type(v, config.rewiring)
         events.append(DeathEvent(v, m, recipients))
     if not events:
         return state, []
@@ -342,7 +340,6 @@ def evolution_step(state: PopulationState, config: EvolutionConfig,
     phi_before = potential_phi(state)
     min_mass_before = float(state.x.min())
 
-    kernel = kernel_for(state, config.assignment, kernel)
     state, active, _residual = migrate_step(state, config.assignment, config.delta, kernel)
     phi_mig = potential_phi(state)
 

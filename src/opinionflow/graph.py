@@ -124,22 +124,7 @@ class InfluenceGraph:
         return True
 
     def connected_components(self) -> list[set[int]]:
-        seen: set[int] = set()
-        components = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            components.append(comp)
-        return components
+        return self._components(self._adj, None)
 
     def is_connected(self) -> bool:
         return len(self._adj) <= 1 or len(self.connected_components()) == 1
@@ -149,16 +134,20 @@ class InfluenceGraph:
         s = set(s)
         for v in s:
             self._require(v)
+        return self._components(sorted(s), s)
+
+    def _components(self, starts: Iterable[int], within: set[int] | None) -> list[set[int]]:
+        """Depth-first components grown from ``starts`` in order, inside ``within``."""
         seen: set[int] = set()
         components = []
-        for start in sorted(s):
+        for start in starts:
             if start in seen:
                 continue
             comp = {start}
             stack = [start]
             while stack:
                 u = stack.pop()
-                for w in self._adj[u] & s:
+                for w in self._adj[u] if within is None else self._adj[u] & within:
                     if w not in comp:
                         comp.add(w)
                         stack.append(w)
@@ -198,16 +187,14 @@ class InfluenceGraph:
         self._version += 1
         return new_id
 
-    def remove_type(self, v: int, rewiring: str = "neighbor-path",
-                    rng: np.random.Generator | None = None) -> None:
+    def remove_type(self, v: int, rewiring: str = "neighbor-path") -> None:
         """Remove ``v``; rewire its former neighbors so the graph stays connected.
 
         Policies (the model leaves the repair edges free, so they are pinned
         here): "neighbor-path" sorts the former neighbors by id and adds the
         missing path edges among them; "neighbor-clique" adds all missing
         pairs. Either way a final sweep bridges any residual components via
-        their lowest-id vertices. ``rng`` is accepted for future randomized
-        policies; the built-in ones are deterministic.
+        their lowest-id vertices.
         """
         v = int(v)
         self._require(v)

@@ -15,15 +15,17 @@ by spawn index, so results never depend on worker count.
 from __future__ import annotations
 
 import math
+import pickle
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
 from .dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, PopulationState,
-                       classify_fixed_point, run_to_convergence)
-from .errors import HypothesisError, NotAFixedPointError
+                       classify_fixed_point, kernel_for, run_to_convergence)
+from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
 from .evolution import EvolutionConfig, Timeline, run_evolution
 from .graph import InfluenceGraph
 from .influence import InfluenceAssignment
@@ -107,17 +109,40 @@ def _finish(successes: int, trials: int, bound: float | None,
                       bound, slack, verdict, artifacts, extras)
 
 
-def _pmap(fn, items, jobs: int) -> list:
-    if jobs <= 1:
+CHUNK = 1024     # most rows in one batch, i.e. in one run_to_convergence call
+
+
+def _pmap(fn, items, jobs: int, assignment: InfluenceAssignment) -> list:
+    if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    try:
+        pickle.dumps(assignment)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ConfigurationError(f"an influence function cannot be sent to worker "
+                                 f"processes ({exc}); run with jobs=1") from exc
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(items) // (4 * jobs))
         return list(pool.map(fn, items, chunksize=chunk))
 
 
+def _map_rows(fn, rows, args: tuple, jobs: int, assignment: InfluenceAssignment) -> list:
+    """fn((chunk, *args)) over chunks of at most CHUNK rows, at least ``jobs`` of
+    them where rows allow; a row's result does not depend on its chunk.
+    """
+    size = min(CHUNK, max(1, -(-len(rows) // max(jobs, 1))))
+    items = [(rows[lo:lo + size], *args) for lo in range(0, len(rows), size)]
+    return [out for part in _pmap(fn, items, jobs, assignment) for out in part]
+
+
+def _label(active) -> str:
+    """Basin label of a sorted active set: its "+"-joined ids, or "none"."""
+    return "+".join(map(str, active)) or "none"
+
+
 # -- convergence to independent sets -------------------------------------------
 
-def _settled_limit(res, assignment, theta: float, tol: float, max_iters: int):
+def _settled_limit(state: PopulationState, used: int, assignment, theta: float,
+                   tol: float, max_iters: int):
     """Iterate past the step-size stop until the limit classifies structurally.
 
     The L1-step criterion can fire while a vanishing type still sits above
@@ -126,17 +151,12 @@ def _settled_limit(res, assignment, theta: float, tol: float, max_iters: int):
     the equal-mass component test, so we keep iterating, within the same
     total budget, until the state classifies as a fixed point. The
     fixed-point flow gate uses tol: a limit accepted at L1 step < tol
-    carries residual flows of that scale.
+    carries residual flows of that scale. Returns (state, used, settled).
     """
-    state, used = res.limit, res.iterations
-    if not res.converged:
-        return state, used, False
-    from .dynamics import PopulationState as _State
-    from .dynamics import kernel_for
-    kernel = kernel_for(state, assignment)
+    step = kernel_for(state, assignment).step
     x = state.x
     while True:
-        state = _State(state.graph, state.ids, x, state.t)
+        state = PopulationState(state.graph, state.ids, x, state.t)
         try:
             classify_fixed_point(state, assignment, theta, tol_mass=1e-6, tol_flow=tol)
             return state, used, True
@@ -144,22 +164,29 @@ def _settled_limit(res, assignment, theta: float, tol: float, max_iters: int):
             if used >= max_iters:
                 return state, used, False
             for _ in range(min(1024, max_iters - used)):
-                x = x + kernel.net(kernel.flows(x, 0.0))
-                x /= x.sum()
+                x = step(x)[0]
                 used += 1
 
 
-def _convergence_trial(args) -> dict:
-    graph, assignment, seed, tol, max_iters, theta = args
-    x0 = sample_state(graph, generator(seed))
-    res = run_to_convergence(x0, assignment, tol, max_iters, record_phi=False)
-    limit, iterations, settled = _settled_limit(res, assignment, theta, tol, max_iters)
-    active = sorted(limit.active_set(theta))
-    independent = limit.graph.is_independent_set(active)
-    label = "+".join(map(str, active)) if active else "none"
-    return {"converged": res.converged and settled, "iterations": iterations,
-            "active": active, "independent": independent, "label": label,
-            "equal_mass_components": settled}
+def _convergence_chunk(args) -> list[dict]:
+    seeds, graph, assignment, tol, max_iters, theta = args
+    ids = tuple(graph.vertex_list())
+    starts = np.array([sample_simplex(generator(s), len(ids)) for s in seeds])
+    res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
+                             max_iters, record_phi=False)
+    artifacts = []
+    for x, stop in zip(res.limit.x, res.stops.tolist()):
+        limit = PopulationState(graph, ids, x)
+        settled = stop < max_iters
+        if settled:
+            limit, stop, settled = _settled_limit(limit, stop, assignment, theta,
+                                                  tol, max_iters)
+        active = sorted(limit.active_set(theta))
+        artifacts.append({"converged": settled, "iterations": stop, "active": active,
+                          "independent": graph.is_independent_set(active),
+                          "label": _label(active),
+                          "equal_mass_components": settled})
+    return artifacts
 
 
 def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignment,
@@ -176,9 +203,9 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     sup = assignment.sup_abs(graph)
     if sup >= 0.5:
         raise HypothesisError("sup|F| < 1/2", f"sup|F| = {sup:g} >= 1/2")
-    items = [(graph, assignment, trial_seed(root_seed, i), tol, max_iters, theta_active)
-             for i in range(trials)]
-    artifacts = _pmap(_convergence_trial, items, jobs)
+    seeds = [trial_seed(root_seed, i) for i in range(trials)]
+    artifacts = _map_rows(_convergence_chunk, seeds,
+                          (graph, assignment, tol, max_iters, theta_active), jobs, assignment)
     successes = sum(1 for a in artifacts if a["converged"] and a["independent"])
     census = Counter(a["label"] for a in artifacts if a["converged"])
     extras = {"census": dict(sorted(census.items())),
@@ -241,22 +268,16 @@ class BasinMap:
         return "\n".join(lines) + "\n"
 
 
-def _basin_row(args) -> list[str]:
-    graph, assignment, resolution, i, tol, max_iters, theta = args
+def _basin_chunk(args) -> list[str]:
+    starts, graph, assignment, tol, max_iters, theta = args
     ids = tuple(graph.vertex_list())
-    labels = []
-    for j in range(resolution - i + 1):
-        # integer numerators over one denominator keep diagonal ties exact,
-        # so tie cells legitimately converge to split limits
-        x = np.array([i, j, resolution - i - j], dtype=float) / resolution
-        state = PopulationState(graph, ids, x)
-        res = run_to_convergence(state, assignment, tol, max_iters, record_phi=False)
-        if not res.converged:
-            labels.append("unresolved")
-            continue
-        active = sorted(res.limit.active_set(theta))
-        labels.append("+".join(map(str, active)) if active else "none")
-    return labels
+    res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
+                             max_iters, record_phi=False)
+    # one label per active pattern, indexed by the pattern's bits
+    names = [_label(v for k, v in enumerate(ids) if bits >> k & 1) for bits in range(8)]
+    codes = (res.limit.x > theta) @ np.array([1, 2, 4])
+    return [names[c] if stop < max_iters else "unresolved"
+            for c, stop in zip(codes.tolist(), res.stops.tolist())]
 
 
 def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
@@ -266,17 +287,27 @@ def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
     """Run every barycentric grid cell to convergence and label its basin.
 
     Boundary cells are included: the simplex boundary is invariant under
-    the dynamics, so they are legitimate starts.
+    the dynamics, so they are legitimate starts. Cells run in raster order
+    as batches of at most CHUNK rows (see ``run_to_convergence``), split
+    among ``jobs`` workers; each cell's limit is the one it reaches alone,
+    so the raster does not depend on ``jobs``. A cell whose stop index
+    reaches ``max_iters`` is labelled "unresolved".
     """
     if len(graph) != 3:
         raise ValueError("basin_map needs a graph of exactly 3 types")
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
-    items = [(graph, assignment, resolution, i, tol, max_iters, theta_active)
-             for i in range(resolution + 1)]
-    rows = _pmap(_basin_row, items, jobs)
-    ids = tuple(graph.vertex_list())
-    return BasinMap(ids, resolution, rows)
+    if theta_active <= 0:
+        raise ValueError("theta_active must be positive")
+    # integer numerators over one denominator keep diagonal ties exact,
+    # so tie cells legitimately converge to split limits
+    i, i_plus_j = np.triu_indices(resolution + 1)
+    starts = np.stack([i, i_plus_j - i, resolution - i_plus_j], axis=1) / resolution
+    labels = _map_rows(_basin_chunk, starts,
+                       (graph, assignment, tol, max_iters, theta_active), jobs, assignment)
+    ends = np.cumsum(np.arange(resolution + 1, 0, -1)).tolist()
+    rows = [labels[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    return BasinMap(tuple(graph.vertex_list()), resolution, rows)
 
 
 # -- stability windows -----------------------------------------------------------
@@ -300,18 +331,10 @@ class StableWindow:
 def detect_stable_windows(timeline: Timeline) -> list[StableWindow]:
     """All maximal windows of migration-inactive steps, in order."""
     windows = []
-    run_start = None
-    last = None
-    for record in timeline:
-        if not record.migration_active:
-            if run_start is None:
-                run_start = record.step
-            last = record.step
-        elif run_start is not None:
-            windows.append(StableWindow(run_start, last - run_start))
-            run_start = None
-    if run_start is not None:
-        windows.append(StableWindow(run_start, last - run_start))
+    for active, run in groupby(timeline, key=lambda record: record.migration_active):
+        if not active:
+            steps = [record.step for record in run]
+            windows.append(StableWindow(steps[0], steps[-1] - steps[0]))
     return windows
 
 
@@ -362,7 +385,7 @@ def verify_stability_theorem(config: EvolutionConfig, trials: int,
     needed = required_window_length(config.p)
     items = [(config, graph, trial_seed(root_seed, 2 * i), trial_seed(root_seed, 2 * i + 1),
               needed) for i in range(trials)]
-    artifacts = _pmap(_evolution_trial, items, jobs)
+    artifacts = _pmap(_evolution_trial, items, jobs, config.assignment)
     successes = sum(1 for a in artifacts if a["success"])
     bound = 1.0 - math.exp(-config.horizon * config.p / 6.0)
     extras = {"required_window": needed,
@@ -415,7 +438,7 @@ def verify_type_bound(config: EvolutionConfig, trials: int,
     items = [(config, graph, start, trial_seed(root_seed, 2 * i),
               trial_seed(root_seed, 2 * i + 1), bound_types, cap)
              for i in range(trials)]
-    artifacts = _pmap(_type_bound_trial, items, jobs)
+    artifacts = _pmap(_type_bound_trial, items, jobs, config.assignment)
     successes = sum(1 for a in artifacts if a["success"])
     bound = 1.0 - 3.0 * config.epsilon
     extras = {"type_bound": bound_types, "hard_cap": cap,
@@ -493,7 +516,7 @@ def verify_birth_counts(config: EvolutionConfig, trials: int,
     t, p = config.horizon, config.p
     items = [(config, graph, trial_seed(root_seed, 2 * i),
               trial_seed(root_seed, 2 * i + 1), 0) for i in range(trials)]
-    artifacts = _pmap(_evolution_trial, items, jobs)
+    artifacts = _pmap(_evolution_trial, items, jobs, config.assignment)
     births = np.array([a["births"] for a in artifacts])
     low_ok = int(np.sum(births >= t * p / 2.0))
     high_ok = int(np.sum(births <= 3.0 * t * p / 2.0))

@@ -15,7 +15,6 @@ import numpy as np
 # Phase indices for the per-step streams of an evolution run.
 PHASE_BIRTH = 1      # Bernoulli(p) and the Z draws
 PHASE_ATTACH = 2     # neighbor choice for a newborn type
-PHASE_DEATH = 3      # reserved for randomized rewiring policies
 
 
 class RunStreams:

@@ -62,15 +62,9 @@ def jacobian_fd(state: PopulationState, assignment: InfluenceAssignment,
     if h <= 0:
         raise ValueError("h must be positive")
     kernel = kernel_for(state, assignment)
-    n = kernel.n
-    J = np.zeros((n, n))
-    for j in range(n):
-        hi = state.x.copy()
-        lo = state.x.copy()
-        hi[j] += h
-        lo[j] -= h
-        J[:, j] = (kernel.raw_update(hi) - kernel.raw_update(lo)) / (2.0 * h)
-    return J
+    shift = np.eye(kernel.n) * h            # row j moves coordinate j: one batch
+    return (kernel.raw_update(state.x + shift)
+            - kernel.raw_update(state.x - shift)).T / (2.0 * h)
 
 
 def projected_jacobian(J: np.ndarray, eliminated: int) -> np.ndarray:

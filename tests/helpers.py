@@ -104,3 +104,23 @@ def connected_graph_atlas(n_max):
             if is_connected(rep):
                 atlas.append((n, [pairs[k] for k in range(m_bits) if rep >> k & 1]))
     return atlas
+
+
+def reference_run(x0, assignment, tol=1e-10, max_iters=10**6):
+    """Per-state convergence loop as written before batching: (limit x, iterations, converged).
+
+    Steps one state with ``kernel.flows``/``kernel.net`` and stops at the
+    first L1 step below ``tol``; the oracle for the batched kernel.
+    """
+    from opinionflow.dynamics import kernel_for
+
+    kernel = kernel_for(x0, assignment)
+    x = x0.x.copy()
+    for t in range(max_iters):
+        x_new = x + kernel.net(kernel.flows(x, 0.0))
+        x_new /= x_new.sum()
+        step_l1 = float(np.abs(x_new - x).sum())
+        x = x_new
+        if step_l1 < tol:
+            return x, t, True
+    return x, max_iters, False

@@ -7,9 +7,11 @@ from opinionflow import (InfluenceAssignment, InfluenceGraph, PopulationState,
                          active_set, classify_fixed_point, cubic, flow,
                          is_fixed_point, linear, local_potential_psi,
                          migrate_step, potential_phi, run_to_convergence)
+from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP
 from opinionflow.errors import NotAFixedPointError
+from opinionflow.harness import _settled_limit
 
-from .helpers import edge_state, flow_oracle, random_setup
+from .helpers import edge_state, flow_oracle, path_acb, random_setup, reference_run
 
 
 class TestFlow:
@@ -233,6 +235,104 @@ class TestConvergence:
             assert res.residual_max <= 1e-9
             assert np.all(res.limit.x >= 0.0)
             assert np.all(res.limit.x <= 1.0)
+
+
+def raster(resolution):
+    return np.array([[i, j, resolution - i - j] for i in range(resolution + 1)
+                     for j in range(resolution - i + 1)], dtype=float) / resolution
+
+
+def random_starts(n, count, seed):
+    draws = np.random.default_rng(seed).exponential(size=(count, n))
+    return draws / draws.sum(axis=1, keepdims=True)
+
+
+class TestBatchedConvergence:
+    """A batch gives every row the limit and stop it gets alone, bit for bit."""
+
+    def check(self, graph, asg, starts, max_iters=MAX_ITERS):
+        ids = tuple(graph.vertex_list())
+        res = run_to_convergence(PopulationState(graph, ids, starts), asg,
+                                 max_iters=max_iters, record_phi=False)
+        assert res.limit.x.shape == starts.shape
+        for b, x0 in enumerate(starts):
+            x, iterations, converged = reference_run(PopulationState(graph, ids, x0), asg,
+                                                     max_iters=max_iters)
+            np.testing.assert_array_equal(res.limit.x[b], x)
+            assert res.stops[b] == iterations
+            assert (res.stops[b] < max_iters) == converged
+        assert res.iterations == res.stops.max()
+        assert res.converged == bool(np.all(res.stops < max_iters))
+        return res
+
+    def test_triangle_raster(self):
+        self.check(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)), raster(24))
+
+    def test_path_acb_raster(self):
+        self.check(path_acb(), InfluenceAssignment(linear(0.5)), raster(24))
+
+    def test_cycle5_random_starts(self):
+        self.check(InfluenceGraph.cycle(5), InfluenceAssignment(linear(0.49)),
+                   random_starts(5, 40, 1), max_iters=20_000)
+
+    def test_complete9_pairwise_sums(self):
+        # n >= 8 engages numpy's pairwise summation in the row sums
+        self.check(InfluenceGraph.complete(9), InfluenceAssignment(linear(0.49)),
+                   random_starts(9, 40, 2))
+
+    def test_two_family_assignment(self):
+        asg = InfluenceAssignment(linear(0.49), {(0, 1): cubic(0.4), (2, 3): cubic(0.4)})
+        self.check(InfluenceGraph.complete(4), asg, random_starts(4, 40, 3))
+
+    def test_fixed_row_stops_at_zero(self):
+        starts = np.array([[1.0, 0.0, 0.0], [0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3]])
+        res = self.check(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)), starts)
+        assert res.stops[0] == 0 and res.stops[2] == 0
+
+    def test_row_exhausting_budget(self):
+        starts = np.array([[1.0, 0.0, 0.0], [0.5, 0.3, 0.2], [0.34, 0.33, 0.33]])
+        res = self.check(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)),
+                         starts, max_iters=12)
+        assert res.stops.tolist() == [0, 12, 12]
+        assert not res.converged and res.iterations == 12
+
+    def test_single_state_matches_reference(self):
+        g, asg = InfluenceGraph.cycle(5), InfluenceAssignment(linear(0.49))
+        for x0 in random_starts(5, 10, 4):
+            res = run_to_convergence(PopulationState(g, tuple(range(5)), x0), asg)
+            x, iterations, converged = reference_run(PopulationState(g, tuple(range(5)), x0),
+                                                     asg)
+            np.testing.assert_array_equal(res.limit.x, x)
+            assert (res.iterations, res.converged, res.stops) == (iterations, converged, None)
+
+    def test_batch_records_no_trace(self):
+        g = InfluenceGraph.triangle()
+        batch = PopulationState(g, (0, 1, 2), raster(2))
+        with pytest.raises(ValueError):
+            run_to_convergence(batch, InfluenceAssignment(linear(0.5)))
+
+
+class TestMassDrift:
+    """A state 1e-9 off the simplex raises on every stepping path."""
+
+    off = np.array([0.5, 0.3, 0.2 + 1e-9])
+
+    def test_single_state(self):
+        state = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), self.off.copy())
+        with pytest.raises(ArithmeticError):
+            run_to_convergence(state, InfluenceAssignment(linear(0.5)))
+
+    def test_batch(self):
+        starts = np.array([[0.5, 0.3, 0.2], self.off])
+        batch = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), starts)
+        with pytest.raises(ArithmeticError):
+            run_to_convergence(batch, InfluenceAssignment(linear(0.5)), record_phi=False)
+
+    def test_settle(self):
+        state = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), self.off.copy())
+        with pytest.raises(ArithmeticError):
+            _settled_limit(state, 0, InfluenceAssignment(linear(0.5)), THETA_ACTIVE,
+                           TOL_STEP, MAX_ITERS)
 
 
 class TestActiveSet:

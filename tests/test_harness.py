@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 
 from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment,
-                         InfluenceGraph, PopulationState, Timeline, basin_map,
-                         birth_phase, detect_stable_windows, linear,
-                         monte_carlo_convergence, potential_phi, run_evolution,
-                         sample_simplex, verify_birth_counts, verify_phi_bounds,
-                         verify_stability_theorem, verify_type_bound, wilson95)
-from opinionflow.errors import HypothesisError
+                         InfluenceFunction, InfluenceGraph, PopulationState,
+                         Timeline, basin_map, birth_phase, detect_stable_windows,
+                         harness, linear, monte_carlo_convergence, potential_phi,
+                         run_evolution, sample_simplex, verify_birth_counts,
+                         verify_phi_bounds, verify_stability_theorem,
+                         verify_type_bound, wilson95)
+from opinionflow.errors import ConfigurationError, HypothesisError
 from opinionflow.evolution import StepRecord
 from opinionflow.harness import required_window_length
 
 from .helpers import path_acb
+
+
+def weak_linear(x):
+    """Module-level custom influence: picklable by reference."""
+    return 0.4 * x
 
 
 def fake_timeline(active_pattern):
@@ -137,6 +143,28 @@ class TestMonteCarloConvergence:
         parallel = monte_carlo_convergence(g, asg, trials=24, root_seed=3, jobs=2)
         assert serial.to_json_dict() == parallel.to_json_dict()
 
+    def test_chunks_and_jobs_do_not_change_results(self, monkeypatch):
+        g, asg = path_acb(), InfluenceAssignment(linear(0.49))
+        whole = monte_carlo_convergence(g, asg, trials=30, root_seed=4, jobs=1)
+        monkeypatch.setattr(harness, "CHUNK", 7)      # 30 trials: 4 full chunks + 2
+        for jobs in (1, 3):
+            chunked = monte_carlo_convergence(g, asg, trials=30, root_seed=4, jobs=jobs)
+            assert chunked.artifacts == whole.artifacts
+            assert chunked.to_json_dict() == whole.to_json_dict()
+
+    def test_unpicklable_influence_rejected_before_pool(self):
+        asg = InfluenceAssignment(InfluenceFunction("custom", fn=lambda x: 0.4 * x))
+        with pytest.raises(ConfigurationError, match="<lambda>.*jobs=1"):
+            monte_carlo_convergence(InfluenceGraph.triangle(), asg, trials=4, jobs=2)
+        stats = monte_carlo_convergence(InfluenceGraph.triangle(), asg, trials=4, jobs=1)
+        assert stats.trials == 4
+
+    def test_picklable_custom_influence_runs_in_workers(self):
+        asg = InfluenceAssignment(InfluenceFunction("custom", fn=weak_linear))
+        serial = monte_carlo_convergence(InfluenceGraph.triangle(), asg, trials=6, jobs=1)
+        parallel = monte_carlo_convergence(InfluenceGraph.triangle(), asg, trials=6, jobs=2)
+        assert parallel.artifacts == serial.artifacts
+
 
 class TestBasinMap:
     def test_triangle_argmax_labels(self):
@@ -173,6 +201,39 @@ class TestBasinMap:
     def test_needs_three_types(self):
         with pytest.raises(ValueError):
             basin_map(InfluenceGraph.path(4), InfluenceAssignment(linear(0.5)), 5)
+
+    def test_chunks_and_jobs_do_not_change_raster(self, monkeypatch):
+        asg = InfluenceAssignment(linear(0.5))
+        whole = basin_map(path_acb(), asg, resolution=12)
+        monkeypatch.setattr(harness, "CHUNK", 8)      # 91 cells: 11 full chunks + 3
+        for jobs in (1, 3):
+            chunked = basin_map(path_acb(), asg, resolution=12, jobs=jobs)
+            assert chunked.rows == whole.rows
+            assert chunked.to_pgm() == whole.to_pgm()
+
+    def test_rejects_nonpositive_theta(self):
+        with pytest.raises(ValueError, match="theta_active"):
+            basin_map(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)), 4,
+                      theta_active=0.0)
+
+    def test_jobs_split_rows_below_chunk(self, monkeypatch):
+        seen = []
+
+        def record(fn, items, jobs, assignment):
+            seen.append([len(item[0]) for item in items])
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(harness, "_pmap", record)
+        basin_map(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)), 12, jobs=2)
+        monte_carlo_convergence(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.49)),
+                                trials=5, jobs=3)
+        assert seen == [[46, 45], [2, 2, 1]]      # 91 cells; 5 trials
+
+    def test_unresolved_cells(self):
+        raster = basin_map(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)),
+                           resolution=4, max_iters=3)
+        assert raster.rows[4] == ["0"]             # the corner is fixed from the start
+        assert "unresolved" in raster.label_fractions()
 
 
 class TestVerifyStability:
