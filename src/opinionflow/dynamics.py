@@ -15,6 +15,7 @@ Defaults pinned here and used package-wide:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -100,8 +101,17 @@ class _EdgeKernel:
 
     Edges are grouped by influence family so that the per-step work is a
     handful of array operations regardless of how many edges share a family.
-    Rebuilt whenever the graph version changes. ``flows``, ``net`` and
-    ``step`` also take a batch ``(B, n)`` and compute each row as alone.
+    ``flows``, ``net`` and ``step`` also take a batch ``(B, n)`` and compute
+    each row as alone.
+
+    Edges are ordered by (larger endpoint, smaller endpoint). ``np.bincount``
+    sums each vertex's bin in array order, and this order hands every vertex
+    its edges in ascending neighbor order, as the canonical ``graph.edges()``
+    order does, so the sums keep their bits. It also makes a newborn's edges
+    (the newborn has the largest id) an append, which lets ``add_type`` and
+    ``remove_type`` edit the graph and follow the edit in place: a followed
+    kernel equals a fresh build, array for array. A kernel that was already
+    stale stays stale, and ``kernel_for`` rebuilds it.
     """
 
     def __init__(self, graph: InfluenceGraph, assignment: InfluenceAssignment):
@@ -109,21 +119,59 @@ class _EdgeKernel:
         self.assignment = assignment
         self.version = graph.version
         self.ids = tuple(graph.vertex_list())
-        index = {v: i for i, v in enumerate(self.ids)}
-        edges = graph.edges()
         self.n = len(self.ids)
-        self.m = len(edges)
-        self.iu = np.array([index[u] for u, v in edges], dtype=np.intp)
-        self.iv = np.array([index[v] for u, v in edges], dtype=np.intp)
-        groups: dict[int, tuple] = {}
-        order: list[tuple] = []
-        for e, (u, v) in enumerate(edges):
-            f = assignment.function_for(u, v)
-            if id(f) not in groups:
-                groups[id(f)] = (f, [])
-                order.append(groups[id(f)])
-            groups[id(f)][1].append(e)
-        self._groups = [(f, np.array(idx, dtype=np.intp)) for f, idx in order]
+        self.iu = self.iv = self._code = np.empty(0, dtype=np.intp)
+        self._fns: list = []            # influence function of each edge code
+        self._insert(graph.edges())
+
+    def _insert(self, pairs) -> None:
+        """Add edges (u, v) of ids, u < v, at their (v, u) place, then regroup."""
+        if pairs:
+            ends = np.array([bisect_left(self.ids, w) for e in pairs for w in e],
+                            dtype=np.intp).reshape(-1, 2)
+            code = [self._code_of(self.assignment.function_for(u, v)) for u, v in pairs]
+            self.iu = np.concatenate([self.iu, ends[:, 0]])
+            self.iv = np.concatenate([self.iv, ends[:, 1]])
+            self._code = np.concatenate([self._code, np.array(code, dtype=np.intp)])
+            order = np.argsort(self.iv * self.n + self.iu, kind="stable")
+            self.iu, self.iv, self._code = self.iu[order], self.iv[order], self._code[order]
+        self.m = len(self.iu)
+        groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
+        self._groups = [(f, idx) for f, idx in groups if len(idx)]
+
+    def _code_of(self, f) -> int:
+        for k, g in enumerate(self._fns):
+            if g is f:
+                return k
+        self._fns.append(f)
+        return len(self._fns) - 1
+
+    def add_type(self, neighbors) -> int:
+        """``graph.add_type``, followed in place if this kernel was current."""
+        current = self.version == self.graph.version
+        new_id = self.graph.add_type(neighbors)
+        if current:                     # ids never come back, so new_id sorts last
+            self.ids += (new_id,)
+            self.n += 1
+            self._insert([(u, new_id) for u in sorted(self.graph.neighbors(new_id))])
+            self.version = self.graph.version
+        return new_id
+
+    def remove_type(self, v: int, rewiring: str = "neighbor-path") -> list[tuple[int, int]]:
+        """``graph.remove_type``, followed in place if this kernel was current."""
+        current = self.version == self.graph.version
+        repairs = self.graph.remove_type(v, rewiring)
+        if current:
+            i = self.ids.index(v)
+            keep = (self.iu != i) & (self.iv != i)
+            self.iu, self.iv, self._code = self.iu[keep], self.iv[keep], self._code[keep]
+            self.iu -= self.iu > i
+            self.iv -= self.iv > i
+            self.ids = self.ids[:i] + self.ids[i + 1:]
+            self.n -= 1
+            self._insert(repairs)
+            self.version = self.graph.version
+        return repairs
 
     def values(self, d: np.ndarray) -> np.ndarray:
         """F_uv(d) per edge."""
@@ -346,14 +394,16 @@ class FixedPointClassification:
 def classify_fixed_point(state: PopulationState, assignment: InfluenceAssignment,
                          theta_active: float = THETA_ACTIVE,
                          tol_mass: float = 1e-6,
-                         tol_flow: float = TOL_FLOW) -> FixedPointClassification:
+                         tol_flow: float = TOL_FLOW,
+                         kernel: _EdgeKernel | None = None) -> FixedPointClassification:
     """Group the active types of a fixed point into equal-mass components.
 
     At any fixed point the active types split into connected components of
     the induced subgraph, each internally at a common mass. A spread above
     tol_mass inside a component means the state is not actually fixed.
+    ``kernel``, if current for the state's graph, spares a kernel build.
     """
-    if not is_fixed_point(state, assignment, tol_flow):
+    if not is_fixed_point(state, assignment, tol_flow, kernel):
         raise NotAFixedPointError("state is not a fixed point at tol_flow")
     active = state.active_set(theta_active)
     components = []

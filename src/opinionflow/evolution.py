@@ -16,12 +16,13 @@ run a pure function of (config, seed).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .dynamics import PopulationState, migrate_step, potential_phi, kernel_for
+from .dynamics import PopulationState, _EdgeKernel, kernel_for, migrate_step, potential_phi
 from .errors import ConfigurationError
 from .graph import InfluenceGraph, choose_attachment, REWIRING_POLICIES
 from .influence import InfluenceAssignment, InfluenceFunction
@@ -263,13 +264,18 @@ class Timeline:
         return "\n".join(rows) + "\n"
 
 
-def _rebuild(graph: InfluenceGraph, masses: dict[int, float], t: int) -> PopulationState:
-    ids = tuple(graph.vertex_list())
-    x = np.array([masses[v] for v in ids])
+def _rebuild(graph: InfluenceGraph, ids: tuple[int, ...], x: np.ndarray,
+             t: int) -> PopulationState:
     total = x.sum()
     if abs(total - 1.0) > _RENORM_TOL:
         raise ArithmeticError(f"mass drifted by {abs(total - 1.0):g} within a phase")
     return PopulationState(graph, ids, x / total, t)
+
+
+def _editor(state: PopulationState, kernel: _EdgeKernel | None):
+    """What edits the graph: the kernel, which then follows the edit, if it is
+    the state's; else the graph itself."""
+    return kernel if kernel is not None and kernel.graph is state.graph else state.graph
 
 
 def birth_phase(state: PopulationState, config: EvolutionConfig,
@@ -287,61 +293,62 @@ def birth_phase(state: PopulationState, config: EvolutionConfig,
 
 
 def _spawn_type(state: PopulationState, config: EvolutionConfig,
-                rng: np.random.Generator, attach_rng: np.random.Generator
-                ) -> tuple[PopulationState, BirthEvent]:
-    ids = list(state.ids)
-    z = config.distribution.sample(rng, len(ids), config.beta_min, config.beta_max)
+                rng: np.random.Generator, attach_rng: np.random.Generator,
+                kernel: _EdgeKernel | None = None) -> tuple[PopulationState, BirthEvent]:
+    z = config.distribution.sample(rng, len(state.ids), config.beta_min, config.beta_max)
     newborn_mass = float(np.dot(z, state.x))
     neighbors = choose_attachment(state.graph, config.attachment, attach_rng)
-    new_id = state.graph.add_type(neighbors)
-    masses = {v: float(m * (1.0 - zv)) for v, m, zv in zip(ids, state.x, z)}
-    masses[new_id] = newborn_mass
-    event = BirthEvent(new_id, newborn_mass, dict(zip(ids, map(float, z))), sorted(neighbors))
-    return _rebuild(state.graph, masses, state.t), event
+    new_id = _editor(state, kernel).add_type(neighbors)
+    event = BirthEvent(new_id, newborn_mass, dict(zip(state.ids, map(float, z))),
+                       sorted(neighbors))
+    x = np.append(state.x * (1.0 - z), newborn_mass)   # the newborn's id sorts last
+    return _rebuild(state.graph, state.ids + (new_id,), x, state.t), event
 
 
-def death_phase(state: PopulationState,
-                config: EvolutionConfig) -> tuple[PopulationState, list[DeathEvent]]:
+def death_phase(state: PopulationState, config: EvolutionConfig,
+                kernel: _EdgeKernel | None = None) -> tuple[PopulationState, list[DeathEvent]]:
     """Remove every type at or below epsilon, lowest mass first.
 
     Each dying type's mass is split equally among its neighbors at the
     instant of death (degree taken after earlier removals in the same
     phase). Redistribution only raises survivors, so the cascade
-    terminates; a sole survivor always ends it.
+    terminates; a sole survivor always ends it. Among equal masses the
+    lowest id dies first. ``kernel`` follows the removals if it is current.
     """
-    if len(state.ids) < 2 or float(state.x.min()) > config.epsilon:
-        return state, []
-    graph = state.graph
-    masses = state.as_dict()
+    editor = _editor(state, kernel)
+    ids, x = list(state.ids), state.x
     events: list[DeathEvent] = []
-    while len(masses) >= 2:
-        dying = min(((m, v) for v, m in masses.items() if m <= config.epsilon),
-                    default=None)
-        if dying is None:
+    while len(ids) >= 2:
+        i = int(x.argmin())             # first index: the lowest id among equal masses
+        if x[i] > config.epsilon:
             break
-        m, v = dying
-        recipients = sorted(graph.neighbors(v))
+        v, m = ids[i], float(x[i])
+        recipients = sorted(state.graph.neighbors(v))
         share = m / len(recipients)
-        for u in recipients:
-            masses[u] += share
-        del masses[v]
-        graph.remove_type(v, config.rewiring)
+        del ids[i]
+        x = np.delete(x, i)
+        x[[bisect_left(ids, u) for u in recipients]] += share
+        editor.remove_type(v, config.rewiring)
         events.append(DeathEvent(v, m, recipients))
     if not events:
         return state, []
-    return _rebuild(graph, masses, state.t), events
+    return _rebuild(state.graph, tuple(ids), x, state.t), events
 
 
 def evolution_step(state: PopulationState, config: EvolutionConfig,
                    streams: RunStreams, step_index: int | None = None,
-                   kernel=None) -> tuple[PopulationState, StepRecord]:
-    """One full step: migration, then birth, then death, in that order."""
+                   kernel: _EdgeKernel | None = None) -> tuple[PopulationState, StepRecord]:
+    """One full step: migration, then birth, then death, in that order.
+
+    ``kernel``, if current for the state's graph, does the migration and
+    follows the birth and the deaths, so the next step can use it as is.
+    """
     step = state.t if step_index is None else step_index
     phi_before = potential_phi(state)
     min_mass_before = float(state.x.min())
 
     state, active, _residual = migrate_step(state, config.assignment, config.delta, kernel)
-    phi_mig = potential_phi(state)
+    phi_mig = phi_birth = phi_after = potential_phi(state)
 
     # Streams are created lazily: the attach stream only exists on an actual
     # birth, so unrelated draws never shift when events appear or vanish.
@@ -350,11 +357,12 @@ def evolution_step(state: PopulationState, config: EvolutionConfig,
         birth_rng = streams.stream(step, PHASE_BIRTH)
         if birth_rng.random() < config.p:
             state, birth = _spawn_type(state, config, birth_rng,
-                                       streams.stream(step, PHASE_ATTACH))
-    phi_birth = potential_phi(state)
+                                       streams.stream(step, PHASE_ATTACH), kernel)
+            phi_birth = phi_after = potential_phi(state)
 
-    state, deaths = death_phase(state, config)
-    phi_after = potential_phi(state)
+    state, deaths = death_phase(state, config, kernel)
+    if deaths:
+        phi_after = potential_phi(state)
 
     record = StepRecord(
         step=step, phi_before=phi_before, phi_after_migration=phi_mig,
@@ -378,9 +386,8 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     state = PopulationState(graph, x0.ids, x0.x.copy(), 0)
     streams = RunStreams(config.seed)
     records: list[StepRecord] = []
-    kernel = None
+    kernel = kernel_for(state, config.assignment)     # followed through every event
     for step in range(config.horizon):
-        kernel = kernel_for(state, config.assignment, kernel)
         state, record = evolution_step(state, config, streams, step, kernel)
         records.append(record)
     return Timeline(records, state, config.seed)

@@ -9,7 +9,7 @@ disconnected graphs.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -76,10 +76,6 @@ class InfluenceGraph:
     # -- basic queries ---------------------------------------------------------
 
     @property
-    def vertices(self) -> Iterator[int]:
-        return iter(self._adj)
-
-    @property
     def version(self) -> int:
         """Bumped on every mutation; lets callers cache derived structure."""
         return self._version
@@ -97,10 +93,6 @@ class InfluenceGraph:
         self._require(v)
         return set(self._adj[v])
 
-    def degree(self, v: int) -> int:
-        self._require(v)
-        return len(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         self._require(u)
         self._require(v)
@@ -109,9 +101,6 @@ class InfluenceGraph:
     def edges(self) -> list[list[int]]:
         """Canonical edge list: [u, v] with u < v, sorted."""
         return sorted([min(u, v), max(u, v)] for u in self._adj for v in self._adj[u] if u < v)
-
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self._adj.values()) // 2
 
     def is_independent_set(self, s: Iterable[int]) -> bool:
         """True iff no edge of the graph has both endpoints in ``s``."""
@@ -187,14 +176,16 @@ class InfluenceGraph:
         self._version += 1
         return new_id
 
-    def remove_type(self, v: int, rewiring: str = "neighbor-path") -> None:
-        """Remove ``v``; rewire its former neighbors so the graph stays connected.
+    def remove_type(self, v: int, rewiring: str = "neighbor-path") -> list[tuple[int, int]]:
+        """Remove ``v`` and join its former neighbors; return the edges added.
 
         Policies (the model leaves the repair edges free, so they are pinned
         here): "neighbor-path" sorts the former neighbors by id and adds the
         missing path edges among them; "neighbor-clique" adds all missing
-        pairs. Either way a final sweep bridges any residual components via
-        their lowest-id vertices.
+        pairs. Either repair keeps a connected graph connected: a shortest
+        path from any survivor to ``v`` passes a former neighbor just before
+        ``v``, and the repair joins all former neighbors. For the same reason
+        the removal never adds a component to a disconnected graph.
         """
         v = int(v)
         self._require(v)
@@ -202,8 +193,6 @@ class InfluenceGraph:
             raise ValueError("cannot remove the last remaining type")
         if rewiring not in REWIRING_POLICIES:
             raise ValueError(f"unknown rewiring policy {rewiring!r}")
-        if not self.is_connected():
-            raise ValueError("remove_type expects a connected graph")
         former = sorted(self._adj[v])
         for u in former:
             self._adj[u].discard(v)
@@ -211,23 +200,13 @@ class InfluenceGraph:
         self._version += 1
 
         if rewiring == "neighbor-path":
-            for a, b in zip(former, former[1:]):
-                if b not in self._adj[a]:
-                    self.add_edge(a, b)
+            pairs = zip(former, former[1:])
         else:
-            for i, a in enumerate(former):
-                for b in former[i + 1:]:
-                    if b not in self._adj[a]:
-                        self.add_edge(a, b)
-
-        # The local repair can still leave separate components when the dead
-        # vertex was the only path between neighbor-free parts of the graph;
-        # bridge them pairwise through their smallest ids.
-        comps = self.connected_components()
-        if len(comps) > 1:
-            anchors = sorted(min(c) for c in comps)
-            for a, b in zip(anchors, anchors[1:]):
-                self.add_edge(a, b)
+            pairs = ((a, b) for i, a in enumerate(former) for b in former[i + 1:])
+        added = [(a, b) for a, b in pairs if b not in self._adj[a]]
+        for a, b in added:
+            self.add_edge(a, b)
+        return added
 
     # -- internals ---------------------------------------------------------------
 

@@ -153,12 +153,13 @@ def _settled_limit(state: PopulationState, used: int, assignment, theta: float,
     fixed-point flow gate uses tol: a limit accepted at L1 step < tol
     carries residual flows of that scale. Returns (state, used, settled).
     """
-    step = kernel_for(state, assignment).step
-    x = state.x
+    kernel = kernel_for(state, assignment)
+    step, x = kernel.step, state.x
     while True:
         state = PopulationState(state.graph, state.ids, x, state.t)
         try:
-            classify_fixed_point(state, assignment, theta, tol_mass=1e-6, tol_flow=tol)
+            classify_fixed_point(state, assignment, theta, tol_mass=1e-6, tol_flow=tol,
+                                 kernel=kernel)
             return state, used, True
         except NotAFixedPointError:
             if used >= max_iters:

@@ -124,3 +124,106 @@ def reference_run(x0, assignment, tol=1e-10, max_iters=10**6):
         if step_l1 < tol:
             return x, t, True
     return x, max_iters, False
+
+
+def reference_evolution(x0, config):
+    """The evolution run as written before the edge kernel followed edits.
+
+    Every step rebuilds the edge arrays in canonical ``graph.edges()`` order,
+    the birth and death phases go through a ``{id: mass}`` dict, and every
+    removal checks connectivity first and then bridges leftover components
+    through their lowest ids. The oracle for ``run_evolution``: both must
+    write the same timeline, byte for byte.
+    """
+    from opinionflow.errors import ConfigurationError
+    from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord, Timeline
+    from opinionflow.graph import choose_attachment
+    from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams
+
+    def migrate(x, graph):
+        index = {v: i for i, v in enumerate(graph.vertex_list())}
+        edges = graph.edges()
+        iu = np.array([index[u] for u, v in edges], dtype=np.intp)
+        iv = np.array([index[v] for u, v in edges], dtype=np.intp)
+        groups = {}
+        for e, (u, v) in enumerate(edges):
+            f = config.assignment.function_for(u, v)
+            groups.setdefault(id(f), (f, []))[1].append(e)
+        d = x[iu] - x[iv]
+        if len(groups) == 1:
+            (f, _), = groups.values()
+            F = np.asarray(f._eval_unchecked(d), dtype=float)
+        else:
+            F = np.empty_like(d)
+            for f, idx in groups.values():
+                F[idx] = f._eval_unchecked(d[idx])
+        flows = x[iu] * x[iv] * F
+        if config.delta > 0.0 and len(edges):
+            flows[np.abs(d) <= config.delta] = 0.0
+        x_new = x + (np.bincount(iu, flows, len(x)) - np.bincount(iv, flows, len(x)))
+        return x_new / x_new.sum(), bool(np.any(flows != 0.0))
+
+    def rebuild(graph, masses):
+        ids = tuple(graph.vertex_list())
+        x = np.array([masses[v] for v in ids])
+        total = x.sum()
+        assert abs(total - 1.0) <= 1e-12
+        return ids, x / total
+
+    def remove(graph, v):
+        if not graph.is_connected():
+            raise ValueError("remove_type expects a connected graph")
+        graph.remove_type(v, config.rewiring)
+        comps = graph.connected_components()
+        anchors = sorted(min(c) for c in comps)
+        for a, b in zip(anchors, anchors[1:]):
+            graph.add_edge(a, b)
+
+    graph = x0.graph.copy()
+    if not graph.is_connected():
+        raise ConfigurationError("birth/death mode needs a connected starting graph")
+    ids, x = tuple(x0.ids), x0.x.copy()
+    streams = RunStreams(config.seed)
+    records = []
+    for step in range(config.horizon):
+        phi_before = float(np.dot(x, x))
+        min_mass_before = float(x.min())
+        x, active = migrate(x, graph)
+        phi_mig = float(np.dot(x, x))
+        birth = None
+        if config.p > 0:
+            rng = streams.stream(step, PHASE_BIRTH)
+            if rng.random() < config.p:
+                z = config.distribution.sample(rng, len(ids), config.beta_min, config.beta_max)
+                newborn = float(np.dot(z, x))
+                neighbors = choose_attachment(graph, config.attachment,
+                                              streams.stream(step, PHASE_ATTACH))
+                new_id = graph.add_type(neighbors)
+                masses = {v: float(m * (1.0 - zv)) for v, m, zv in zip(ids, x, z)}
+                masses[new_id] = newborn
+                birth = BirthEvent(new_id, newborn, dict(zip(ids, map(float, z))),
+                                   sorted(neighbors))
+                ids, x = rebuild(graph, masses)
+        phi_birth = float(np.dot(x, x))
+        deaths = []
+        if len(ids) >= 2 and float(x.min()) <= config.epsilon:
+            masses = {v: float(m) for v, m in zip(ids, x)}
+            while len(masses) >= 2:
+                dying = min(((m, v) for v, m in masses.items() if m <= config.epsilon),
+                            default=None)
+                if dying is None:
+                    break
+                m, v = dying
+                recipients = sorted(graph.neighbors(v))
+                share = m / len(recipients)
+                for u in recipients:
+                    masses[u] += share
+                del masses[v]
+                remove(graph, v)
+                deaths.append(DeathEvent(v, m, recipients))
+            if deaths:
+                ids, x = rebuild(graph, masses)
+        records.append(StepRecord(step, phi_before, phi_mig, phi_birth, float(np.dot(x, x)),
+                                  active, min_mass_before, birth, deaths, len(graph)))
+    terminal = type(x0)(graph, ids, x, config.horizon)
+    return Timeline(records, terminal, config.seed)

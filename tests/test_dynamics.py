@@ -6,8 +6,9 @@ import pytest
 from opinionflow import (InfluenceAssignment, InfluenceGraph, PopulationState,
                          active_set, classify_fixed_point, cubic, flow,
                          is_fixed_point, linear, local_potential_psi,
-                         migrate_step, potential_phi, run_to_convergence)
-from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP
+                         migrate_step, potential_phi, run_to_convergence, soft)
+from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _EdgeKernel, kernel_for
+from opinionflow.graph import REWIRING_POLICIES, choose_attachment
 from opinionflow.errors import NotAFixedPointError
 from opinionflow.harness import _settled_limit
 
@@ -366,3 +367,71 @@ class TestStateValidation:
         assert s.mass(7) == 0.75
         with pytest.raises(ValueError):
             s.mass(99)
+
+
+def _edge_functions(kernel):
+    fns = [None] * kernel.m
+    for f, idx in kernel._groups:
+        for e in idx:
+            fns[e] = f
+    return fns
+
+
+def assert_same_kernel(a, b):
+    assert a.ids == b.ids and (a.n, a.m) == (b.n, b.m)
+    for got, want in ((a.iu, b.iu), (a.iv, b.iv)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert all(f is g for f, g in zip(_edge_functions(a), _edge_functions(b), strict=True))
+
+
+class TestKernelFollowsEdits:
+    ASSIGNMENT = InfluenceAssignment(linear(0.4), {(0, 2): soft(0.9), (1, 3): cubic(0.3),
+                                                   (2, 7): cubic(0.2), (5, 9): linear(0.1)})
+
+    @pytest.mark.parametrize("policy", REWIRING_POLICIES)
+    def test_followed_kernel_equals_fresh_build(self, policy):
+        rng = np.random.default_rng(11)
+        most_groups = 0
+        for start in (InfluenceGraph.path(4), InfluenceGraph.star(5), InfluenceGraph.complete(4)):
+            g = start.copy()
+            kernel = _EdgeKernel(g, self.ASSIGNMENT)
+            for _ in range(120):
+                if len(g) >= 2 and rng.random() < 0.45:
+                    ids = g.vertex_list()
+                    kernel.remove_type(ids[rng.integers(len(ids))], policy)
+                else:
+                    kernel.add_type(choose_attachment(g, "random-subset", rng))
+                fresh = _EdgeKernel(g, self.ASSIGNMENT)
+                assert_same_kernel(kernel, fresh)
+                state = PopulationState(g, kernel.ids, rng.dirichlet(np.ones(len(g))))
+                assert kernel_for(state, self.ASSIGNMENT, kernel) is kernel
+                np.testing.assert_array_equal(kernel.step(state.x)[0], fresh.step(state.x)[0])
+                most_groups = max(most_groups, len(kernel._groups))
+        assert most_groups >= 3             # the per-edge overrides were in play
+
+    def test_stale_kernel_is_not_followed(self):
+        g = InfluenceGraph.path(4)
+        kernel = _EdgeKernel(g, self.ASSIGNMENT)
+        g.add_edge(0, 3)                    # an edit the kernel did not see
+        kernel.add_type({1})
+        kernel.remove_type(2)
+        assert kernel.n == 4 and kernel.m == 3
+        state = PopulationState.uniform(g)
+        rebuilt = kernel_for(state, self.ASSIGNMENT, kernel)
+        assert rebuilt is not kernel
+        assert_same_kernel(rebuilt, _EdgeKernel(g, self.ASSIGNMENT))
+
+    def test_edge_order_keeps_canonical_sums(self):
+        # bincount over (larger, smaller) order equals it over canonical order
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            state, asg, _, _ = random_setup(rng)
+            kernel = _EdgeKernel(state.graph, asg)
+            edges = state.graph.edges()
+            iu = np.array([u for u, v in edges], dtype=np.intp)
+            iv = np.array([v for u, v in edges], dtype=np.intp)
+            x, n = state.x, len(state.x)
+            flows = x[iu] * x[iv] * asg.default._eval_unchecked(x[iu] - x[iv])
+            want = np.bincount(iu, flows, n) - np.bincount(iv, flows, n)
+            np.testing.assert_array_equal(kernel.net(kernel.flows(x)), want)

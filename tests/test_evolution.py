@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment,
-                         InfluenceGraph, PopulationState, birth_phase,
+                         InfluenceGraph, PopulationState, birth_phase, cubic,
                          death_phase, evolution_step, linear, run_evolution,
-                         run_to_convergence)
+                         run_to_convergence, soft)
 from opinionflow.errors import ConfigurationError
-from opinionflow.seeding import PHASE_BIRTH, RunStreams
+from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams
+
+from .helpers import reference_evolution
 
 
 class _FixedZ:
@@ -317,3 +319,52 @@ class TestRunEvolution:
         lines = tl.summary_csv().strip().split("\n")
         assert lines[0] == "step,phi,type_count,migration_active,births,deaths"
         assert len(lines) == 11
+
+
+class TestIncrementalStep:
+    """The followed kernel, array phases and walk-free removal change no byte."""
+
+    def _check(self, x0, cfg):
+        ours = run_evolution(x0, cfg)
+        assert ours.to_jsonl() == reference_evolution(x0, cfg).to_jsonl()
+        return ours
+
+    def test_criterion_12_config(self):
+        cfg = make_config(p=0.5, epsilon=1e-4, delta=0.01, beta_min=0.1, beta_max=0.3,
+                          assignment=InfluenceAssignment(linear(9e-4)), seed=1, horizon=500)
+        tl = self._check(PopulationState.uniform(InfluenceGraph.path(50)), cfg)
+        assert tl.birth_count() > 200 and tl.death_count() > 200
+
+    def test_connect_to_all_clique_with_overrides(self):
+        # (0, 2) is not an edge at the start; the repair adds it when 1 dies
+        asg = InfluenceAssignment(linear(0.4), {(0, 2): soft(0.9), (2, 3): cubic(0.45),
+                                                (3, 4): linear(0.2), (4, 7): cubic(0.3)})
+        x0 = PopulationState.from_masses(InfluenceGraph.path(6),
+                                         [0.3, 0.001, 0.2, 0.2, 0.199, 0.1])
+        cfg = make_config(p=0.3, epsilon=0.01, attachment="connect-to-all",
+                          rewiring="neighbor-clique", assignment=asg, seed=3, horizon=400)
+        tl = self._check(x0, cfg)
+        assert [(d.type_id, d.recipients) for d in tl.records[0].deaths] == [(1, [0, 2])]
+        assert tl.birth_count() > 50 and tl.death_count() > 50
+
+    def test_quiet_path4(self):
+        cfg = make_config(p=0.01, epsilon=0.05, delta=0.3, seed=7, horizon=2000)
+        tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
+        assert tl.birth_count() > 0 and tl.death_count() > 0
+
+
+class TestRunStreams:
+    def test_draws_match_seed_sequence_philox(self):
+        for seed in (0, 1, 131, 2**63 + 5):
+            streams = RunStreams(seed)
+            for step, phase in ((0, PHASE_BIRTH), (7, PHASE_ATTACH), (10**6, PHASE_BIRTH)):
+                counter = np.array([0, 0, step, phase], dtype=np.uint64)
+                want = np.random.Generator(np.random.Philox(
+                    seed=np.random.SeedSequence(seed), counter=counter)).random(6)
+                np.testing.assert_array_equal(streams.stream(step, phase).random(6), want)
+
+    def test_every_call_is_a_fresh_generator(self):
+        streams = RunStreams(9)
+        a, b = streams.stream(3, PHASE_BIRTH), streams.stream(3, PHASE_BIRTH)
+        assert a is not b
+        np.testing.assert_array_equal(a.random(4), b.random(4))

@@ -132,6 +132,32 @@ class TestRemoveType:
                     g.add_type(choose_attachment(g, "random-subset", rng))
                 assert len(g.connected_components()) == 1
 
+    @pytest.mark.parametrize("policy", ["neighbor-path", "neighbor-clique"])
+    def test_random_connected_graphs_stay_connected(self, policy):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            tree = [(int(rng.integers(v)), v) for v in range(1, n)]
+            extra = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+            g = InfluenceGraph(range(n), tree + extra)
+            before = {tuple(e) for e in g.edges()}
+            dead = int(rng.integers(n))
+            added = g.remove_type(dead, rewiring=policy)
+            assert g.is_connected()
+            after = {tuple(e) for e in g.edges()}
+            assert set(added) == after - before and len(added) == len(set(added))
+
+    @pytest.mark.parametrize("policy", ["neighbor-path", "neighbor-clique"])
+    def test_removal_never_adds_a_component(self, policy):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+            g = InfluenceGraph(range(n), edges)
+            components = len(g.connected_components())
+            g.remove_type(int(rng.integers(n)), rewiring=policy)
+            assert len(g.connected_components()) <= components
+
     def test_add_then_remove_restores_edges(self):
         # attaching to a connected pair means removal adds nothing back
         g = InfluenceGraph.triangle()
