@@ -33,6 +33,10 @@ MAX_ITERS = 10**6
 _RENORM_TOL = 1e-12
 
 
+def _drift_error(residual: float) -> ArithmeticError:
+    return ArithmeticError(f"mass drifted by {residual:g} in one step; check that sup|F| <= 1")
+
+
 @dataclass
 class PopulationState:
     """Masses on the simplex, tied to a graph snapshot.
@@ -138,6 +142,25 @@ class _EdgeKernel:
         self.m = len(self.iu)
         groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
         self._groups = [(f, idx) for f, idx in groups if len(idx)]
+        # Per-edge plan (u, v, a, is_soft) for the float path of ``advance``,
+        # which gives the bits of ``step`` because:
+        # - d = xu - xv, xu * xv * F(d) (left to right), x + (in - out) and
+        #   / total are single IEEE-754 operations in numpy and in Python
+        #   floats; neither contracts them into FMAs, and both keep
+        #   subnormals. F is a*d (linear) or a*d/(1.0+abs(d)) (soft) in both.
+        #   cubic's d**3 may take numpy's SIMD power, which can differ from
+        #   Python's in the last bit, and a custom F is arbitrary numpy code.
+        # - np.bincount starts from zeros and adds the weights in array
+        #   order, as the per-vertex accumulators do in kernel edge order.
+        # - numpy sums fewer than 8 contiguous float64 values left to right
+        #   (pairwise_sum's n < 8 branch); from 8 on it keeps 8 partial sums.
+        #   So n < 8 is a correctness boundary, not a tuned size.
+        if self.n < 8 and all(f.family in ("linear", "soft") for f, _ in self._groups):
+            fns = [(float(f.a), f.family == "soft") for f in self._fns]
+            self._plan = [(u, v, *fns[c]) for u, v, c in
+                          zip(self.iu.tolist(), self.iv.tolist(), self._code.tolist())]
+        else:
+            self._plan = None
 
     def _code_of(self, f) -> int:
         for k, g in enumerate(self._fns):
@@ -230,17 +253,82 @@ class _EdgeKernel:
         """
         flows = self.flows(x, delta)
         x_new = x + self.net(flows)
-        if x.ndim == 1:     # scalar arithmetic: long single-state runs live here
+        if x.ndim == 1:     # scalar arithmetic for one state
             total = x_new.sum()
             residual = abs(total - 1.0)
         else:
             total = x_new.sum(axis=1, keepdims=True)
             residual = float(np.abs(total - 1.0).max())
         if residual > _RENORM_TOL:
-            raise ArithmeticError(f"mass drifted by {residual:g} in one step; "
-                                  "check that sup|F| <= 1")
+            raise _drift_error(residual)
         x_new /= total
         return x_new, flows, residual
+
+    def advance(self, x: np.ndarray, steps: int, tol: float = 0.0, delta: float = 0.0):
+        """Up to ``steps`` steps of one state, as ``step`` gives them, bit for bit.
+
+        Stops after the first step whose L1 size is below ``tol``. Returns
+        (x, applied, residual_max, active, stopped): the new state, the
+        number of steps applied, the largest residual, whether the last
+        step carried a nonzero flow, and whether the ``tol`` stop fired.
+        Runs as Python float arithmetic when the kernel has a float plan:
+        on a few types that costs a fraction of numpy's per-call overhead.
+        """
+        if self._plan is not None:
+            x, applied, residual_max, active, stopped = self._advance_floats(
+                x.tolist(), steps, tol, delta)
+            return np.array(x), applied, residual_max, active, stopped
+        residual_max, stopped = 0.0, False
+        for applied in range(1, steps + 1):
+            x_new, flows, residual = self.step(x, delta)
+            residual_max = max(residual_max, residual)
+            stopped = tol > 0.0 and float(np.abs(x_new - x).sum()) < tol
+            x = x_new
+            if stopped:
+                break
+        return x, applied, residual_max, bool(np.any(flows != 0.0)), stopped
+
+    def _advance_floats(self, x: list, steps: int, tol: float, delta: float):
+        """``advance`` on a list of floats through the plan (see ``_insert``)."""
+        plan, n, dead = self._plan, self.n, delta > 0.0
+        residual_max, stopped = 0.0, False
+        for applied in range(1, steps + 1):
+            inflow, outflow, active = [0.0] * n, [0.0] * n, False
+            for u, v, a, soft in plan:
+                xu = x[u]
+                xv = x[v]
+                d = xu - xv
+                if soft:
+                    f = xu * xv * (a * d / (1.0 + abs(d)))
+                else:
+                    f = xu * xv * (a * d)
+                if dead and abs(d) <= delta:
+                    f = 0.0
+                elif f:
+                    active = True
+                inflow[u] += f
+                outflow[v] += f
+            # left to right, as numpy sums below 8 values; sum() compensates from 3.12
+            x_new, total = [], 0.0
+            for xk, i, o in zip(x, inflow, outflow):
+                y = xk + (i - o)
+                x_new.append(y)
+                total += y
+            residual = abs(total - 1.0)
+            if residual > _RENORM_TOL:
+                raise _drift_error(residual)
+            if residual > residual_max:
+                residual_max = residual
+            step_l1 = 0.0
+            for k, xk in enumerate(x):
+                y = x_new[k] / total
+                x_new[k] = y
+                step_l1 += abs(y - xk)
+            x = x_new
+            if step_l1 < tol:
+                stopped = True
+                break
+        return x, applied, residual_max, active, stopped
 
 
 def kernel_for(state: PopulationState, assignment: InfluenceAssignment,
@@ -273,11 +361,11 @@ class StepOutcome(NamedTuple):
 
 def migrate_step(state: PopulationState, assignment: InfluenceAssignment,
                  delta: float = 0.0, kernel: _EdgeKernel | None = None) -> StepOutcome:
-    """Apply one synchronous migration step (see ``_EdgeKernel.step``)."""
+    """Apply one synchronous migration step (see ``_EdgeKernel.advance``)."""
     kernel = kernel_for(state, assignment, kernel)
-    x_new, flows, residual = kernel.step(state.x, delta)
-    new_state = PopulationState(state.graph, state.ids, x_new, state.t + 1)
-    return StepOutcome(new_state, bool(np.any(flows != 0.0)), residual)
+    x_new, _, residual, active, _ = kernel.advance(state.x, 1, delta=delta)
+    return StepOutcome(PopulationState(state.graph, state.ids, x_new, state.t + 1),
+                       active, residual)
 
 
 def potential_phi(state: PopulationState) -> float:
@@ -335,21 +423,22 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     the limit and stop it gets alone, bit for bit, and converged exactly
     when ``stops[b] < max_iters``; ``iterations`` is ``stops.max()`` and
     ``converged`` says whether every row converged. The last live row goes
-    on as one state, which costs less per step than a batch of one.
+    on as one state through ``_EdgeKernel.advance``, which costs less per
+    step than a batch of one.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     batch = x0.x.ndim == 2
     if batch and (record_phi or record_trajectory):
         raise ValueError("phi and trajectory recording need a single state")
-    step = kernel_for(x0, assignment).step
+    kernel = kernel_for(x0, assignment)
     x = x0.x.reshape(-1, len(x0.ids))
     out, stops, live = x.copy(), np.full(len(x), max_iters), np.arange(len(x))
     phi_trace = [float(x0.x @ x0.x)] if record_phi else None
     trajectory = [x0.x.copy()] if record_trajectory else None
     residual_max, t = 0.0, 0
     while t < max_iters and len(live) > 1:
-        x_new, _, residual = step(x)
+        x_new, _, residual = kernel.step(x)
         residual_max = max(residual_max, residual)
         done = np.abs(x_new - x).sum(axis=1) < tol
         x = x_new
@@ -358,18 +447,18 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
             x, live = x[~done], live[~done]
         t += 1
     if len(live) == 1:
-        x = x[0]
-        for t in range(t, max_iters):
-            x_new, _, residual = step(x)
+        # one call, or one per step when recording: x @ x is a BLAS dot on the ndarray
+        x, chunk = x[0], 1 if record_phi or record_trajectory else max_iters
+        while t < max_iters:
+            x, applied, residual, _, stopped = kernel.advance(x, min(chunk, max_iters - t), tol)
             residual_max = max(residual_max, residual)
+            t += applied
             if phi_trace is not None:
-                phi_trace.append(float(x_new @ x_new))
+                phi_trace.append(float(x @ x))
             if trajectory is not None:
-                trajectory.append(x_new.copy())
-            step_l1 = float(np.abs(x_new - x).sum())
-            x = x_new
-            if step_l1 < tol:
-                stops[live[0]] = t
+                trajectory.append(x)
+            if stopped:
+                stops[live[0]] = t - 1
                 break
     out[live] = x
     iterations = int(stops.max(initial=0))

@@ -314,6 +314,8 @@ def death_phase(state: PopulationState, config: EvolutionConfig,
     phase). Redistribution only raises survivors, so the cascade
     terminates; a sole survivor always ends it. Among equal masses the
     lowest id dies first. ``kernel`` follows the removals if it is current.
+    A dying type without neighbors (only on a disconnected graph) raises
+    ``ValueError`` before it is removed.
     """
     editor = _editor(state, kernel)
     ids, x = list(state.ids), state.x
@@ -324,6 +326,8 @@ def death_phase(state: PopulationState, config: EvolutionConfig,
             break
         v, m = ids[i], float(x[i])
         recipients = sorted(state.graph.neighbors(v))
+        if not recipients:
+            raise ValueError(f"type {v} dies with no neighbors to take its mass")
         share = m / len(recipients)
         del ids[i]
         x = np.delete(x, i)

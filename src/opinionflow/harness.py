@@ -154,7 +154,7 @@ def _settled_limit(state: PopulationState, used: int, assignment, theta: float,
     carries residual flows of that scale. Returns (state, used, settled).
     """
     kernel = kernel_for(state, assignment)
-    step, x = kernel.step, state.x
+    x = state.x
     while True:
         state = PopulationState(state.graph, state.ids, x, state.t)
         try:
@@ -164,9 +164,8 @@ def _settled_limit(state: PopulationState, used: int, assignment, theta: float,
         except NotAFixedPointError:
             if used >= max_iters:
                 return state, used, False
-            for _ in range(min(1024, max_iters - used)):
-                x = step(x)[0]
-                used += 1
+            x, applied = kernel.advance(x, min(1024, max_iters - used))[:2]
+            used += applied
 
 
 def _convergence_chunk(args) -> list[dict]:

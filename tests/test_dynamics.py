@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opinionflow import (InfluenceAssignment, InfluenceGraph, PopulationState,
-                         active_set, classify_fixed_point, cubic, flow,
+from opinionflow import (InfluenceAssignment, InfluenceFunction, InfluenceGraph,
+                         PopulationState, active_set, classify_fixed_point, cubic, flow,
                          is_fixed_point, linear, local_potential_psi,
                          migrate_step, potential_phi, run_to_convergence, soft)
 from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _EdgeKernel, kernel_for
 from opinionflow.graph import REWIRING_POLICIES, choose_attachment
 from opinionflow.errors import NotAFixedPointError
-from opinionflow.harness import _settled_limit
+from opinionflow.harness import _settled_limit, sample_simplex
+from opinionflow.seeding import generator, trial_seed
 
 from .helpers import edge_state, flow_oracle, path_acb, random_setup, reference_run
 
@@ -306,6 +308,21 @@ class TestBatchedConvergence:
             np.testing.assert_array_equal(res.limit.x, x)
             assert (res.iterations, res.converged, res.stops) == (iterations, converged, None)
 
+    def test_single_row_exhausting_budget(self):
+        # row 0 leaves at once; row 1 runs out the budget alone, through advance
+        starts = np.array([[1.0, 0.0, 0.0], [0.5, 0.3, 0.2]])
+        res = self.check(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)),
+                         starts, max_iters=12)
+        assert res.stops.tolist() == [0, 12] and not res.converged
+
+    def test_single_row_stops_on_last_allowed_step(self):
+        g, asg = InfluenceGraph.cycle(5), InfluenceAssignment(linear(0.49))
+        starts = np.vstack([[1.0, 0.0, 0.0, 0.0, 0.0], random_starts(5, 1, 6)])
+        _, stop, converged = reference_run(PopulationState(g, tuple(range(5)), starts[1]), asg)
+        assert converged
+        for budget in (stop, stop + 1):
+            self.check(g, asg, starts, max_iters=budget)
+
     def test_batch_records_no_trace(self):
         g = InfluenceGraph.triangle()
         batch = PopulationState(g, (0, 1, 2), raster(2))
@@ -334,6 +351,113 @@ class TestMassDrift:
         with pytest.raises(ArithmeticError):
             _settled_limit(state, 0, InfluenceAssignment(linear(0.5)), THETA_ACTIVE,
                            TOL_STEP, MAX_ITERS)
+
+    @pytest.mark.parametrize("n", [3, 8])      # the float path, then the ndarray path
+    def test_migrate_step(self, n):
+        x = np.full(n, 1.0 / n)
+        x[0] += 1e-9
+        state = PopulationState(InfluenceGraph.complete(n), tuple(range(n)), x)
+        with pytest.raises(ArithmeticError, match="mass drifted by 1e-09 in one step"):
+            migrate_step(state, InfluenceAssignment(linear(0.5)))
+
+
+def trial_159_start():
+    """The cycle:5 start at root seed 71 that runs out the 10^6 budget."""
+    g = InfluenceGraph.cycle(5)
+    return PopulationState(g, tuple(range(5)), sample_simplex(generator(trial_seed(71, 159)), 5))
+
+
+@st.composite
+def float_path_cases(draw):
+    """A connected graph on 2..7 types, a linear/soft mix, a state and a dead zone."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}      # a spanning tree
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    coef = st.floats(0.01, 0.99)
+    family = st.sampled_from([linear, soft])
+    overrides = {e: draw(family)(draw(coef)) for e in sorted(edges) if draw(st.booleans())}
+    asg = InfluenceAssignment(draw(family)(draw(coef)), overrides)
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    tiny = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
+    w[tiny] = 0.0
+    x = w / w.sum()
+    for i in tiny:
+        x[i] = draw(st.sampled_from([0.0, 5e-324]))
+    edge = draw(st.sampled_from(sorted(edges)))
+    delta = draw(st.sampled_from([0.0, 0.05, abs(x[edge[0]] - x[edge[1]])]))
+    return InfluenceGraph(range(n), sorted(edges)), asg, x, delta
+
+
+class TestFloatPath:
+    """``advance`` on a float plan gives the bits of the ndarray ``step``."""
+
+    @staticmethod
+    def both(graph, asg):
+        floats, arrays = _EdgeKernel(graph, asg), _EdgeKernel(graph, asg)
+        arrays._plan = None
+        assert floats._plan is not None
+        return floats, arrays
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_path_cases(), st.sampled_from([1, 2, 37]), st.sampled_from([0.0, 1e-3]))
+    def test_equals_ndarray_path(self, case, steps, tol):
+        graph, asg, x, delta = case
+        floats, arrays = self.both(graph, asg)
+        got = floats.advance(x, steps, tol, delta)
+        want = arrays.advance(x, steps, tol, delta)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        x_new, flows, residual = arrays.step(x, delta)
+        once = floats.advance(x, 1, delta=delta)
+        assert once[0].tobytes() == x_new.tobytes()
+        assert once[2] == residual and once[3] == bool(np.any(flows != 0.0))
+
+    def test_dead_zone_edge_at_exactly_delta(self):
+        g = InfluenceGraph.path(3)
+        x = np.array([0.5, 0.3, 0.2])
+        for kernel in self.both(g, InfluenceAssignment(soft(0.9))):
+            x_new, applied, _, active, _ = kernel.advance(x, 1, delta=x[1] - x[2])
+            assert active and applied == 1
+            assert x_new[2] == x[2]                 # the 1-2 edge sat at |d| == delta
+            x_new, _, _, active, _ = kernel.advance(x, 1, delta=0.2)
+            assert not active and x_new.tobytes() == x.tobytes()
+
+    def test_gate(self):
+        assert _EdgeKernel(InfluenceGraph.complete(7), InfluenceAssignment(soft(0.9)))._plan
+        assert _EdgeKernel(InfluenceGraph.path(8), InfluenceAssignment(linear(0.4)))._plan is None
+        custom = InfluenceFunction("custom", fn=lambda d: 0.4 * d)
+        for f in (cubic(0.4), custom):
+            asg = InfluenceAssignment(linear(0.4), {(1, 2): f})
+            assert _EdgeKernel(InfluenceGraph.path(3), asg)._plan is None
+
+    def test_evolving_kernel_crosses_the_gate(self):
+        g = InfluenceGraph.path(7)
+        kernel = _EdgeKernel(g, InfluenceAssignment(linear(0.4)))
+        assert kernel._plan is not None
+        kernel.add_type({6})
+        assert kernel._plan is None
+        kernel.remove_type(3)
+        assert kernel._plan == _EdgeKernel(g, kernel.assignment)._plan is not None
+
+    def test_trial_159_tail_matches_reference(self):
+        start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
+        res = run_to_convergence(start, asg, max_iters=50_000, record_phi=False)
+        x, iterations, converged = reference_run(start, asg, max_iters=50_000)
+        assert res.limit.x.tobytes() == x.tobytes()
+        assert (res.iterations, res.converged) == (iterations, converged) == (50_000, False)
+        assert 5e-324 in res.limit.x                # subnormal masses on the float path
+
+    def test_settle_matches_ndarray_loop(self):
+        start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
+        state = run_to_convergence(start, asg, max_iters=50_000, record_phi=False).limit
+        limit, used, settled = _settled_limit(state, 47_000, asg, THETA_ACTIVE, TOL_STEP,
+                                              50_000)
+        kernel, x = _EdgeKernel(state.graph, asg), state.x
+        for _ in range(3000):
+            x = kernel.step(x)[0]
+        assert (used, settled) == (50_000, False)
+        assert limit.x.tobytes() == x.tobytes()
 
 
 class TestActiveSet:
@@ -383,6 +507,7 @@ def assert_same_kernel(a, b):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     assert all(f is g for f, g in zip(_edge_functions(a), _edge_functions(b), strict=True))
+    assert a._plan == b._plan
 
 
 class TestKernelFollowsEdits:

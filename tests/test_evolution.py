@@ -176,6 +176,13 @@ class TestDeathPhase:
         assert events == []
         assert len(out.graph) == 1
 
+    def test_isolated_dying_type_raises_before_removal(self):
+        g = InfluenceGraph([0, 1, 2], [(1, 2)])
+        s = PopulationState.from_masses(g, [0.001, 0.5, 0.499])
+        with pytest.raises(ValueError, match="type 0 dies with no neighbors"):
+            death_phase(s, make_config(epsilon=0.01))
+        assert g.vertex_list() == [0, 1, 2] and g.edges() == [[1, 2]]
+
     def test_survivors_never_lose_mass(self):
         rng = np.random.default_rng(17)
         cfg = make_config(epsilon=0.05)
