@@ -20,8 +20,8 @@ from .graph import InfluenceGraph, choose_attachment
 from .harness import (BasinMap, StableWindow, TrialStats, basin_map,
                       detect_stable_windows, monte_carlo_convergence,
                       sample_simplex, sample_state, verify_birth_counts,
-                      verify_phi_bounds, verify_stability_theorem,
-                      verify_type_bound, wilson95)
+                      verify_phi_bounds, verify_phi_bounds_sweep,
+                      verify_stability_theorem, verify_type_bound, wilson95)
 from .influence import (AdmissibilityReport, InfluenceAssignment,
                         InfluenceFunction, cubic, linear, soft, validate)
 from .stability import (Spectrum, StabilityReport, check_diagonal_dominance,
@@ -45,7 +45,7 @@ __all__ = [
     "monte_carlo_convergence", "BasinMap", "basin_map",
     "StableWindow", "detect_stable_windows",
     "verify_stability_theorem", "verify_type_bound", "verify_phi_bounds",
-    "verify_birth_counts",
+    "verify_phi_bounds_sweep", "verify_birth_counts",
     "ConfigurationError", "HypothesisError", "NotAFixedPointError",
     "EigenSolveError",
 ]

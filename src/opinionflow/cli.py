@@ -27,11 +27,10 @@ from .dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, PopulationState,
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
 from .evolution import EvolutionConfig, run_evolution
 from .graph import InfluenceGraph
-from .harness import (TrialStats, basin_map, monte_carlo_convergence, sample_state,
-                      verify_phi_bounds, verify_stability_theorem, verify_type_bound,
-                      wilson95)
+from .harness import (basin_map, monte_carlo_convergence, sample_state,
+                      verify_phi_bounds_sweep, verify_stability_theorem, verify_type_bound)
 from .influence import InfluenceAssignment, InfluenceFunction
-from .seeding import generator, trial_seed
+from .seeding import generator
 from .stability import classify_stability
 
 EXIT_OK = 0
@@ -218,7 +217,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK if res.converged else EXIT_MAX_ITERS
 
 
-def _evolution_inputs(args, extra_overrides: dict | None = None):
+def _evolution_inputs(args):
     file_cfg = _file_config(args)
     overrides = {
         "graph": getattr(args, "graph", None), "x0": getattr(args, "x0", None),
@@ -226,7 +225,6 @@ def _evolution_inputs(args, extra_overrides: dict | None = None):
         "p": getattr(args, "p", None), "epsilon": getattr(args, "epsilon", None),
         "delta": getattr(args, "delta", None), "influence": getattr(args, "f", None),
     }
-    overrides.update(extra_overrides or {})
     cfg = _resolve(file_cfg, overrides, {
         "graph": "path:4", "x0": "uniform", "p": 0.01, "epsilon": 0.01,
         "delta": 0.0, "beta_min": 0.05, "beta_max": 0.2, "seed": 0,
@@ -238,10 +236,9 @@ def _evolution_inputs(args, extra_overrides: dict | None = None):
                   "seed", "attachment", "rewiring", "horizon"}
     model = {k: cfg[k] for k in model_keys if k in cfg}
     try:
-        config = EvolutionConfig.from_json_dict(model)
+        config = replace(EvolutionConfig.from_json_dict(model), assignment=assignment)
     except ConfigurationError as exc:
         raise _CliError(str(exc))
-    config.assignment = assignment
     x0 = parse_x0(cfg["x0"], graph, int(cfg["seed"]))
     echo = dict(cfg)
     echo["graph"] = graph.to_json_dict()
@@ -334,40 +331,22 @@ def _cmd_verify(args) -> int:
             assignment = parse_influence(cfg["influence"])
             stats = monte_carlo_convergence(graph, assignment, trials,
                                             root_seed, jobs=args.jobs)
-            stats.artifacts = []          # keep stats.json compact
             echo = {"graph": graph.to_json_dict(),
                     "influence": assignment.to_json_dict(),
                     "trials": trials, "seed": root_seed}
-        elif what in ("stability", "types"):
+        else:
             config, x0, echo = _evolution_inputs(args)
             echo.update({"trials": trials, "seed": root_seed})
-            if what == "stability":
-                stats = verify_stability_theorem(config, trials, x0.graph,
-                                                 root_seed, jobs=args.jobs)
-            else:
+            if what == "types":
                 start = args.start or str(file_cfg.get("start", "random"))
                 echo["start"] = start
                 stats = verify_type_bound(config, trials, start=start,
                                           initial_graph=x0.graph,
                                           root_seed=root_seed, jobs=args.jobs)
-            stats.artifacts = []
-        elif what == "phi-bounds":
-            config, x0, echo = _evolution_inputs(args)
-            echo.update({"trials": trials, "seed": root_seed})
-            total_violations = 0
-            ok_runs = 0
-            for i in range(trials):
-                cfg_i = replace(config, seed=trial_seed(root_seed, 2 * i))
-                x0_i = sample_state(x0.graph, generator(trial_seed(root_seed, 2 * i + 1)))
-                report = verify_phi_bounds(run_evolution(x0_i, cfg_i), cfg_i)
-                total_violations += len(report.violations)
-                ok_runs += int(report.ok)
-            stats = TrialStats(trials, ok_runs, ok_runs / trials,
-                               wilson95(ok_runs, trials), 1.0, 0.0,
-                               "pass" if total_violations == 0 else "fail",
-                               extras={"total_violations": total_violations})
-        else:  # pragma: no cover - argparse restricts choices
-            raise _CliError(f"unknown verify target {what!r}")
+            else:
+                verifier = (verify_stability_theorem if what == "stability"
+                            else verify_phi_bounds_sweep)
+                stats = verifier(config, trials, x0.graph, root_seed, jobs=args.jobs)
     except HypothesisError as exc:
         print(f"hypothesis rejected: {exc}", file=sys.stderr)
         return EXIT_VACUOUS
@@ -437,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="Monte Carlo verification of the model's theorems")
     sp.add_argument("what", choices=["stability", "types", "convergence", "phi-bounds"])
-    _add_common(sp, graph=True, f=True, x0=True, jobs=True)
+    _add_common(sp, graph=True, f=True, jobs=True)
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--steps", type=int, default=None, help="horizon override")
     sp.add_argument("--p", type=float, default=None)

@@ -19,6 +19,7 @@ import pickle
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -97,7 +98,7 @@ class TrialStats:
 
 def _finish(successes: int, trials: int, bound: float | None,
             artifacts: list, extras: dict, vacuous: bool = False) -> TrialStats:
-    estimate = successes / trials if trials else 0.0
+    estimate = successes / trials
     slack = three_sigma_slack(bound, trials) if bound is not None else 0.0
     if vacuous:
         verdict = "vacuous"
@@ -112,26 +113,26 @@ def _finish(successes: int, trials: int, bound: float | None,
 CHUNK = 1024     # most rows in one batch, i.e. in one run_to_convergence call
 
 
-def _pmap(fn, items, jobs: int, assignment: InfluenceAssignment) -> list:
+def _pmap(fn, items, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     try:
-        pickle.dumps(assignment)
+        pickle.dumps(items[0])
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
-        raise ConfigurationError(f"an influence function cannot be sent to worker "
+        raise ConfigurationError(f"a trial's inputs cannot be sent to worker "
                                  f"processes ({exc}); run with jobs=1") from exc
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(items) // (4 * jobs))
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-def _map_rows(fn, rows, args: tuple, jobs: int, assignment: InfluenceAssignment) -> list:
+def _map_rows(fn, rows, args: tuple, jobs: int) -> list:
     """fn((chunk, *args)) over chunks of at most CHUNK rows, at least ``jobs`` of
     them where rows allow; a row's result does not depend on its chunk.
     """
     size = min(CHUNK, max(1, -(-len(rows) // max(jobs, 1))))
     items = [(rows[lo:lo + size], *args) for lo in range(0, len(rows), size)]
-    return [out for part in _pmap(fn, items, jobs, assignment) for out in part]
+    return [out for part in _pmap(fn, items, jobs) for out in part]
 
 
 def _label(active) -> str:
@@ -203,9 +204,11 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     sup = assignment.sup_abs(graph)
     if sup >= 0.5:
         raise HypothesisError("sup|F| < 1/2", f"sup|F| = {sup:g} >= 1/2")
+    if trials < 1:
+        raise ConfigurationError(f"trials must be at least 1, got {trials}")
     seeds = [trial_seed(root_seed, i) for i in range(trials)]
     artifacts = _map_rows(_convergence_chunk, seeds,
-                          (graph, assignment, tol, max_iters, theta_active), jobs, assignment)
+                          (graph, assignment, tol, max_iters, theta_active), jobs)
     successes = sum(1 for a in artifacts if a["converged"] and a["independent"])
     census = Counter(a["label"] for a in artifacts if a["converged"])
     extras = {"census": dict(sorted(census.items())),
@@ -304,7 +307,7 @@ def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
     i, i_plus_j = np.triu_indices(resolution + 1)
     starts = np.stack([i, i_plus_j - i, resolution - i_plus_j], axis=1) / resolution
     labels = _map_rows(_basin_chunk, starts,
-                       (graph, assignment, tol, max_iters, theta_active), jobs, assignment)
+                       (graph, assignment, tol, max_iters, theta_active), jobs)
     ends = np.cumsum(np.arange(resolution + 1, 0, -1)).tolist()
     rows = [labels[lo:hi] for lo, hi in zip([0] + ends, ends)]
     return BasinMap(tuple(graph.vertex_list()), resolution, rows)
@@ -347,10 +350,29 @@ def required_window_length(p: float) -> int:
 
 # -- theorem: long quiet periods under infrequent births --------------------------
 
-def _evolution_trial(args) -> dict:
-    config, initial_graph, seed_run, seed_x0, needed = args
-    x0 = sample_state(initial_graph, generator(seed_x0))
-    timeline = run_evolution(x0, replace(config, seed=seed_run))
+def _evolution_trial(args):
+    config, graph, start, seed_run, seed_x0, summarize = args
+    if start == "adversarial":
+        x0 = PopulationState.uniform(graph)
+    else:
+        x0 = sample_state(graph, generator(seed_x0))
+    return summarize(run_evolution(x0, replace(config, seed=seed_run)))
+
+
+def _evolution_sweep(summarize, config: EvolutionConfig, graph: InfluenceGraph | None,
+                     trials: int, root_seed: int, jobs: int, start: str = "random") -> list:
+    """summarize(timeline) of each trial, in order: trial i runs with seed
+    trial_seed(root_seed, 2i) on ``graph`` (default path:4) from equal masses
+    ("adversarial") or from a simplex point drawn with trial_seed(root_seed, 2i+1)."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be at least 1, got {trials}")
+    graph = graph or InfluenceGraph.path(4)
+    items = [(config, graph, start, trial_seed(root_seed, 2 * i),
+              trial_seed(root_seed, 2 * i + 1), summarize) for i in range(trials)]
+    return _pmap(_evolution_trial, items, jobs)
+
+
+def _best_window(timeline: Timeline, needed: int) -> dict:
     windows = detect_stable_windows(timeline)
     best = max((w.length for w in windows), default=0)
     return {"best_window": best, "windows": len(windows),
@@ -381,11 +403,9 @@ def verify_stability_theorem(config: EvolutionConfig, trials: int,
             "t > 1/(eps*delta^3*alpha_min - 3*p*beta_max)",
             f"horizon = {config.horizon} <= {1.0 / drift:g}")
 
-    graph = initial_graph or InfluenceGraph.path(4)
     needed = required_window_length(config.p)
-    items = [(config, graph, trial_seed(root_seed, 2 * i), trial_seed(root_seed, 2 * i + 1),
-              needed) for i in range(trials)]
-    artifacts = _pmap(_evolution_trial, items, jobs, config.assignment)
+    artifacts = _evolution_sweep(partial(_best_window, needed=needed), config,
+                                 initial_graph, trials, root_seed, jobs)
     successes = sum(1 for a in artifacts if a["success"])
     bound = 1.0 - math.exp(-config.horizon * config.p / 6.0)
     extras = {"required_window": needed,
@@ -395,13 +415,7 @@ def verify_stability_theorem(config: EvolutionConfig, trials: int,
 
 # -- theorem: the number of types stays logarithmic --------------------------------
 
-def _type_bound_trial(args) -> dict:
-    config, initial_graph, start, seed_run, seed_x0, bound_types, cap = args
-    if start == "adversarial":
-        x0 = PopulationState.uniform(initial_graph)
-    else:
-        x0 = sample_state(initial_graph, generator(seed_x0))
-    timeline = run_evolution(x0, replace(config, seed=seed_run))
+def _type_counts(timeline: Timeline, bound_types: float, cap: int) -> dict:
     final = timeline.records[-1].type_count
     peak = timeline.max_type_count()
     return {"final_types": final, "peak_types": peak,
@@ -435,10 +449,8 @@ def verify_type_bound(config: EvolutionConfig, trials: int,
     bound_types = 72.0 * log_inv_eps
     cap = config.max_types()
     graph = initial_graph or InfluenceGraph.path(initial_types)
-    items = [(config, graph, start, trial_seed(root_seed, 2 * i),
-              trial_seed(root_seed, 2 * i + 1), bound_types, cap)
-             for i in range(trials)]
-    artifacts = _pmap(_type_bound_trial, items, jobs, config.assignment)
+    artifacts = _evolution_sweep(partial(_type_counts, bound_types=bound_types, cap=cap),
+                                 config, graph, trials, root_seed, jobs, start)
     successes = sum(1 for a in artifacts if a["success"])
     bound = 1.0 - 3.0 * config.epsilon
     extras = {"type_bound": bound_types, "hard_cap": cap,
@@ -502,6 +514,17 @@ def verify_phi_bounds(timeline: Timeline, config: EvolutionConfig,
                            migration_bound, birth_bound, violations)
 
 
+def verify_phi_bounds_sweep(config: EvolutionConfig, trials: int,
+                            initial_graph: InfluenceGraph | None = None,
+                            root_seed: int = 0, jobs: int = 1) -> TrialStats:
+    """``verify_phi_bounds`` on seeded runs from random starts; the artifacts are
+    the per-run reports. The bounds hold at every step: the paper bound is 1."""
+    reports = _evolution_sweep(partial(verify_phi_bounds, config=config), config,
+                               initial_graph, trials, root_seed, jobs)
+    return _finish(sum(r.ok for r in reports), trials, 1.0, reports,
+                   {"total_violations": sum(len(r.violations) for r in reports)})
+
+
 # -- birth-count concentration ----------------------------------------------------
 
 def verify_birth_counts(config: EvolutionConfig, trials: int,
@@ -512,12 +535,9 @@ def verify_birth_counts(config: EvolutionConfig, trials: int,
     Returns both one-sided stats: births >= t*p/2 against 1-e^(-tp/8), and
     births <= 3*t*p/2 against 1-e^(-tp/6).
     """
-    graph = initial_graph or InfluenceGraph.path(4)
     t, p = config.horizon, config.p
-    items = [(config, graph, trial_seed(root_seed, 2 * i),
-              trial_seed(root_seed, 2 * i + 1), 0) for i in range(trials)]
-    artifacts = _pmap(_evolution_trial, items, jobs, config.assignment)
-    births = np.array([a["births"] for a in artifacts])
+    births = np.array(_evolution_sweep(Timeline.birth_count, config, initial_graph,
+                                       trials, root_seed, jobs))
     low_ok = int(np.sum(births >= t * p / 2.0))
     high_ok = int(np.sum(births <= 3.0 * t * p / 2.0))
     lower = _finish(low_ok, trials, 1.0 - math.exp(-t * p / 8.0), [],

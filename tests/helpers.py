@@ -227,3 +227,23 @@ def reference_evolution(x0, config):
                                   active, min_mass_before, birth, deaths, len(graph)))
     terminal = type(x0)(graph, ids, x, config.horizon)
     return Timeline(records, terminal, config.seed)
+
+
+def reference_phi_sweep(config, graph, trials, root_seed):
+    """The phi-bounds sweep as the command line wrote it out by hand.
+
+    Trial i runs with seed trial_seed(root_seed, 2i) from a simplex point
+    drawn with trial_seed(root_seed, 2i+1); returns one report per trial.
+    The oracle for ``verify_phi_bounds_sweep``.
+    """
+    from dataclasses import replace
+
+    from opinionflow import run_evolution, sample_state, verify_phi_bounds
+    from opinionflow.seeding import generator, trial_seed
+
+    reports = []
+    for i in range(trials):
+        cfg_i = replace(config, seed=trial_seed(root_seed, 2 * i))
+        x0_i = sample_state(graph, generator(trial_seed(root_seed, 2 * i + 1)))
+        reports.append(verify_phi_bounds(run_evolution(x0_i, cfg_i), cfg_i))
+    return reports

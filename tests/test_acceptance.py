@@ -320,5 +320,13 @@ def test_criterion_13_determinism_across_jobs(tmp_path):
     verify_ok = ((tmp_path / "v1" / "stats.json").read_bytes()
                  == (tmp_path / "v3" / "stats.json").read_bytes())
 
-    report(13, "byte-identical outputs across --jobs", evolve_ok and verify_ok,
-           "evolve timeline and verify stats compared")
+    phi_args = ["verify", "phi-bounds", "--graph", "path:4", "--p", "0.05",
+                "--epsilon", "0.04", "--delta", "0.25", "--steps", "300",
+                "--trials", "6", "--seed", "131"]
+    assert main([*phi_args, "--jobs", "1", "--out", str(tmp_path / "p1")]) == 0
+    assert main([*phi_args, "--jobs", "2", "--out", str(tmp_path / "p2")]) == 0
+    phi_ok = ((tmp_path / "p1" / "stats.json").read_bytes()
+              == (tmp_path / "p2" / "stats.json").read_bytes())
+
+    report(13, "byte-identical outputs across --jobs", evolve_ok and verify_ok and phi_ok,
+           "evolve timeline, verify convergence and phi-bounds stats compared")

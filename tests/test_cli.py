@@ -93,6 +93,13 @@ class TestEvolve:
         for v, m in sim.items():
             assert evo.get(v, 0.0) == pytest.approx(m, abs=1e-5)
 
+    def test_influence_leaving_the_simplex_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "evolve", "--graph", "path:2", "--x0", "0.6,0.4",
+                        "--f", "linear:20", "--p", "0", "--steps", "3")
+        assert code == 64
+        assert "sup|F| = 20 > 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_replay_reproduces_outputs(self, tmp_path):
         code1 = main(["evolve", "--graph", "path:3", "--x0", "uniform",
                       "--p", "0.4", "--epsilon", "0.1", "--steps", "60",
@@ -159,6 +166,26 @@ class TestBasin:
         assert code == 64
 
 
+# small configs whose hypotheses hold, one per evolution verify target
+STABILITY_CFG = {"graph": "path:4", "x0": "uniform", "p": 0.001, "epsilon": 0.05,
+                 "delta": 0.3, "beta_min": 0.05, "beta_max": 0.1, "horizon": 3000,
+                 "influence": {"family": "linear", "a": 0.5}, "trials": 8}
+TYPES_CFG = {"graph": "path:8", "x0": "random", "p": 0.5, "epsilon": 0.01,
+             "delta": 0.01, "beta_min": 0.1, "beta_max": 0.3, "horizon": 680,
+             "influence": {"family": "linear", "a": 0.0009}, "trials": 2}
+PHI_CFG = {"graph": "path:4", "x0": "random", "p": 0.05, "epsilon": 0.04,
+           "delta": 0.25, "beta_min": 0.05, "beta_max": 0.1, "horizon": 300,
+           "influence": {"family": "linear", "a": 0.5}, "trials": 5}
+VERIFY_CFGS = {"stability": STABILITY_CFG, "types": TYPES_CFG, "phi-bounds": PHI_CFG,
+               "convergence": {"graph": "triangle", "influence": "linear:0.49"}}
+
+
+def write_cfg(tmp_path, cfg, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 class TestVerify:
     def test_convergence_pass(self, tmp_path):
         code, out = run(tmp_path, "verify", "convergence", "--graph", "triangle",
@@ -214,6 +241,48 @@ class TestVerify:
         main([*args, "--jobs", "2", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "stats.json").read_bytes() == \
                (tmp_path / "b" / "stats.json").read_bytes()
+
+    @pytest.mark.parametrize("what", ["phi-bounds", "stability", "types"])
+    def test_evolution_stats_identical_across_jobs(self, tmp_path, what):
+        cfg = write_cfg(tmp_path, {**VERIFY_CFGS[what], "trials": 3})
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            main(["verify", what, "--config", cfg, "--seed", "4", "--jobs", jobs,
+                  "--out", str(out)])
+            outs.append((out / "stats.json").read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["trials"] == 3
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    @pytest.mark.parametrize("what", ["stability", "types", "convergence", "phi-bounds"])
+    def test_trials_below_one_rejected(self, tmp_path, capsys, what, trials):
+        code, out = run(tmp_path, "verify", what, "--config",
+                        write_cfg(tmp_path, VERIFY_CFGS[what]), "--trials", trials,
+                        "--jobs", "1")
+        assert code == 64
+        assert f"trials must be at least 1, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_influence_leaving_the_simplex_rejected(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "verify", "stability", "--config",
+                      write_cfg(tmp_path, STABILITY_CFG), "--f", "linear:1.5")
+        assert code == 64
+        assert "sup|F| = 1.5 > 1" in capsys.readouterr().err
+
+    def test_x0_flag_removed_but_config_key_replays(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["verify", "phi-bounds", "--x0", "uniform", "--out", str(tmp_path)])
+        cfg = write_cfg(tmp_path, {**PHI_CFG, "trials": 2})
+        assert main(["verify", "phi-bounds", "--config", cfg, "--jobs", "1",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert read_json(tmp_path / "a" / "manifest.json")["config"]["x0"] == "random"
+        assert main(["verify", "phi-bounds", "--config",
+                     str(tmp_path / "a" / "manifest.json"), "--jobs", "1",
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("stats.json", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                   (tmp_path / "b" / name).read_bytes()
 
 
 class TestConfigHandling:

@@ -9,14 +9,16 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
                          InfluenceFunction, InfluenceGraph, PopulationState,
                          Timeline, basin_map, birth_phase, detect_stable_windows,
                          harness, linear, monte_carlo_convergence, potential_phi,
-                         run_evolution, sample_simplex, verify_birth_counts,
-                         verify_phi_bounds, verify_stability_theorem,
-                         verify_type_bound, wilson95)
+                         run_evolution, sample_simplex, sample_state,
+                         verify_birth_counts,
+                         verify_phi_bounds, verify_phi_bounds_sweep,
+                         verify_stability_theorem, verify_type_bound, wilson95)
 from opinionflow.errors import ConfigurationError, HypothesisError
 from opinionflow.evolution import StepRecord
 from opinionflow.harness import required_window_length
+from opinionflow.seeding import generator, trial_seed
 
-from .helpers import path_acb
+from .helpers import path_acb, reference_phi_sweep
 
 
 def weak_linear(x):
@@ -219,7 +221,7 @@ class TestBasinMap:
     def test_jobs_split_rows_below_chunk(self, monkeypatch):
         seen = []
 
-        def record(fn, items, jobs, assignment):
+        def record(fn, items, jobs):
             seen.append([len(item[0]) for item in items])
             return [fn(item) for item in items]
 
@@ -358,6 +360,57 @@ class TestVerifyPhiBounds:
         report = verify_phi_bounds(tl, cfg)
         assert not report.ok
         assert report.violations[0]["kind"] == "migration"
+
+    def test_sweep_matches_reference_loop(self):
+        cfg = EvolutionConfig(p=0.05, epsilon=0.04, delta=0.25, beta_min=0.05,
+                              beta_max=0.1, horizon=300,
+                              assignment=InfluenceAssignment(linear(0.5)))
+        graph = InfluenceGraph.path(4)
+        stats = verify_phi_bounds_sweep(cfg, trials=5, initial_graph=graph, root_seed=7)
+        want = reference_phi_sweep(cfg, graph, 5, 7)
+        got = [(r.ok, len(r.violations), r.migration_checks, r.birth_checks)
+               for r in stats.artifacts]
+        assert got == [(r.ok, len(r.violations), r.migration_checks, r.birth_checks)
+                       for r in want]
+        assert sum(r.birth_checks for r in want) > 0
+        assert stats.verdict == "pass" and stats.extras == {"total_violations": 0}
+
+    def test_sweep_fails_on_one_violating_run(self, monkeypatch):
+        calls = []
+
+        def doctored(timeline, config):
+            report = verify_phi_bounds(timeline, config)
+            calls.append(report)
+            if len(calls) == 2:
+                report.violations.append({"step": 0, "kind": "migration"})
+            return report
+
+        monkeypatch.setattr(harness, "verify_phi_bounds", doctored)
+        cfg = EvolutionConfig(p=0.05, epsilon=0.04, delta=0.25, horizon=50)
+        stats = verify_phi_bounds_sweep(cfg, trials=3)
+        assert (stats.successes, stats.verdict) == (2, "fail")
+        assert stats.extras == {"total_violations": 1}
+
+
+class TestEvolutionSweep:
+    def test_start_rule(self):
+        cfg = EvolutionConfig(p=0.05, epsilon=0.04, horizon=2)
+        graph = InfluenceGraph.path(5)
+
+        def first_phi(timeline):
+            return timeline.records[0].phi_before
+
+        equal = harness._evolution_sweep(first_phi, cfg, graph, 2, 3, 1, "adversarial")
+        drawn = harness._evolution_sweep(first_phi, cfg, graph, 2, 3, 1)
+        assert equal == [potential_phi(PopulationState.uniform(graph))] * 2
+        assert drawn == [potential_phi(sample_state(graph, generator(trial_seed(3, 2 * i + 1))))
+                         for i in range(2)]
+
+    def test_unpicklable_summary_rejected_before_pool(self):
+        cfg = EvolutionConfig(p=0.05, epsilon=0.04, horizon=10)
+        with pytest.raises(ConfigurationError, match="<lambda>.*jobs=1"):
+            harness._evolution_sweep(lambda tl: len(tl), cfg, InfluenceGraph.path(3),
+                                     trials=2, root_seed=0, jobs=2)
 
 
 class TestVerifyBirthCounts:
