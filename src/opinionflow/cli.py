@@ -8,7 +8,7 @@ manifest as --config reproduces the outputs byte for byte.
 
 Exit codes: 0 success/converged/pass; 2 iteration budget exhausted;
 3 verification verdict "fail"; 4 vacuous bound or hypothesis rejected;
-64 malformed configuration.
+64 malformed configuration or usage error, naming the key or flag.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, PopulationState,
                        run_to_convergence)
-from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
+from .errors import ConfigurationError, HypothesisError, NotAFixedPointError, coerce
 from .evolution import EvolutionConfig, run_evolution
 from .graph import InfluenceGraph
 from .harness import (basin_map, monte_carlo_convergence, sample_state,
@@ -40,12 +40,6 @@ EXIT_VACUOUS = 4
 EXIT_CONFIG = 64
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_CONFIG):
-        super().__init__(message)
-        self.code = code
-
-
 # -- input parsing ---------------------------------------------------------------
 
 def _load_json(path: str) -> dict:
@@ -53,93 +47,117 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _CliError(f"cannot read config {path}: {exc}")
+        raise ConfigurationError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _CliError(f"malformed JSON in {path} at line {exc.lineno}, "
-                        f"column {exc.colno}: {exc.msg}")
+        raise ConfigurationError(f"malformed JSON in {path} at line {exc.lineno}, "
+                                 f"column {exc.colno}: {exc.msg}")
+
+
+def _read_spec(spec, what: str):
+    """The JSON object a dict, @file or inline-JSON spec holds; other specs as text."""
+    if isinstance(spec, dict):
+        return spec
+    text = str(spec).strip()
+    if text.startswith("@"):  # one level: a file naming another file is not followed
+        data = _load_json(text[1:])
+        return data if isinstance(data, dict) else str(data).strip()
+    if text.startswith("{"):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"malformed {what} JSON at column {exc.colno}: {exc.msg}")
+    return text
 
 
 def parse_graph(spec) -> InfluenceGraph:
     """Named graph ("triangle", "path:4", ...), inline JSON, @file, or dict."""
-    if isinstance(spec, dict):
-        try:
-            return InfluenceGraph.from_json_dict(spec)
-        except ValueError as exc:
-            raise _CliError(str(exc))
-    text = str(spec).strip()
-    if text.startswith("@"):
-        return parse_graph(_load_json(text[1:]))
-    if text.startswith("{"):
-        try:
-            return parse_graph(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise _CliError(f"malformed graph JSON at column {exc.colno}: {exc.msg}")
-    name, _, arg = text.partition(":")
+    spec = _read_spec(spec, "graph")
     try:
+        if isinstance(spec, dict):
+            return InfluenceGraph.from_json_dict(spec)
+        name, _, arg = spec.partition(":")
         if name == "triangle":
             return InfluenceGraph.triangle()
-        if name == "path":
-            return InfluenceGraph.path(int(arg))
-        if name == "cycle":
-            return InfluenceGraph.cycle(int(arg))
-        if name == "complete":
-            return InfluenceGraph.complete(int(arg))
-        if name == "star":
-            return InfluenceGraph.star(int(arg))
+        if name in ("path", "cycle", "complete", "star"):
+            return getattr(InfluenceGraph, name)(int(arg))
     except ValueError as exc:
-        raise _CliError(f"bad graph spec {text!r}: {exc}")
-    raise _CliError(f"unknown graph spec {text!r} (use triangle, path:N, cycle:N, "
-                    "complete:N, star:N, inline JSON, or @file)")
+        raise ConfigurationError(f"bad graph spec {spec!r}: {exc}")
+    raise ConfigurationError(f"unknown graph spec {spec!r} (use triangle, path:N, cycle:N, "
+                             "complete:N, star:N, inline JSON, or @file)")
 
 
 def parse_influence(spec) -> InfluenceAssignment:
     """"family:a" shorthand, inline JSON, @file, or dict."""
+    spec = _read_spec(spec, "influence")
     if isinstance(spec, dict):
-        try:
-            return InfluenceAssignment.from_json_dict(spec)
-        except ConfigurationError as exc:
-            raise _CliError(str(exc))
-    text = str(spec).strip()
-    if text.startswith("@"):
-        return parse_influence(_load_json(text[1:]))
-    if text.startswith("{"):
-        try:
-            return parse_influence(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise _CliError(f"malformed influence JSON at column {exc.colno}: {exc.msg}")
-    family, _, a = text.partition(":")
+        return InfluenceAssignment.from_json_dict(spec)
+    family, _, a = spec.partition(":")
     try:
         return InfluenceAssignment(InfluenceFunction(family, float(a or 0.5)))
-    except (ConfigurationError, ValueError) as exc:
-        raise _CliError(f"bad influence spec {text!r}: {exc}")
+    except ValueError as exc:
+        raise ConfigurationError(f"bad influence spec {spec!r}: {exc}")
 
 
 def parse_x0(spec, graph: InfluenceGraph, seed: int) -> PopulationState:
-    if isinstance(spec, (dict, list, tuple)):  # a dict is a manifest echo: {"<id>": mass}
-        try:
-            return PopulationState.from_masses(
-                graph, {int(k): float(v) for k, v in spec.items()}
-                if isinstance(spec, dict) else [float(v) for v in spec])
-        except ValueError as exc:
-            raise _CliError(str(exc))
-    text = str(spec).strip()
+    """Comma-separated masses, "uniform", "random" (drawn from ``seed``), a
+    list of masses, or a manifest echo {"<id>": mass}."""
+    text = spec.strip() if isinstance(spec, str) else None
     if text == "uniform":
         return PopulationState.uniform(graph)
     if text == "random":
         return sample_state(graph, generator(seed))
     try:
-        masses = [float(v) for v in text.split(",")]
+        masses = ({int(k): float(v) for k, v in spec.items()} if isinstance(spec, dict)
+                  else [float(v) for v in (spec if text is None else text.split(","))])
         return PopulationState.from_masses(graph, masses)
-    except ValueError as exc:
-        raise _CliError(f"bad x0 {text!r}: {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad x0 {spec!r}: {exc}")
 
 
-def _resolve(file_config: dict, overrides: dict, defaults: dict) -> dict:
-    """Precedence: CLI flag > config file > default."""
-    out = dict(defaults)
-    out.update({k: v for k, v in file_config.items() if v is not None})
-    out.update({k: v for k, v in overrides.items() if v is not None})
-    return out
+def _echo_x0(spec):
+    """An evolution run's x0 as its manifest echoes it: text as given, masses as floats."""
+    if isinstance(spec, str):
+        return spec
+    try:
+        if isinstance(spec, dict):  # a manifest echo: {"<id>": mass}
+            return {k: float(v) for k, v in spec.items()}
+        return [float(v) for v in spec]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad x0 {spec!r}: {exc}")
+
+
+def _file_config(args) -> dict:
+    if not args.config:
+        return {}
+    data = _load_json(args.config)
+    if isinstance(data, dict) and "config" in data and "subcommand" in data:
+        data = data["config"]      # a manifest doubles as a config for replay
+    if not isinstance(data, dict):
+        raise ConfigurationError("config file must hold a JSON object")
+    return data
+
+
+# Each scalar key's one type and each key's default, for the keys read outside
+# EvolutionConfig (which types and defaults its fields, the seed's default too).
+_TYPES = {"seed": int, "tol": float, "max_iters": int, "resolution": int,
+          "trials": int, "eliminate": int}
+_DEFAULTS = {"influence": "linear:0.5", "x0": "uniform", "seed": EvolutionConfig.seed,
+             "tol": TOL_STEP, "max_iters": MAX_ITERS, "resolution": 400, "trials": 100,
+             "eliminate": None}
+
+
+def _config(args, *keys: str, **defaults) -> dict:
+    """The run's config, its file read once. Each of ``keys`` (default from
+    _DEFAULTS) and ``defaults`` resolves flag > file > default, a null counting
+    as unset; a scalar key is converted by its one type. Other file keys pass."""
+    cfg = {k: v for k, v in _file_config(args).items() if v is not None}
+    for key, default in {**{k: _DEFAULTS[k] for k in keys}, **defaults}.items():
+        value = getattr(args, key, None)
+        value = cfg.get(key, default) if value is None else value
+        if value is not None and key in _TYPES:
+            value = coerce(key, _TYPES[key], value)
+        cfg[key] = value
+    return cfg
 
 
 # -- output -----------------------------------------------------------------------
@@ -165,32 +183,17 @@ def _write_outputs(out_dir: str, subcommand: str, config: dict, seed,
         fh.write(_json_bytes(manifest))
 
 
-def _file_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    data = _load_json(args.config)
-    if "config" in data and "subcommand" in data:
-        data = data["config"]      # a manifest doubles as a config for replay
-    if not isinstance(data, dict):
-        raise _CliError("config file must hold a JSON object")
-    return data
-
-
 # -- subcommands --------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    cfg = _resolve(_file_config(args), {
-        "graph": args.graph, "influence": args.f, "x0": args.x0,
-        "tol": args.tol, "max_iters": args.max_iters, "seed": args.seed,
-    }, {"graph": None, "influence": "linear:0.5", "x0": "uniform",
-        "tol": TOL_STEP, "max_iters": MAX_ITERS, "seed": 0})
+    cfg = _config(args, "influence", "x0", "tol", "max_iters", "seed", graph=None)
     if cfg["graph"] is None:
-        raise _CliError("simulate needs --graph or a config file with one")
+        raise ConfigurationError("simulate needs --graph or a config file with one")
     graph = parse_graph(cfg["graph"])
     assignment = parse_influence(cfg["influence"])
-    state = parse_x0(cfg["x0"], graph, int(cfg["seed"]))
-    res = run_to_convergence(state, assignment, float(cfg["tol"]),
-                             int(cfg["max_iters"]), record_trajectory=True)
+    state = parse_x0(cfg["x0"], graph, cfg["seed"])
+    res = run_to_convergence(state, assignment, cfg["tol"], cfg["max_iters"],
+                             record_trajectory=True)
 
     ids = res.limit.ids
     header = "step,phi,active_count," + ",".join(f"mass_{v}" for v in ids)
@@ -208,48 +211,32 @@ def _cmd_simulate(args) -> int:
     }
     echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
             "x0": {str(v): m for v, m in sorted(state.as_dict().items())},
-            "tol": float(cfg["tol"]), "max_iters": int(cfg["max_iters"]),
-            "seed": int(cfg["seed"])}
-    _write_outputs(args.out, "simulate", echo, int(cfg["seed"]), {
+            "tol": cfg["tol"], "max_iters": cfg["max_iters"], "seed": cfg["seed"]}
+    _write_outputs(args.out, "simulate", echo, cfg["seed"], {
         "trajectory.csv": "\n".join(rows) + "\n",
         "summary.json": _json_bytes(summary),
     })
     return EXIT_OK if res.converged else EXIT_MAX_ITERS
 
 
-def _evolution_inputs(args):
-    file_cfg = _file_config(args)
-    overrides = {
-        "graph": getattr(args, "graph", None), "x0": getattr(args, "x0", None),
-        "seed": args.seed, "horizon": getattr(args, "steps", None),
-        "p": getattr(args, "p", None), "epsilon": getattr(args, "epsilon", None),
-        "delta": getattr(args, "delta", None), "influence": getattr(args, "f", None),
-    }
-    cfg = _resolve(file_cfg, overrides, {
-        "graph": "path:4", "x0": "uniform", "p": 0.01, "epsilon": 0.01,
-        "delta": 0.0, "beta_min": 0.05, "beta_max": 0.2, "seed": 0,
-        "horizon": 1000, "influence": "linear:0.5",
-    })
+def _evolution_inputs(args, *keys: str, **defaults):
+    """An evolution subcommand's resolved config, graph, EvolutionConfig and echo;
+    the echo writes each model key as the built config does."""
+    cfg = _config(args, "influence", "x0", *keys, graph="path:4",
+                  **dict.fromkeys(EvolutionConfig.numeric_keys()), **defaults)
     graph = parse_graph(cfg["graph"])
     assignment = parse_influence(cfg["influence"])
-    model_keys = {"p", "epsilon", "delta", "beta_min", "beta_max", "distribution",
-                  "seed", "attachment", "rewiring", "horizon"}
-    model = {k: cfg[k] for k in model_keys if k in cfg}
-    try:
-        config = replace(EvolutionConfig.from_json_dict(model), assignment=assignment)
-    except ConfigurationError as exc:
-        raise _CliError(str(exc))
-    x0 = parse_x0(cfg["x0"], graph, int(cfg["seed"]))
-    echo = dict(cfg)
-    echo["graph"] = graph.to_json_dict()
-    echo["influence"] = assignment.to_json_dict()
-    echo["x0"] = cfg["x0"] if isinstance(cfg["x0"], str) else list(map(float, cfg["x0"]))
-    return config, x0, echo
+    model = {k: cfg[k] for k in EvolutionConfig.json_keys()
+             if k != "influence" and cfg.get(k) is not None}
+    config = replace(EvolutionConfig.from_json_dict(model), assignment=assignment)
+    echo = {**cfg, **{k: v for k, v in config.to_json_dict().items() if k in cfg},
+            "graph": graph.to_json_dict(), "x0": _echo_x0(cfg["x0"])}
+    return cfg, graph, config, echo
 
 
 def _cmd_evolve(args) -> int:
-    config, x0, echo = _evolution_inputs(args)
-    timeline = run_evolution(x0, config)
+    cfg, graph, config, echo = _evolution_inputs(args)
+    timeline = run_evolution(parse_x0(cfg["x0"], graph, config.seed), config)
     summary = {
         "steps": len(timeline),
         "births": timeline.birth_count(),
@@ -268,46 +255,34 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = _resolve(_file_config(args), {
-        "graph": args.graph, "influence": args.f, "x0": args.x0,
-        "eliminate": args.eliminate, "seed": args.seed,
-    }, {"graph": None, "influence": "linear:0.5", "x0": None,
-        "eliminate": None, "seed": 0})
+    cfg = _config(args, "influence", "eliminate", "seed", graph=None, x0=None)
     if cfg["graph"] is None or cfg["x0"] is None:
-        raise _CliError("analyze needs --graph and --x0")
+        raise ConfigurationError("analyze needs --graph and --x0")
     graph = parse_graph(cfg["graph"])
     assignment = parse_influence(cfg["influence"])
-    state = parse_x0(cfg["x0"], graph, int(cfg["seed"]))
-    eliminate = None if cfg["eliminate"] is None else int(cfg["eliminate"])
+    state = parse_x0(cfg["x0"], graph, cfg["seed"])
     try:
-        report = classify_stability(state, assignment, eliminate=eliminate)
+        report = classify_stability(state, assignment, eliminate=cfg["eliminate"])
     except (NotAFixedPointError, ValueError) as exc:
-        raise _CliError(f"analyze: {exc}")
+        raise ConfigurationError(f"analyze: {exc}")
     echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
             "x0": {str(v): m for v, m in sorted(state.as_dict().items())},
-            "eliminate": eliminate, "seed": int(cfg["seed"])}
-    _write_outputs(args.out, "analyze", echo, int(cfg["seed"]), {
+            "eliminate": cfg["eliminate"], "seed": cfg["seed"]}
+    _write_outputs(args.out, "analyze", echo, cfg["seed"], {
         "analysis.json": _json_bytes(report.to_json_dict(state)),
     })
     return EXIT_OK
 
 
 def _cmd_basin(args) -> int:
-    cfg = _resolve(_file_config(args), {
-        "graph": args.graph, "influence": args.f, "resolution": args.resolution,
-        "tol": args.tol, "max_iters": args.max_iters,
-    }, {"graph": "triangle", "influence": "linear:0.5", "resolution": 400,
-        "tol": TOL_STEP, "max_iters": MAX_ITERS})
+    cfg = _config(args, "influence", "resolution", "tol", "max_iters", graph="triangle")
     graph = parse_graph(cfg["graph"])
     assignment = parse_influence(cfg["influence"])
-    try:
-        raster = basin_map(graph, assignment, int(cfg["resolution"]),
-                           float(cfg["tol"]), int(cfg["max_iters"]), jobs=args.jobs)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    raster = basin_map(graph, assignment, cfg["resolution"], cfg["tol"],
+                       cfg["max_iters"], jobs=args.jobs)
     echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
-            "resolution": int(cfg["resolution"]), "tol": float(cfg["tol"]),
-            "max_iters": int(cfg["max_iters"])}
+            "resolution": cfg["resolution"], "tol": cfg["tol"],
+            "max_iters": cfg["max_iters"]}
     _write_outputs(args.out, "basin", echo, None, {
         "basin.csv": raster.to_csv(),
         "basin.pgm": raster.to_pgm(),
@@ -319,34 +294,28 @@ def _cmd_basin(args) -> int:
 
 def _cmd_verify(args) -> int:
     what = args.what
-    file_cfg = _file_config(args)
-    trials = args.trials if args.trials is not None else int(file_cfg.get("trials", 100))
-    root_seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
-
     try:
         if what == "convergence":
-            cfg = _resolve(file_cfg, {"graph": args.graph, "influence": args.f},
-                           {"graph": "triangle", "influence": "linear:0.49"})
+            cfg = _config(args, "trials", "seed", graph="triangle", influence="linear:0.49")
             graph = parse_graph(cfg["graph"])
             assignment = parse_influence(cfg["influence"])
-            stats = monte_carlo_convergence(graph, assignment, trials,
+            root_seed = cfg["seed"]
+            stats = monte_carlo_convergence(graph, assignment, cfg["trials"],
                                             root_seed, jobs=args.jobs)
-            echo = {"graph": graph.to_json_dict(),
-                    "influence": assignment.to_json_dict(),
-                    "trials": trials, "seed": root_seed}
+            echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
+                    "trials": cfg["trials"], "seed": root_seed}
+        elif what == "types":
+            cfg, graph, config, echo = _evolution_inputs(args, "trials", start="random")
+            root_seed = config.seed
+            stats = verify_type_bound(config, cfg["trials"], start=cfg["start"],
+                                      initial_graph=graph, root_seed=root_seed,
+                                      jobs=args.jobs)
         else:
-            config, x0, echo = _evolution_inputs(args)
-            echo.update({"trials": trials, "seed": root_seed})
-            if what == "types":
-                start = args.start or str(file_cfg.get("start", "random"))
-                echo["start"] = start
-                stats = verify_type_bound(config, trials, start=start,
-                                          initial_graph=x0.graph,
-                                          root_seed=root_seed, jobs=args.jobs)
-            else:
-                verifier = (verify_stability_theorem if what == "stability"
-                            else verify_phi_bounds_sweep)
-                stats = verifier(config, trials, x0.graph, root_seed, jobs=args.jobs)
+            cfg, graph, config, echo = _evolution_inputs(args, "trials")
+            root_seed = config.seed
+            verifier = (verify_stability_theorem if what == "stability"
+                        else verify_phi_bounds_sweep)
+            stats = verifier(config, cfg["trials"], graph, root_seed, jobs=args.jobs)
     except HypothesisError as exc:
         print(f"hypothesis rejected: {exc}", file=sys.stderr)
         return EXIT_VACUOUS
@@ -363,78 +332,85 @@ def _cmd_verify(args) -> int:
 
 # -- argument wiring -------------------------------------------------------------------
 
-def _add_common(sp, *, graph=False, f=False, x0=False, jobs=False):
+# The flag that sets each config key, and its help; the key's type converts its text.
+_FLAGS = {
+    "seed": ("--seed", "random seed"),
+    "graph": ("--graph", "triangle | path:N | cycle:N | complete:N | star:N | JSON | @file"),
+    "influence": ("--f", "influence, e.g. linear:0.49 | cubic:0.4 | soft:0.8 | JSON | @file"),
+    "x0": ("--x0", "comma-separated masses | uniform | random"),
+    "tol": ("--tol", "L1 step size below which a run has converged"),
+    "max_iters": ("--max-iters", "iteration budget"),
+    "horizon": ("--steps", "number of steps (the horizon)"),
+    "p": ("--p", "birth probability per step"),
+    "epsilon": ("--epsilon", "death threshold"),
+    "delta": ("--delta", "migration dead-zone on mass differences"),
+    "eliminate": ("--eliminate", "vertex id substituted out for the projection"),
+    "resolution": ("--resolution", "raster cells per simplex edge"),
+    "trials": ("--trials", "number of Monte Carlo trials"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64, like malformed values: 2 means a spent iteration budget."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _flags(sp, *keys: str, jobs: bool = False) -> None:
     sp.add_argument("--config", help="JSON config file (or a manifest.json to replay)")
     sp.add_argument("--out", default="out", help="output directory (default: out)")
-    sp.add_argument("--seed", type=int, default=None, help="random seed")
-    if graph:
-        sp.add_argument("--graph", help="triangle | path:N | cycle:N | complete:N | "
-                                        "star:N | inline JSON | @file")
-    if f:
-        sp.add_argument("--f", help="influence, e.g. linear:0.49 | cubic:0.4 | "
-                                    "soft:0.8 | inline JSON | @file")
-    if x0:
-        sp.add_argument("--x0", help="comma-separated masses | uniform | random")
+    for key in keys:
+        flag, help_ = _FLAGS[key]
+        sp.add_argument(flag, dest=key, help=help_)
     if jobs:
         sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes (results do not depend on this)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="opinionflow",
-        description="Population-migration dynamics on influence graphs.")
+    parser = _Parser(prog="opinionflow",
+                     description="Population-migration dynamics on influence graphs.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    evolution = ("graph", "influence", "seed", "horizon", "p", "epsilon", "delta")
 
     sp = sub.add_parser("simulate", help="run the deterministic dynamics to convergence")
-    _add_common(sp, graph=True, f=True, x0=True)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    _flags(sp, "graph", "influence", "x0", "tol", "max_iters", "seed")
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("evolve", help="run the stochastic birth/death dynamics")
-    _add_common(sp, graph=True, f=True, x0=True, jobs=True)
-    sp.add_argument("--steps", type=int, default=None, help="horizon override")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
+    _flags(sp, *evolution, "x0", jobs=True)
     sp.set_defaults(fn=_cmd_evolve)
 
     sp = sub.add_parser("analyze", help="spectral stability of a fixed point")
-    _add_common(sp, graph=True, f=True, x0=True)
-    sp.add_argument("--eliminate", type=int, default=None,
-                    help="vertex id substituted out for the projection")
+    _flags(sp, "graph", "influence", "x0", "eliminate", "seed")
     sp.set_defaults(fn=_cmd_analyze)
 
     sp = sub.add_parser("basin", help="basin-of-attraction raster for 3 types")
-    _add_common(sp, graph=True, f=True, jobs=True)
-    sp.add_argument("--resolution", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    _flags(sp, "graph", "influence", "resolution", "tol", "max_iters", jobs=True)
     sp.set_defaults(fn=_cmd_basin)
 
     sp = sub.add_parser("verify", help="Monte Carlo verification of the model's theorems")
-    sp.add_argument("what", choices=["stability", "types", "convergence", "phi-bounds"])
-    _add_common(sp, graph=True, f=True, jobs=True)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None, help="horizon override")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--start", choices=["random", "adversarial"], default=None)
+    targets = sp.add_subparsers(dest="what", required=True)
+    _flags(targets.add_parser("convergence", help="migration reaches an independent set"),
+           "graph", "influence", "trials", "seed", jobs=True)
+    _flags(targets.add_parser("stability", help="a quiet window starts by the horizon"),
+           *evolution, "trials", jobs=True)
+    _flags(targets.add_parser("phi-bounds", help="per-step potential bounds"),
+           *evolution, "trials", jobs=True)
+    tp = targets.add_parser("types", help="the type count stays logarithmic")
+    _flags(tp, *evolution, "trials", jobs=True)
+    tp.add_argument("--start", choices=["random", "adversarial"])
     sp.set_defaults(fn=_cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ConfigurationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

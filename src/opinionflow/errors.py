@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of config scalars."""
 
 
 class ConfigurationError(ValueError):
@@ -20,3 +20,19 @@ class NotAFixedPointError(ValueError):
 
 class EigenSolveError(RuntimeError):
     """The dense eigensolver failed to converge; carries diagnostics."""
+
+
+def coerce(key: str, kind: type, value):
+    """``value`` of config key ``key`` as ``kind`` (int or float); numeric text
+    passes. Anything else, a bool or a non-integral number for an int key
+    raises a ConfigurationError that names ``key``."""
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            pass
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {noun}, got {value!r}")
+    return kind(value)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
 
 from .dynamics import PopulationState, _EdgeKernel, kernel_for, migrate_step, potential_phi
-from .errors import ConfigurationError
+from .errors import ConfigurationError, coerce
 from .graph import InfluenceGraph, choose_attachment, REWIRING_POLICIES
 from .influence import InfluenceAssignment, InfluenceFunction
 from .seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams
@@ -76,16 +76,20 @@ class BirthDistribution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BirthDistribution":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"distribution must be a JSON object, got {data!r}")
+        value, mode = data.get("value"), data.get("mode")
         return cls(name=str(data.get("name", "uniform")),
-                   value=data.get("value"), mode=data.get("mode"))
+                   value=None if value is None else coerce("distribution.value", float, value),
+                   mode=None if mode is None else coerce("distribution.mode", float, mode))
 
 
 @dataclass
 class EvolutionConfig:
     """All parameters of one stochastic run."""
 
-    p: float
-    epsilon: float
+    p: float = 0.01
+    epsilon: float = 0.01
     delta: float = 0.0
     beta_min: float = 0.05
     beta_max: float = 0.2
@@ -128,37 +132,30 @@ class EvolutionConfig:
         return int(np.floor(1.0 / self.epsilon))
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p, "epsilon": self.epsilon, "delta": self.delta,
-            "beta_min": self.beta_min, "beta_max": self.beta_max,
-            "distribution": self.distribution.to_json_dict(),
-            "seed": self.seed, "attachment": self.attachment,
-            "rewiring": self.rewiring,
-            "influence": self.assignment.to_json_dict(),
-            "horizon": self.horizon,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["distribution"] = self.distribution.to_json_dict()
+        out["influence"] = out.pop("assignment").to_json_dict()
+        return out
+
+    @classmethod
+    def numeric_keys(cls) -> dict[str, type]:
+        """The int and float fields, whose JSON keys are their names, with their types."""
+        return {f.name: {"int": int, "float": float}[f.type]
+                for f in fields(cls) if f.type in ("int", "float")}
+
+    @classmethod
+    def json_keys(cls) -> list[str]:
+        """The keys of the JSON form: the field names, with "influence" for ``assignment``."""
+        return ["influence" if f.name == "assignment" else f.name for f in fields(cls)]
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EvolutionConfig":
-        known = {"p", "epsilon", "delta", "beta_min", "beta_max", "distribution",
-                 "seed", "attachment", "rewiring", "influence", "horizon"}
-        unknown = set(data) - known
+        """The config a JSON object describes; a key left out keeps its field's default."""
+        unknown = set(data) - set(cls.json_keys())
         if unknown:
             raise ConfigurationError(f"unknown evolution config fields: {sorted(unknown)}")
-        try:
-            kwargs = dict(
-                p=float(data["p"]),
-                epsilon=float(data["epsilon"]),
-                delta=float(data.get("delta", 0.0)),
-                beta_min=float(data.get("beta_min", 0.05)),
-                beta_max=float(data.get("beta_max", 0.2)),
-                seed=int(data.get("seed", 0)),
-                attachment=str(data.get("attachment", "random-subset")),
-                rewiring=str(data.get("rewiring", "neighbor-path")),
-                horizon=int(data.get("horizon", 1000)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed evolution config: {exc}") from exc
+        kwargs = {k: coerce(k, typ, data[k]) for k, typ in cls.numeric_keys().items() if k in data}
+        kwargs.update({k: str(data[k]) for k in ("attachment", "rewiring") if k in data})
         if "distribution" in data:
             kwargs["distribution"] = BirthDistribution.from_json_dict(data["distribution"])
         if "influence" in data:

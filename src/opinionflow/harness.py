@@ -297,9 +297,9 @@ def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
     reaches ``max_iters`` is labelled "unresolved".
     """
     if len(graph) != 3:
-        raise ValueError("basin_map needs a graph of exactly 3 types")
+        raise ConfigurationError("basin_map needs a graph of exactly 3 types")
     if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+        raise ConfigurationError("resolution must be at least 1")
     if theta_active <= 0:
         raise ValueError("theta_active must be positive")
     # integer numerators over one denominator keep diagonal ties exact,
@@ -394,9 +394,11 @@ def verify_stability_theorem(config: EvolutionConfig, trials: int,
         raise HypothesisError("p > 0", "the 1/(3p) window needs a positive birth rate")
     p_cap = min(gain / (3.0 * config.beta_max), 2.0 / 3.0)
     if not config.p < p_cap:
+        why = ("; eps*delta^3*alpha_min is 0 because delta is 0: set --delta"
+               if config.delta == 0 else "")
         raise HypothesisError(
             "p < min(eps*delta^3*alpha_min/(3*beta_max), 2/3)",
-            f"p = {config.p:g} >= {p_cap:g}")
+            f"p = {config.p:g} >= {p_cap:g}{why}")
     drift = gain - 3.0 * config.p * config.beta_max
     if not config.horizon > 1.0 / drift:
         raise HypothesisError(
@@ -434,6 +436,8 @@ def verify_type_bound(config: EvolutionConfig, trials: int,
     ``start`` is "random" (uniform simplex point) or "adversarial"
     (``initial_types`` types at equal mass).
     """
+    if start not in ("random", "adversarial"):
+        raise ConfigurationError(f"start must be 'random' or 'adversarial', got {start!r}")
     _, alpha_max = config.assignment.alpha_bounds()
     if not alpha_max <= config.p / 512.0:
         raise HypothesisError("alpha_max <= p/512",
@@ -443,8 +447,6 @@ def verify_type_bound(config: EvolutionConfig, trials: int,
     if not config.horizon >= t_min:
         raise HypothesisError("t >= (16/p)*log^2(1/eps)",
                               f"horizon = {config.horizon} < {t_min:g}")
-    if start not in ("random", "adversarial"):
-        raise ValueError("start must be 'random' or 'adversarial'")
 
     bound_types = 72.0 * log_inv_eps
     cap = config.max_types()

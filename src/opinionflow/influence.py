@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, coerce
 
 FAMILIES = ("linear", "cubic", "soft", "custom")
 
@@ -133,7 +133,7 @@ class InfluenceFunction:
     @classmethod
     def from_json_dict(cls, data: dict) -> "InfluenceFunction":
         try:
-            return cls(family=str(data["family"]), a=float(data.get("a", 0.5)))
+            return cls(family=str(data["family"]), a=coerce("a", float, data.get("a", 0.5)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed influence entry: {exc}") from exc
 
@@ -276,7 +276,15 @@ class InfluenceAssignment:
             default = InfluenceFunction.from_json_dict(data["default"])
         except KeyError as exc:
             raise ConfigurationError("influence config needs 'default' or 'family'") from exc
+        entries = data.get("per_edge", [])
+        if not isinstance(entries, list):
+            raise ConfigurationError(f"per_edge must be a list, got {entries!r}")
         per_edge = {}
-        for entry in data.get("per_edge", []):
-            per_edge[(int(entry["u"]), int(entry["v"]))] = InfluenceFunction.from_json_dict(entry)
+        for entry in entries:
+            try:
+                edge = (int(entry["u"]), int(entry["v"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"per_edge entry {entry!r} needs integer 'u' and 'v'") from exc
+            per_edge[edge] = InfluenceFunction.from_json_dict(entry)
         return cls(default, per_edge)

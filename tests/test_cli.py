@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from opinionflow import cli
 from opinionflow.cli import main
 
 
@@ -54,6 +55,14 @@ class TestSimulate:
         code, _ = run(tmp_path, "simulate", "--graph", "triangle",
                       "--x0", "0.5,0.5")
         assert code == 64
+
+    def test_graph_file_naming_itself(self, tmp_path, capsys):
+        spec = tmp_path / "graph.json"
+        spec.write_text(json.dumps(f"@{spec}"))
+        code, out = run(tmp_path, "simulate", "--graph", f"@{spec}", "--x0", "uniform")
+        assert code == 64
+        assert "unknown graph spec" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inline_graph_json(self, tmp_path):
         spec = '{"vertices": [0, 1], "edges": [[0, 1]]}'
@@ -271,8 +280,9 @@ class TestVerify:
         assert "sup|F| = 1.5 > 1" in capsys.readouterr().err
 
     def test_x0_flag_removed_but_config_key_replays(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "phi-bounds", "--x0", "uniform", "--out", str(tmp_path)])
+        assert exc.value.code == 64
         cfg = write_cfg(tmp_path, {**PHI_CFG, "trials": 2})
         assert main(["verify", "phi-bounds", "--config", cfg, "--jobs", "1",
                      "--out", str(tmp_path / "a")]) == 0
@@ -283,6 +293,24 @@ class TestVerify:
         for name in ("stats.json", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+
+    def test_stability_default_delta_names_the_flag(self, tmp_path, capsys):
+        code, out = run(tmp_path, "verify", "stability", "--trials", "2", "--jobs", "1")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "eps*delta^3*alpha_min is 0 because delta is 0" in err and "--delta" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what", ["stability", "types", "convergence", "phi-bounds"])
+    def test_no_target_builds_an_x0(self, tmp_path, monkeypatch, what):
+        def refuse(*args):
+            raise AssertionError("verify built an x0")
+        monkeypatch.setattr(cli, "parse_x0", refuse)
+        code, out = run(tmp_path, "verify", what, "--config",
+                        write_cfg(tmp_path, {**VERIFY_CFGS[what], "trials": 2}), "--jobs", "1")
+        assert code in (0, 4)
+        assert (out / "stats.json").exists()
 
 
 class TestConfigHandling:
@@ -307,3 +335,111 @@ class TestConfigHandling:
         assert code == 0
         manifest = read_json(out / "manifest.json")
         assert manifest["config"]["x0"]["0"] == 0.5
+
+
+INT_KEYS = {"max_iters", "seed", "horizon", "resolution", "trials", "eliminate"}
+EVOLUTION_KEYS = ["p", "epsilon", "delta", "beta_min", "beta_max", "seed", "horizon"]
+# Each subcommand, a config it runs on, and every scalar key it reads.
+READS = {
+    "simulate": ({"graph": "triangle"}, ["tol", "max_iters", "seed"]),
+    "evolve": ({"horizon": 5}, EVOLUTION_KEYS),
+    "analyze": ({"graph": "complete:2", "x0": "1,0"}, ["eliminate", "seed"]),
+    "basin": ({"resolution": 4}, ["resolution", "tol", "max_iters"]),
+    "verify convergence": ({**VERIFY_CFGS["convergence"], "trials": 2}, ["trials", "seed"]),
+    "verify stability": (STABILITY_CFG, [*EVOLUTION_KEYS, "trials"]),
+    "verify phi-bounds": (PHI_CFG, [*EVOLUTION_KEYS, "trials"]),
+    "verify types": (TYPES_CFG, [*EVOLUTION_KEYS, "trials", "start"]),
+}
+MALFORMED = [pytest.param(command, base, key, bad, id=f"{command}-{key}-{bad!r}")
+             for command, (base, keys) in READS.items() for key in keys
+             for bad in ["ten", [1]] + ([2.7] if key in INT_KEYS else [])]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command,base,key,bad", MALFORMED)
+    def test_malformed_value_exits_64(self, tmp_path, capsys, command, base, key, bad):
+        code, out = run(tmp_path, *command.split(), "--config",
+                        write_cfg(tmp_path, {**base, key: bad}))
+        err = capsys.readouterr().err
+        assert code == 64
+        assert f"{key} must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--graph", "triangle", "--max-iters", "ten"],
+         "max_iters must be an integer, got 'ten'"),
+        (["evolve", "--steps", "2.7"], "horizon must be an integer, got '2.7'"),
+        (["verify", "convergence", "--trials", "[1]"], "trials must be an integer"),
+    ])
+    def test_malformed_flag_value_exits_64(self, tmp_path, capsys, argv, message):
+        code, out = run(tmp_path, *argv)
+        assert code == 64
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_number_accepted_for_int_key(self, tmp_path):
+        code, out = run(tmp_path, "evolve", "--config",
+                        write_cfg(tmp_path, {"horizon": 3.0, "seed": "4"}))
+        assert code == 0
+        assert read_json(out / "summary.json")["steps"] == 3
+        assert read_json(out / "manifest.json")["seed"] == 4
+
+    def test_distribution_not_an_object(self, tmp_path, capsys):
+        code, out = run(tmp_path, "evolve", "--config",
+                        write_cfg(tmp_path, {"distribution": "uniform", "horizon": 5}))
+        assert code == 64
+        assert "distribution must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("per_edge,message", [
+        ([{"u": 0, "family": "cubic", "a": 0.3}], "needs integer 'u' and 'v'"),
+        (5, "per_edge must be a list"),
+    ])
+    def test_malformed_per_edge(self, tmp_path, capsys, per_edge, message):
+        influence = {"default": {"family": "linear", "a": 0.4}, "per_edge": per_edge}
+        code, out = run(tmp_path, "evolve", "--config",
+                        write_cfg(tmp_path, {"influence": influence, "horizon": 5}))
+        assert code == 64
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evolve_replays_a_mass_dict_x0(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"graph": "triangle", "horizon": 4,
+                                   "x0": {"0": 0.5, "1": 0.3, "2": 0.2}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert read_json(tmp_path / "a" / "manifest.json")["config"]["x0"] == \
+            {"0": 0.5, "1": 0.3, "2": 0.2}
+        assert main(["evolve", "--config", str(tmp_path / "a" / "manifest.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("timeline.jsonl", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestUsage:
+    @pytest.mark.parametrize("flag,value", [("--steps", "7"), ("--p", "0.9"),
+                                            ("--epsilon", "0.1"), ("--delta", "0.1"),
+                                            ("--start", "random")])
+    def test_verify_convergence_rejects_model_flags(self, tmp_path, capsys, flag, value):
+        assert exit_code(["verify", "convergence", flag, value,
+                          "--out", str(tmp_path / "out")]) == 64
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["basin", "--seed", "99"],
+                                      ["verify", "stability", "--start", "random"],
+                                      ["simulate", "--bogus"],
+                                      ["frobnicate"]])
+    def test_usage_errors_exit_64(self, tmp_path, capsys, argv):
+        assert exit_code([*argv, "--out", str(tmp_path / "out")]) == 64
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "types", "--help"]])
+    def test_help_and_version_exit_0(self, argv):
+        assert exit_code(argv) == 0

@@ -77,6 +77,10 @@ class TestConfig:
         assert back.distribution.name == "triangular"
         assert back.assignment.default.a == cfg.assignment.default.a
 
+    def test_json_defaults_are_the_field_defaults(self):
+        assert EvolutionConfig.from_json_dict({}).to_json_dict() == \
+            EvolutionConfig().to_json_dict()
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
             EvolutionConfig.from_json_dict({"p": 0.1, "epsilon": 0.01, "bogus": 1})

@@ -136,6 +136,11 @@ class TestAssignment:
         asg = InfluenceAssignment.from_json_dict({"family": "linear", "a": 0.49})
         assert asg.default.a == 0.49
 
+    @pytest.mark.parametrize("a", [True, "strong", [0.4]])
+    def test_malformed_coefficient(self, a):
+        with pytest.raises(ConfigurationError, match="a must be a number"):
+            InfluenceAssignment.from_json_dict({"family": "linear", "a": a})
+
     def test_bad_family(self):
         with pytest.raises(ConfigurationError):
             InfluenceFunction("quartic", 0.5)
