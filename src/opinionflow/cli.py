@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 from dataclasses import replace
 
@@ -292,6 +293,13 @@ def _cmd_basin(args) -> int:
     return EXIT_OK
 
 
+def _replay_arg(spec, data: dict) -> str:
+    """A flag value that rebuilds ``data``: shorthand text as given, else inline JSON."""
+    if isinstance(spec, str) and spec.strip()[:1] not in ("@", "{"):
+        return shlex.quote(spec.strip())
+    return shlex.quote(json.dumps(data, separators=(",", ":"), sort_keys=True))
+
+
 def _cmd_verify(args) -> int:
     what = args.what
     try:
@@ -302,6 +310,11 @@ def _cmd_verify(args) -> int:
             root_seed = cfg["seed"]
             stats = monte_carlo_convergence(graph, assignment, cfg["trials"],
                                             root_seed, jobs=args.jobs)
+            flags = (f"--graph {_replay_arg(cfg['graph'], graph.to_json_dict())} "
+                     f"--f {_replay_arg(cfg['influence'], assignment.to_json_dict())}")
+            for entry in stats.extras["unresolved"]:
+                entry["replay"] = (f"opinionflow simulate {flags} --x0 random "
+                                   f"--seed {entry['trial_seed']}")
             echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
                     "trials": cfg["trials"], "seed": root_seed}
         elif what == "types":
@@ -350,6 +363,17 @@ _FLAGS = {
 }
 
 
+def _jobs(text: str) -> int:
+    """The value of --jobs: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 64, like malformed values: 2 means a spent iteration budget."""
 
@@ -365,7 +389,7 @@ def _flags(sp, *keys: str, jobs: bool = False) -> None:
         flag, help_ = _FLAGS[key]
         sp.add_argument(flag, dest=key, help=help_)
     if jobs:
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+        sp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                         help="worker processes (results do not depend on this)")
 
 

@@ -11,6 +11,7 @@ Defaults pinned here and used package-wide:
   TOL_FLOW   = 1e-12  max |edge flow| below which a state counts as fixed
   THETA_ACTIVE = 1e-9 mass above which a type counts as active
   MAX_ITERS  = 10**6
+  CERT_STRIDE = 16    steps between certificate tests of a batch row, up to step 512
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ TOL_STEP = 1e-10
 TOL_FLOW = 1e-12
 THETA_ACTIVE = 1e-9
 MAX_ITERS = 10**6
+CERT_STRIDE = 16
+STOP_REASONS = ("certified", "l1", "budget")
 
 _RENORM_TOL = 1e-12
+_CERT_FAMILIES = ("linear", "cubic", "soft")
 
 
 def _drift_error(residual: float) -> ArithmeticError:
@@ -161,6 +165,7 @@ class _EdgeKernel:
                           zip(self.iu.tolist(), self.iv.tolist(), self._code.tolist())]
         else:
             self._plan = None
+        self._cert = None               # built by the first ``certificate`` call
 
     def _code_of(self, f) -> int:
         for k, g in enumerate(self._fns):
@@ -331,6 +336,85 @@ class _EdgeKernel:
         return x, applied, residual_max, active, stopped
 
 
+    @property
+    def certifiable(self) -> bool:
+        """Whether every edge's F admits ``certificate``: linear, cubic or soft
+        with 0 < sup|F| <= 1."""
+        if self._cert is None:
+            fns = [f for f, _ in self._groups]
+            if all(f.family in _CERT_FAMILIES and 0.0 < f.sup_abs() <= 1.0 for f in fns):
+                # closed neighbourhoods grouped by type: type k's run starts at starts[k]
+                ends = np.concatenate([np.arange(self.n), self.iu, self.iv])
+                near = np.concatenate([np.arange(self.n), self.iv, self.iu])
+                order = np.argsort(ends, kind="stable")
+                self._cert = near[order], np.searchsorted(ends[order], np.arange(self.n))
+            else:
+                self._cert = False
+        return self._cert is not False
+
+    def certificate(self, x: np.ndarray, theta: float) -> np.ndarray | None:
+        """The certified limit support S of each row of a batch ``x``, or None.
+
+        Returns a (B, n) mask: S on a row that certifies, all False on the
+        others. None means the kernel admits no certificate: some edge's F is
+        custom, or has a = 0, or sup|F| > 1 (off the simplex). The built-in
+        families with 0 < sup|F| <= 1 are odd, strictly increasing and keep
+        the simplex, which is all the proof below uses.
+
+        S is a top-k set of the row (highest masses, ties by index) with
+          1. no edge inside S (S is independent),
+          2. an edge from every vertex outside S into S (S dominates),
+          3. m < min S, where m is the sum of the masses outside S (summed,
+             not taken as 1 - sum S), and
+          4. min S > theta.
+
+        Proof that the limit's support, and its theta-active set, is exactly
+        S. Every outside mass is at most m < min S, so every edge between S
+        and the outside carries mass into S, and no edge joins two S types:
+        the S masses never fall, m never rises, and 1.-4. hold at every later
+        step. An outside type w with an S neighbour u sends it
+        x_u * x_w * F(x_u - x_w) >= min S * x_w * F(min S - m) per step, and
+        flows between outside types leave m as it is. So
+        m_t <= m * (1 - c)^t with c = min S * F(min S - m), F the weakest
+        influence function of the kernel: m falls to 0, the S masses stay
+        above theta, and every outside mass is below theta after at most
+        log(theta / m) / log(1 - c) steps. At most one k certifies, since each
+        names the limit's support.
+
+        The proof is in exact arithmetic. The float steps round each mass by
+        a relative 1e-16, which the strict inequalities absorb except within
+        a few ulps of a tie. A certified row whose masses sum to 1 only within
+        more than 1e-12 raises, as its next step would.
+
+        One stable argsort ranks each row. The top k are independent while
+        k is at most the smallest, over edges, of the larger end's rank; they
+        dominate while every type ranked k or later has a closed neighbour
+        ranked below k (a suffix max over positions); suffix sums of the
+        sorted masses give m for every k.
+        """
+        if not self.certifiable:
+            return None
+        near, starts = self._cert
+        n, rows = self.n, np.arange(len(x))[:, None]
+        order = np.argsort(-x, axis=1, kind="stable")       # heaviest first, ties by index
+        xs = x[rows, order]
+        rank = np.empty_like(order)
+        rank[rows, order] = np.arange(n)
+        sizes = np.arange(1, n + 1)
+        independent = np.maximum(rank[:, self.iu], rank[:, self.iv]).min(axis=1, initial=n)
+        ok = (sizes <= independent[:, None]) & (xs > theta)
+        reach = np.minimum.reduceat(rank[:, near], starts, axis=1)[rows, order]
+        worst = np.maximum.accumulate(reach[:, ::-1], axis=1)[:, ::-1]  # over positions >= p
+        tail = np.cumsum(xs[:, ::-1], axis=1)[:, ::-1]                  # likewise, summed
+        ok[:, :-1] &= (worst[:, 1:] < sizes[:-1]) & (tail[:, 1:] < xs[:, :-1])
+        hit = ok.any(axis=1)
+        if hit.any():
+            residual = float(np.abs(tail[hit, 0] - 1.0).max())
+            if residual > _RENORM_TOL:
+                raise _drift_error(residual)
+        return (rank < ok.argmax(axis=1)[:, None] + 1) & hit[:, None]
+
+
 def kernel_for(state: PopulationState, assignment: InfluenceAssignment,
                kernel: _EdgeKernel | None = None) -> _EdgeKernel:
     if (kernel is None or kernel.graph is not state.graph
@@ -405,12 +489,21 @@ class ConvergenceResult:
     residual_max: float = 0.0
     trajectory: list[np.ndarray] | None = None
     stops: np.ndarray | None = None
+    reasons: np.ndarray | None = None       # per row: one of STOP_REASONS
+    support: np.ndarray | None = None       # per row: its certified S, else all False
+
+
+def _cert_stride(t: int) -> int:
+    """Steps from a certificate test at step t to the next: CERT_STRIDE up to
+    step 512, then a 16th of t's power of two, so 16 tests per doubling of t."""
+    return max(CERT_STRIDE, (1 << t.bit_length()) >> 5)
 
 
 def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
                        tol: float = TOL_STEP, max_iters: int = MAX_ITERS,
                        record_trajectory: bool = False,
-                       record_phi: bool = True) -> ConvergenceResult:
+                       record_phi: bool = True,
+                       certify: float | None = None) -> ConvergenceResult:
     """Iterate the migration map (dead-zone off) until the L1 step is < tol.
 
     ``iterations`` is the index of the step whose L1 size fell below tol,
@@ -424,19 +517,44 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     when ``stops[b] < max_iters``; ``iterations`` is ``stops.max()`` and
     ``converged`` says whether every row converged. The last live row goes
     on as one state through ``_EdgeKernel.advance``, which costs less per
-    step than a batch of one.
+    step than a batch of one. ``reasons[b]`` is "l1" or "budget".
+
+    ``certify``, the activity threshold theta, adds a second stop to a
+    batch: ``_EdgeKernel.certificate`` tests every live row at step 0 and
+    then every CERT_STRIDE steps, a stride that doubles with t from step
+    512 on (``_cert_stride``), and each row once more at its L1 stop.
+    A row that passes has reason "certified" and its limit support S in
+    ``support``. The stride test stops it at once, with ``stops[b]`` the
+    number of steps it took; the L1-stop test keeps its L1 stop. A row's
+    tests fall on the same steps in any batch, so its stop and reason still
+    do not depend on the rows beside it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     batch = x0.x.ndim == 2
     if batch and (record_phi or record_trajectory):
         raise ValueError("phi and trajectory recording need a single state")
+    if certify is not None and not batch:
+        raise ValueError("certified stops need a batch")
     kernel = kernel_for(x0, assignment)
     x = x0.x.reshape(-1, len(x0.ids))
     out, stops, live = x.copy(), np.full(len(x), max_iters), np.arange(len(x))
+    support = np.zeros(x.shape, dtype=bool)
+    check = certify is not None and kernel.certifiable
     phi_trace = [float(x0.x @ x0.x)] if record_phi else None
     trajectory = [x0.x.copy()] if record_trajectory else None
+
+    def certified(t: int) -> np.ndarray:
+        """Mask of the live rows that certify at step t; they leave with stop t."""
+        s = kernel.certificate(x, certify)
+        hit = s.any(axis=1)
+        out[live[hit]], stops[live[hit]], support[live[hit]] = x[hit], t, s[hit]
+        return hit
+
     residual_max, t = 0.0, 0
+    if check and max_iters > 0:
+        keep = ~certified(0)
+        x, live = x[keep], live[keep]
     while t < max_iters and len(live) > 1:
         x_new, _, residual = kernel.step(x)
         residual_max = max(residual_max, residual)
@@ -446,27 +564,45 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
             out[live[done]], stops[live[done]] = x[done], t
             x, live = x[~done], live[~done]
         t += 1
+        if check and t % _cert_stride(t) == 0 and t < max_iters and len(live):
+            keep = ~certified(t)
+            x, live = x[keep], live[keep]
     if len(live) == 1:
-        # one call, or one per step when recording: x @ x is a BLAS dot on the ndarray
-        x, chunk = x[0], 1 if record_phi or record_trajectory else max_iters
+        # one call, or one per step when recording, or one per certificate
+        # test: x @ x is a BLAS dot on the ndarray
         while t < max_iters:
-            x, applied, residual, _, stopped = kernel.advance(x, min(chunk, max_iters - t), tol)
+            chunk = (1 if record_phi or record_trajectory else _cert_stride(t) if check
+                     else max_iters)
+            x1, applied, residual, _, stopped = kernel.advance(
+                x[0], min(chunk - t % chunk, max_iters - t), tol)
+            x = x1[None]
             residual_max = max(residual_max, residual)
             t += applied
             if phi_trace is not None:
-                phi_trace.append(float(x @ x))
+                phi_trace.append(float(x1 @ x1))
             if trajectory is not None:
-                trajectory.append(x)
+                trajectory.append(x1)
             if stopped:
                 stops[live[0]] = t - 1
                 break
+            if (check and t % _cert_stride(t) == 0 and t < max_iters
+                    and certified(t)[0]):
+                break
     out[live] = x
+    if check:       # the L1-stop test, in one call for every row that stopped so
+        l1 = np.flatnonzero((stops < max_iters) & ~support.any(axis=1))
+        support[l1] = kernel.certificate(out[l1], certify)
     iterations = int(stops.max(initial=0))
     converged = bool(np.all(stops < max_iters))
     applied = iterations + 1 if converged else max_iters
     limit = PopulationState(x0.graph, x0.ids, out if batch else out[0], x0.t + applied)
-    return ConvergenceResult(limit, iterations, converged, np.array(phi_trace or []),
-                             residual_max, trajectory, stops if batch else None)
+    res = ConvergenceResult(limit, iterations, converged, np.array(phi_trace or []),
+                            residual_max, trajectory)
+    if batch:
+        res.stops, res.support = stops, support
+        res.reasons = np.where(support.any(axis=1), "certified",
+                               np.where(stops < max_iters, "l1", "budget"))
+    return res
 
 
 def active_set(state: PopulationState, theta_active: float = THETA_ACTIVE) -> set[int]:

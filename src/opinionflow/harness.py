@@ -24,7 +24,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, PopulationState,
+from .dynamics import (MAX_ITERS, STOP_REASONS, THETA_ACTIVE, TOL_STEP, PopulationState,
                        classify_fixed_point, kernel_for, run_to_convergence)
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
 from .evolution import EvolutionConfig, Timeline, run_evolution
@@ -113,8 +113,14 @@ def _finish(successes: int, trials: int, bound: float | None,
 CHUNK = 1024     # most rows in one batch, i.e. in one run_to_convergence call
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+
+
 def _pmap(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    _check_jobs(jobs)
+    if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     try:
         pickle.dumps(items[0])
@@ -130,7 +136,8 @@ def _map_rows(fn, rows, args: tuple, jobs: int) -> list:
     """fn((chunk, *args)) over chunks of at most CHUNK rows, at least ``jobs`` of
     them where rows allow; a row's result does not depend on its chunk.
     """
-    size = min(CHUNK, max(1, -(-len(rows) // max(jobs, 1))))
+    _check_jobs(jobs)
+    size = min(CHUNK, max(1, -(-len(rows) // jobs)))
     items = [(rows[lo:lo + size], *args) for lo in range(0, len(rows), size)]
     return [out for part in _pmap(fn, items, jobs) for out in part]
 
@@ -144,7 +151,8 @@ def _label(active) -> str:
 
 def _settled_limit(state: PopulationState, used: int, assignment, theta: float,
                    tol: float, max_iters: int):
-    """Iterate past the step-size stop until the limit classifies structurally.
+    """Iterate past the step-size stop of an uncertified row until its limit
+    classifies structurally.
 
     The L1-step criterion can fire while a vanishing type still sits above
     the activity threshold (its decay is slow when its absorbing neighbor
@@ -174,18 +182,21 @@ def _convergence_chunk(args) -> list[dict]:
     ids = tuple(graph.vertex_list())
     starts = np.array([sample_simplex(generator(s), len(ids)) for s in seeds])
     res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
-                             max_iters, record_phi=False)
+                             max_iters, record_phi=False, certify=theta)
     artifacts = []
-    for x, stop in zip(res.limit.x, res.stops.tolist()):
-        limit = PopulationState(graph, ids, x)
-        settled = stop < max_iters
-        if settled:
-            limit, stop, settled = _settled_limit(limit, stop, assignment, theta,
-                                                  tol, max_iters)
-        active = sorted(limit.active_set(theta))
+    for x, stop, reason, s in zip(res.limit.x, res.stops.tolist(), res.reasons.tolist(),
+                                  res.support):
+        if reason == "certified":
+            active, settled = [ids[k] for k in np.flatnonzero(s).tolist()], True
+        else:
+            limit, settled = PopulationState(graph, ids, x), reason == "l1"
+            if settled:
+                limit, stop, settled = _settled_limit(limit, stop, assignment, theta,
+                                                      tol, max_iters)
+            active, reason = sorted(limit.active_set(theta)), "l1" if settled else "budget"
         artifacts.append({"converged": settled, "iterations": stop, "active": active,
                           "independent": graph.is_independent_set(active),
-                          "label": _label(active),
+                          "label": _label(active), "stop": reason,
                           "equal_mass_components": settled})
     return artifacts
 
@@ -198,8 +209,13 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     """Estimate how often uniform starts reach an independent active set.
 
     Requires sup|F| < 1/2 on the graph's edges (the regime in which the
-    almost-sure claim holds). Unconverged trials count as failures. The
-    extras carry a basin census: limit label -> trial count.
+    almost-sure claim holds). A trial stops when the invariant of
+    ``_EdgeKernel.certificate`` proves its limit support, or else at its
+    L1 stop and a settle past it (``_settled_limit``), or at the budget.
+    Unconverged trials count as failures. The extras carry a basin census
+    (limit label -> trial count), the count of trials per stop reason, and
+    every unresolved trial (unconverged, or on a non-independent set) with
+    the seed its start was drawn from.
     """
     sup = assignment.sup_abs(graph)
     if sup >= 0.5:
@@ -211,8 +227,14 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
                           (graph, assignment, tol, max_iters, theta_active), jobs)
     successes = sum(1 for a in artifacts if a["converged"] and a["independent"])
     census = Counter(a["label"] for a in artifacts if a["converged"])
+    stops = Counter(a["stop"] for a in artifacts)
     extras = {"census": dict(sorted(census.items())),
-              "unconverged": sum(1 for a in artifacts if not a["converged"])}
+              "unconverged": sum(1 for a in artifacts if not a["converged"]),
+              "stops": {reason: stops[reason] for reason in STOP_REASONS},
+              "unresolved": [{"trial": i, "trial_seed": seed, "label": a["label"],
+                              "stop": a["stop"]}
+                             for i, (seed, a) in enumerate(zip(seeds, artifacts))
+                             if not (a["converged"] and a["independent"])]}
     return _finish(successes, trials, CONVERGENCE_SUCCESS_BAR, artifacts, extras)
 
 
@@ -275,10 +297,11 @@ def _basin_chunk(args) -> list[str]:
     starts, graph, assignment, tol, max_iters, theta = args
     ids = tuple(graph.vertex_list())
     res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
-                             max_iters, record_phi=False)
+                             max_iters, record_phi=False, certify=theta)
     # one label per active pattern, indexed by the pattern's bits
     names = [_label(v for k, v in enumerate(ids) if bits >> k & 1) for bits in range(8)]
-    codes = (res.limit.x > theta) @ np.array([1, 2, 4])
+    active = np.where(res.support.any(axis=1, keepdims=True), res.support, res.limit.x > theta)
+    codes = active @ np.array([1, 2, 4])
     return [names[c] if stop < max_iters else "unresolved"
             for c, stop in zip(codes.tolist(), res.stops.tolist())]
 
@@ -293,8 +316,10 @@ def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
     the dynamics, so they are legitimate starts. Cells run in raster order
     as batches of at most CHUNK rows (see ``run_to_convergence``), split
     among ``jobs`` workers; each cell's limit is the one it reaches alone,
-    so the raster does not depend on ``jobs``. A cell whose stop index
-    reaches ``max_iters`` is labelled "unresolved".
+    so the raster does not depend on ``jobs``. A cell is labelled by its
+    certified support (see ``monte_carlo_convergence``) or else by its
+    active types at the L1 stop; a cell whose stop index reaches
+    ``max_iters`` is labelled "unresolved".
     """
     if len(graph) != 3:
         raise ConfigurationError("basin_map needs a graph of exactly 3 types")

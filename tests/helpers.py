@@ -106,11 +106,12 @@ def connected_graph_atlas(n_max):
     return atlas
 
 
-def reference_run(x0, assignment, tol=1e-10, max_iters=10**6):
+def reference_run(x0, assignment, tol=1e-10, max_iters=10**6, trace=None):
     """Per-state convergence loop as written before batching: (limit x, iterations, converged).
 
     Steps one state with ``kernel.flows``/``kernel.net`` and stops at the
-    first L1 step below ``tol``; the oracle for the batched kernel.
+    first L1 step below ``tol`` (never, if ``tol`` is 0); the oracle for the
+    batched kernel. ``trace``, a list, receives the state after every step.
     """
     from opinionflow.dynamics import kernel_for
 
@@ -121,9 +122,30 @@ def reference_run(x0, assignment, tol=1e-10, max_iters=10**6):
         x_new /= x_new.sum()
         step_l1 = float(np.abs(x_new - x).sum())
         x = x_new
+        if trace is not None:
+            trace.append(x)
         if step_l1 < tol:
             return x, t, True
     return x, max_iters, False
+
+
+def certificate_oracle(graph, x, theta):
+    """The certified support of one state, set by set: the first top-k set
+    (highest masses, ties by lower index) that is independent, dominates every
+    other type, and whose lightest mass exceeds theta and the mass outside it
+    (summed from the lightest up). None if no k qualifies."""
+    ids = graph.vertex_list()
+    order = sorted(range(len(ids)), key=lambda i: (-x[i], i))
+    for k in range(1, len(ids) + 1):
+        top = {ids[i] for i in order[:k]}
+        outside = 0.0
+        for i in reversed(order[k:]):
+            outside += x[i]
+        light = x[order[k - 1]]
+        if (graph.is_independent_set(top) and light > theta and outside < light
+                and all(graph.neighbors(v) & top for v in set(ids) - top)):
+            return top
+    return None
 
 
 def reference_evolution(x0, config):

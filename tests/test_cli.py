@@ -1,11 +1,15 @@
 """Command-line front end: subcommands, exit codes, manifests, determinism."""
 
 import json
+import shlex
+from functools import partial
 
 import pytest
 
-from opinionflow import cli
+from opinionflow import cli, harness
 from opinionflow.cli import main
+from opinionflow.harness import sample_simplex
+from opinionflow.seeding import generator
 
 
 def run(tmp_path, *argv):
@@ -251,6 +255,37 @@ class TestVerify:
         assert (tmp_path / "a" / "stats.json").read_bytes() == \
                (tmp_path / "b" / "stats.json").read_bytes()
 
+    def test_convergence_stops_and_unresolved(self, tmp_path):
+        code, out = run(tmp_path, "verify", "convergence", "--graph", "cycle:5",
+                        "--f", "linear:0.49", "--trials", "160", "--seed", "71", "--jobs", "1")
+        stats = read_json(out / "stats.json")
+        assert code == 0
+        assert stats["stops"] == {"budget": 0, "certified": 160, "l1": 0}
+        assert stats["unresolved"] == [] and stats["unconverged"] == 0
+        assert stats["census"]["1+3"] == 31       # 30 and trial 159, once unconverged
+
+    @pytest.mark.parametrize("graph", [
+        "cycle:5", '{"vertices": [0, 1, 2, 3, 4], "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}'])
+    def test_unresolved_trials_replay(self, tmp_path, monkeypatch, graph):
+        # a 5-step budget leaves the trials not certified at step 0 unresolved
+        monkeypatch.setattr(cli, "monte_carlo_convergence",
+                            partial(harness.monte_carlo_convergence, max_iters=5))
+        code, out = run(tmp_path, "verify", "convergence", "--graph", graph,
+                        "--f", "linear:0.49", "--trials", "6", "--seed", "3", "--jobs", "1")
+        stats = read_json(out / "stats.json")
+        assert code == 3 and stats["stops"]["budget"] == len(stats["unresolved"]) > 0
+        for k, entry in enumerate(stats["unresolved"]):
+            argv = shlex.split(entry["replay"])
+            assert argv[:2] == ["opinionflow", "simulate"]
+            assert argv[-4:] == ["--x0", "random", "--seed", str(entry["trial_seed"])]
+            replay = tmp_path / f"replay{k}"
+            assert main([*argv[1:], "--max-iters", "5", "--out", str(replay)]) == 2
+            first = (replay / "trajectory.csv").read_text().splitlines()[1].split(",")[3:]
+            want = sample_simplex(generator(entry["trial_seed"]), 5)
+            assert [float(m) for m in first] == want.tolist()
+            echo = read_json(replay / "manifest.json")["config"]
+            assert echo["graph"] == read_json(out / "manifest.json")["config"]["graph"]
+
     @pytest.mark.parametrize("what", ["phi-bounds", "stability", "types"])
     def test_evolution_stats_identical_across_jobs(self, tmp_path, what):
         cfg = write_cfg(tmp_path, {**VERIFY_CFGS[what], "trials": 3})
@@ -438,6 +473,16 @@ class TestUsage:
     def test_usage_errors_exit_64(self, tmp_path, capsys, argv):
         assert exit_code([*argv, "--out", str(tmp_path / "out")]) == 64
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "basin", "verify convergence",
+                                         "verify stability", "verify phi-bounds",
+                                         "verify types"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_64(self, tmp_path, capsys, command, jobs):
+        assert exit_code([*command.split(), "--jobs", jobs,
+                          "--out", str(tmp_path / "out")]) == 64
+        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "types", "--help"]])

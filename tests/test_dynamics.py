@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from opinionflow import (InfluenceAssignment, InfluenceFunction, InfluenceGraph,
                          PopulationState, active_set, classify_fixed_point, cubic, flow,
                          is_fixed_point, linear, local_potential_psi,
                          migrate_step, potential_phi, run_to_convergence, soft)
-from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _EdgeKernel, kernel_for
+from opinionflow.dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel,
+                                  kernel_for)
 from opinionflow.graph import REWIRING_POLICIES, choose_attachment
 from opinionflow.errors import NotAFixedPointError
 from opinionflow.harness import _settled_limit, sample_simplex
 from opinionflow.seeding import generator, trial_seed
 
-from .helpers import edge_state, flow_oracle, path_acb, random_setup, reference_run
+from .helpers import (certificate_oracle, edge_state, flow_oracle, path_acb, random_setup,
+                      reference_run)
 
 
 class TestFlow:
@@ -330,6 +332,170 @@ class TestBatchedConvergence:
             run_to_convergence(batch, InfluenceAssignment(linear(0.5)))
 
 
+def connected_graphs(draw, n):
+    """A connected graph on n types: a random spanning tree plus random edges."""
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return InfluenceGraph(range(n), sorted(edges))
+
+
+def weakest_f(asg, graph, d):
+    """min over the graph's edges of F_uv(d), written out per family."""
+    forms = {"linear": lambda a: a * d, "soft": lambda a: a * d / (1.0 + d)}
+    return min(forms[f.family](f.a) for f in (asg.function_for(u, v) for u, v in graph.edges()))
+
+
+@st.composite
+def certified_cases(draw):
+    """A connected graph on 2..7 types, a linear/soft mix, a maximal independent
+    set S, and a state whose mass outside S is at most half the lightest S mass."""
+    n = draw(st.integers(2, 7))
+    graph = connected_graphs(draw, n)
+    chosen = []
+    for v in draw(st.permutations(range(n))):
+        if not graph.neighbors(v) & set(chosen):
+            chosen.append(v)
+    family = st.sampled_from([linear, soft])
+    coef = st.floats(0.2, 0.49)
+    overrides = {tuple(e): draw(family)(draw(coef)) for e in graph.edges()
+                 if draw(st.booleans())}
+    asg = InfluenceAssignment(draw(family)(draw(coef)), overrides)
+    top = draw(st.lists(st.floats(1.0, 2.0), min_size=len(chosen), max_size=len(chosen)))
+    rest = draw(st.lists(st.floats(0.0, 1.0), min_size=n - len(chosen),
+                         max_size=n - len(chosen)))
+    share = draw(st.floats(0.0, 0.5)) * min(top) / max(sum(rest), 1e-300)
+    x = np.empty(n)
+    inside = np.isin(np.arange(n), chosen)
+    x[inside], x[~inside] = top, np.array(rest) * share
+    return graph, asg, x / x.sum(), inside
+
+
+@st.composite
+def tied_states(draw):
+    """A connected graph on 1..7 types and a state drawn from few distinct masses."""
+    n = draw(st.integers(1, 7))
+    graph = connected_graphs(draw, n)
+    levels = draw(st.lists(st.sampled_from([0.0, 1e-12, 0.01, 0.1, 0.25, 0.5, 1.0]),
+                           min_size=n, max_size=n))
+    w = np.array(levels) + np.array(draw(st.lists(st.sampled_from([0.0, 1e-3]),
+                                                  min_size=n, max_size=n)))
+    return graph, w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
+
+
+class TestCertificate:
+    """The invariant that proves a row's limit support (``_EdgeKernel.certificate``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(certified_cases())
+    def test_certified_state_keeps_the_invariant_and_ends_on_s(self, case):
+        graph, asg, x, inside = case
+        support = _EdgeKernel(graph, asg).certificate(x[None], THETA_ACTIVE)
+        assert support[0].tolist() == inside.tolist()
+        light, outside = x[inside].min(), x[~inside].sum()
+        rate = light * weakest_f(asg, graph, light - outside)
+        bound = np.log(THETA_ACTIVE / outside) / np.log1p(-rate) if outside > THETA_ACTIVE else 0
+        steps = int(np.ceil(bound))
+        assume(steps <= 20_000)
+        trace = [x]
+        final = reference_run(PopulationState(graph, tuple(range(len(x))), x), asg, tol=0.0,
+                              max_iters=steps, trace=trace)[0]
+        trace = np.array(trace)
+        m, s_min = trace[:, ~inside].sum(axis=1), trace[:, inside].min(axis=1)
+        assert np.all(m < s_min)
+        assert np.all(m <= outside * (1.0 - rate) ** np.arange(len(trace)) * (1 + 1e-9))
+        assert ((final > THETA_ACTIVE) == inside).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_states(), st.sampled_from([THETA_ACTIVE, 0.05]))
+    def test_vectorized_check_matches_the_definition(self, case, theta):
+        graph, x = case
+        kernel = _EdgeKernel(graph, InfluenceAssignment(linear(0.4)))
+        rows = np.vstack([x, x[::-1], x])
+        got = kernel.certificate(rows, theta)
+        for row, support in zip(rows, got):
+            want = certificate_oracle(graph, row, theta) or set()
+            assert set(np.flatnonzero(support).tolist()) == want
+
+    def test_gate(self):
+        g = InfluenceGraph.path(3)
+        for asg in (InfluenceAssignment(cubic(0.4)), InfluenceAssignment(soft(0.9)),
+                    InfluenceAssignment(linear(0.4), {(0, 1): cubic(0.3), (1, 2): soft(1.2)})):
+            assert _EdgeKernel(g, asg).certifiable
+        custom = InfluenceFunction("custom", fn=lambda d: 0.4 * d)
+        starts = np.array([[0.1, 0.8, 0.1], [0.45, 0.1, 0.45], [0.3, 0.3, 0.4]])
+        for asg in (InfluenceAssignment(custom),
+                    InfluenceAssignment(linear(0.4), {(0, 1): custom}),
+                    InfluenceAssignment(linear(0.4), {(1, 2): linear(0.0)}),
+                    InfluenceAssignment(linear(1.2))):
+            kernel = _EdgeKernel(g, asg)
+            assert not kernel.certifiable and kernel.certificate(starts, THETA_ACTIVE) is None
+            batch = PopulationState(g, (0, 1, 2), starts)
+            got = run_to_convergence(batch, asg, max_iters=5000, record_phi=False,
+                                     certify=THETA_ACTIVE)
+            want = run_to_convergence(batch, asg, max_iters=5000, record_phi=False)
+            assert got.limit.x.tobytes() == want.limit.x.tobytes()
+            assert got.stops.tolist() == want.stops.tolist()
+            assert "certified" not in got.reasons and not got.support.any()
+
+    def test_zero_edge_would_break_the_proof(self):
+        # S = {1} dominates path:3, but the 1-2 edge moves nothing: 2 keeps its mass
+        asg = InfluenceAssignment(linear(0.4), {(1, 2): linear(0.0)})
+        batch = PopulationState(InfluenceGraph.path(3), (0, 1, 2), np.array([[0.1, 0.8, 0.1]]))
+        res = run_to_convergence(batch, asg, record_phi=False, certify=THETA_ACTIVE)
+        assert res.reasons.tolist() == ["l1"]
+        assert (res.limit.x[0] > THETA_ACTIVE).tolist() == [False, True, True]
+
+    def test_needs_a_batch(self):
+        with pytest.raises(ValueError, match="batch"):
+            run_to_convergence(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.4)),
+                               record_phi=False, certify=THETA_ACTIVE)
+
+    @pytest.mark.parametrize("asg", [InfluenceAssignment(linear(0.49)),
+                                     InfluenceAssignment(cubic(0.45)),
+                                     InfluenceAssignment(soft(0.9), {(0, 1): cubic(0.4)})])
+    def test_rows_leave_with_their_own_state(self, asg):
+        g = InfluenceGraph.cycle(5)
+        starts = np.vstack([random_starts(5, 40, 7), [[0.5, 0.5, 0, 0, 0], [0.2] * 5]])
+        res = run_to_convergence(PopulationState(g, tuple(range(5)), starts), asg,
+                                 max_iters=50_000, record_phi=False, certify=THETA_ACTIVE)
+        for b, x0 in enumerate(starts):
+            start, stop = PopulationState(g, tuple(range(5)), x0), int(res.stops[b])
+            x, iterations, converged = reference_run(start, asg, max_iters=min(stop + 1, 50_000))
+            if res.reasons[b] == "certified" and not (converged and iterations == stop):
+                assert stop % _cert_stride(stop) == 0   # certified by the stride test
+                x = reference_run(start, asg, tol=0.0, max_iters=stop)[0]
+            else:                                       # an L1 stop, certified there or not
+                assert (iterations, converged) == (stop, stop < 50_000)
+            assert res.limit.x[b].tobytes() == x.tobytes()
+            want = certificate_oracle(g, x, THETA_ACTIVE) if res.reasons[b] != "budget" else None
+            assert set(np.flatnonzero(res.support[b]).tolist()) == (want or set())
+        assert res.reasons.tolist()[-2:] == ["l1", "l1"]
+        assert (res.reasons == "certified").sum() >= 38
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        g, asg = InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5))
+        starts = raster(30)
+        whole = run_to_convergence(PopulationState(g, (0, 1, 2), starts), asg,
+                                   record_phi=False, certify=THETA_ACTIVE)
+        assert {"certified", "l1"} <= set(whole.reasons.tolist())
+        for lo, hi in [(0, 1), (1, 9), (9, 200), (200, len(starts))]:
+            part = run_to_convergence(PopulationState(g, (0, 1, 2), starts[lo:hi]), asg,
+                                      record_phi=False, certify=THETA_ACTIVE)
+            assert part.limit.x.tobytes() == whole.limit.x[lo:hi].tobytes()
+            assert part.stops.tolist() == whole.stops[lo:hi].tolist()
+            assert part.reasons.tolist() == whole.reasons[lo:hi].tolist()
+            assert part.support.tolist() == whole.support[lo:hi].tolist()
+
+    def test_trial_159_certifies_on_1_3(self):
+        start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
+        batch = PopulationState(start.graph, start.ids, start.x[None])
+        res = run_to_convergence(batch, asg, record_phi=False, certify=THETA_ACTIVE)
+        assert res.reasons.tolist() == ["certified"] and res.stops.tolist() == [32]
+        assert np.flatnonzero(res.support[0]).tolist() == [1, 3]
+
+
 class TestMassDrift:
     """A state 1e-9 off the simplex raises on every stepping path."""
 
@@ -345,6 +511,13 @@ class TestMassDrift:
         batch = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), starts)
         with pytest.raises(ArithmeticError):
             run_to_convergence(batch, InfluenceAssignment(linear(0.5)), record_phi=False)
+
+    def test_batch_certified_at_step_0(self):
+        starts = np.array([[0.8, 0.1, 0.1], [0.8, 0.1, 0.1 + 1e-9]])
+        batch = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), starts)
+        with pytest.raises(ArithmeticError, match="mass drifted by 1e-09"):
+            run_to_convergence(batch, InfluenceAssignment(linear(0.5)), record_phi=False,
+                               certify=THETA_ACTIVE)
 
     def test_settle(self):
         state = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), self.off.copy())
@@ -371,12 +544,10 @@ def trial_159_start():
 def float_path_cases(draw):
     """A connected graph on 2..7 types, a linear/soft mix, a state and a dead zone."""
     n = draw(st.integers(2, 7))
-    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}      # a spanning tree
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    edges = [tuple(e) for e in connected_graphs(draw, n).edges()]
     coef = st.floats(0.01, 0.99)
     family = st.sampled_from([linear, soft])
-    overrides = {e: draw(family)(draw(coef)) for e in sorted(edges) if draw(st.booleans())}
+    overrides = {e: draw(family)(draw(coef)) for e in edges if draw(st.booleans())}
     asg = InfluenceAssignment(draw(family)(draw(coef)), overrides)
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     tiny = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
@@ -384,9 +555,9 @@ def float_path_cases(draw):
     x = w / w.sum()
     for i in tiny:
         x[i] = draw(st.sampled_from([0.0, 5e-324]))
-    edge = draw(st.sampled_from(sorted(edges)))
+    edge = draw(st.sampled_from(edges))
     delta = draw(st.sampled_from([0.0, 0.05, abs(x[edge[0]] - x[edge[1]])]))
-    return InfluenceGraph(range(n), sorted(edges)), asg, x, delta
+    return InfluenceGraph(range(n), edges), asg, x, delta
 
 
 class TestFloatPath:

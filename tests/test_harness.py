@@ -1,6 +1,8 @@
 """Monte Carlo drivers: sampling, windows, verifiers, basin rasters."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,74 @@ class TestMonteCarloConvergence:
         serial = monte_carlo_convergence(InfluenceGraph.triangle(), asg, trials=6, jobs=1)
         parallel = monte_carlo_convergence(InfluenceGraph.triangle(), asg, trials=6, jobs=2)
         assert parallel.artifacts == serial.artifacts
+
+
+class TestCertifiedSweep:
+    """Convergence trials stop when the certificate proves their limit support."""
+
+    asg = InfluenceAssignment(linear(0.49))
+    graphs = {"triangle": InfluenceGraph.triangle(), "path3": path_acb(),
+              "cycle5": InfluenceGraph.cycle(5), "complete4": InfluenceGraph.complete(4)}
+
+    def test_labels_match_the_sweep_without_certificates(self):
+        # Criterion 07's sweeps as the L1 stop and settle labelled them, one code
+        # per trial into the legend; "-" marks the two cycle:5 trials (159 and
+        # 468) that ran out the 10^6-step budget there, which took 40 s.
+        path = Path(__file__).parent / "data" / "criterion07_seed71_labels.json"
+        before = json.loads(path.read_text())
+        for name, graph in self.graphs.items():
+            stats = monte_carlo_convergence(graph, self.asg, trials=1000, root_seed=71)
+            legend, codes = before[name]["legend"], before[name]["codes"]
+            for code, a in zip(codes, stats.artifacts):
+                assert code == "-" or a["label"] == legend[int(code)], name
+            assert stats.extras["stops"] == {"certified": 1000, "l1": 0, "budget": 0}
+            assert stats.successes == 1000 and stats.extras["unresolved"] == []
+
+    def test_trial_159_certifies_on_1_3(self):
+        stats = monte_carlo_convergence(self.graphs["cycle5"], self.asg, trials=160,
+                                        root_seed=71)
+        assert stats.artifacts[159]["label"] == "1+3"
+        assert stats.artifacts[159]["stop"] == "certified"
+        assert stats.extras["unconverged"] == 0 and stats.successes == 160
+
+    def test_stop_and_label_do_not_depend_on_chunk_or_jobs(self, monkeypatch):
+        g = self.graphs["cycle5"]
+        whole = monte_carlo_convergence(g, self.asg, trials=40, root_seed=8, max_iters=20)
+        assert {a["iterations"] for a in whole.artifacts} == {0, 16, 20}
+        assert whole.extras["stops"]["budget"] > 0
+        monkeypatch.setattr(harness, "CHUNK", 7)      # 40 trials: 5 full chunks + 5
+        for jobs in (1, 3):
+            chunked = monte_carlo_convergence(g, self.asg, trials=40, root_seed=8,
+                                              max_iters=20, jobs=jobs)
+            assert chunked.artifacts == whole.artifacts
+            assert chunked.to_json_dict() == whole.to_json_dict()
+
+    def test_stops_and_unresolved_trials(self):
+        # a budget of 5 steps: trials not certified at step 0 run it out
+        stats = monte_carlo_convergence(self.graphs["cycle5"], self.asg, trials=30,
+                                        root_seed=3, max_iters=5)
+        stops = stats.extras["stops"]
+        assert list(stops) == ["certified", "l1", "budget"]
+        assert sum(stops.values()) == 30 and stops["budget"] == stats.extras["unconverged"] > 0
+        failed = [i for i, a in enumerate(stats.artifacts)
+                  if not (a["converged"] and a["independent"])]
+        unresolved = stats.extras["unresolved"]
+        assert [u["trial"] for u in unresolved] == failed
+        for u in unresolved:
+            a = stats.artifacts[u["trial"]]
+            assert u == {"trial": u["trial"], "trial_seed": trial_seed(3, u["trial"]),
+                         "label": a["label"], "stop": "budget"}
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -1):
+            with pytest.raises(ConfigurationError, match="jobs must be at least 1"):
+                harness._pmap(len, [[1], [2]], jobs)
+            with pytest.raises(ConfigurationError, match="jobs must be at least 1"):
+                harness._map_rows(len, [1, 2, 3], (), jobs)
+            with pytest.raises(ConfigurationError, match="jobs must be at least 1"):
+                monte_carlo_convergence(InfluenceGraph.triangle(), self.asg, 3, jobs=jobs)
+            with pytest.raises(ConfigurationError, match="jobs must be at least 1"):
+                basin_map(InfluenceGraph.triangle(), self.asg, 4, jobs=jobs)
 
 
 class TestBasinMap:
