@@ -33,7 +33,7 @@ MAX_ITERS = 10**6
 CERT_STRIDE = 16
 STOP_REASONS = ("certified", "l1", "budget")
 
-_RENORM_TOL = 1e-12
+_RENORM_TOL = 1e-12     # compared as "not residual <= _RENORM_TOL": a NaN residual raises
 _CERT_FAMILIES = ("linear", "cubic", "soft")
 
 
@@ -70,7 +70,7 @@ class PopulationState:
             x = np.asarray(masses, dtype=float).copy()
             if x.shape != (len(ids),):
                 raise ValueError(f"expected {len(ids)} masses, got {x.shape}")
-        if np.any(x < 0) or np.any(x > 1):
+        if not np.all((x >= 0.0) & (x <= 1.0)):      # a NaN fails both
             raise ValueError("masses must lie in [0, 1]")
         total = x.sum()
         if normalize:
@@ -264,7 +264,7 @@ class _EdgeKernel:
         else:
             total = x_new.sum(axis=1, keepdims=True)
             residual = float(np.abs(total - 1.0).max())
-        if residual > _RENORM_TOL:
+        if not residual <= _RENORM_TOL:
             raise _drift_error(residual)
         x_new /= total
         return x_new, flows, residual
@@ -320,7 +320,7 @@ class _EdgeKernel:
                 x_new.append(y)
                 total += y
             residual = abs(total - 1.0)
-            if residual > _RENORM_TOL:
+            if not residual <= _RENORM_TOL:
                 raise _drift_error(residual)
             if residual > residual_max:
                 residual_max = residual
@@ -410,7 +410,7 @@ class _EdgeKernel:
         hit = ok.any(axis=1)
         if hit.any():
             residual = float(np.abs(tail[hit, 0] - 1.0).max())
-            if residual > _RENORM_TOL:
+            if not residual <= _RENORM_TOL:
                 raise _drift_error(residual)
         return (rank < ok.argmax(axis=1)[:, None] + 1) & hit[:, None]
 
@@ -485,7 +485,6 @@ class ConvergenceResult:
     limit: PopulationState
     iterations: int
     converged: bool
-    phi_trace: np.ndarray
     residual_max: float = 0.0
     trajectory: list[np.ndarray] | None = None
     stops: np.ndarray | None = None
@@ -502,17 +501,16 @@ def _cert_stride(t: int) -> int:
 def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
                        tol: float = TOL_STEP, max_iters: int = MAX_ITERS,
                        record_trajectory: bool = False,
-                       record_phi: bool = True,
                        certify: float | None = None) -> ConvergenceResult:
     """Iterate the migration map (dead-zone off) until the L1 step is < tol.
 
     ``iterations`` is the index of the step whose L1 size fell below tol,
     or max_iters when the budget ran out (then ``converged`` is False).
-    phi_trace holds the potential at x0 and after every applied step
-    (empty if record_phi is off, which bulk sweeps use).
+    ``trajectory``, if recorded, holds x0 and the state after every
+    applied step.
 
-    ``x0.x`` may also be a batch ``(B, n)``, which records neither phi nor
-    a trajectory. Row b leaves the batch at its own stop ``stops[b]`` with
+    ``x0.x`` may also be a batch ``(B, n)``, which records no trajectory.
+    Row b leaves the batch at its own stop ``stops[b]`` with
     the limit and stop it gets alone, bit for bit, and converged exactly
     when ``stops[b] < max_iters``; ``iterations`` is ``stops.max()`` and
     ``converged`` says whether every row converged. The last live row goes
@@ -532,8 +530,8 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     if tol <= 0:
         raise ValueError("tol must be positive")
     batch = x0.x.ndim == 2
-    if batch and (record_phi or record_trajectory):
-        raise ValueError("phi and trajectory recording need a single state")
+    if batch and record_trajectory:
+        raise ValueError("trajectory recording needs a single state")
     if certify is not None and not batch:
         raise ValueError("certified stops need a batch")
     kernel = kernel_for(x0, assignment)
@@ -541,7 +539,6 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     out, stops, live = x.copy(), np.full(len(x), max_iters), np.arange(len(x))
     support = np.zeros(x.shape, dtype=bool)
     check = certify is not None and kernel.certifiable
-    phi_trace = [float(x0.x @ x0.x)] if record_phi else None
     trajectory = [x0.x.copy()] if record_trajectory else None
 
     def certified(t: int) -> np.ndarray:
@@ -568,18 +565,14 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
             keep = ~certified(t)
             x, live = x[keep], live[keep]
     if len(live) == 1:
-        # one call, or one per step when recording, or one per certificate
-        # test: x @ x is a BLAS dot on the ndarray
+        # one call, or one per step when recording, or one per certificate test
         while t < max_iters:
-            chunk = (1 if record_phi or record_trajectory else _cert_stride(t) if check
-                     else max_iters)
+            chunk = 1 if record_trajectory else _cert_stride(t) if check else max_iters
             x1, applied, residual, _, stopped = kernel.advance(
                 x[0], min(chunk - t % chunk, max_iters - t), tol)
             x = x1[None]
             residual_max = max(residual_max, residual)
             t += applied
-            if phi_trace is not None:
-                phi_trace.append(float(x1 @ x1))
             if trajectory is not None:
                 trajectory.append(x1)
             if stopped:
@@ -596,8 +589,7 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     converged = bool(np.all(stops < max_iters))
     applied = iterations + 1 if converged else max_iters
     limit = PopulationState(x0.graph, x0.ids, out if batch else out[0], x0.t + applied)
-    res = ConvergenceResult(limit, iterations, converged, np.array(phi_trace or []),
-                            residual_max, trajectory)
+    res = ConvergenceResult(limit, iterations, converged, residual_max, trajectory)
     if batch:
         res.stops, res.support = stops, support
         res.reasons = np.where(support.any(axis=1), "certified",

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the check of config scalars."""
 
+import math
+
 
 class ConfigurationError(ValueError):
     """A config value or combination of values is unusable."""
@@ -24,8 +26,8 @@ class EigenSolveError(RuntimeError):
 
 def coerce(key: str, kind: type, value):
     """``value`` of config key ``key`` as ``kind`` (int or float); numeric text
-    passes. Anything else, a bool or a non-integral number for an int key
-    raises a ConfigurationError that names ``key``."""
+    passes. Anything else, a bool, a NaN or an infinity, or a non-integral
+    number for an int key raises a ConfigurationError that names ``key``."""
     if isinstance(value, str):
         try:
             value = kind(value)
@@ -35,4 +37,6 @@ def coerce(key: str, kind: type, value):
             or (kind is int and isinstance(value, float) and not value.is_integer())):
         noun = "an integer" if kind is int else "a number"
         raise ConfigurationError(f"{key} must be {noun}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be finite, got {value!r}")
     return kind(value)

@@ -22,13 +22,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .dynamics import PopulationState, _EdgeKernel, kernel_for, migrate_step, potential_phi
+from .dynamics import (_RENORM_TOL, PopulationState, _EdgeKernel, kernel_for, migrate_step,
+                       potential_phi)
 from .errors import ConfigurationError, coerce
-from .graph import InfluenceGraph, choose_attachment, REWIRING_POLICIES
+from .graph import choose_attachment, REWIRING_POLICIES
 from .influence import InfluenceAssignment, InfluenceFunction
 from .seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams
-
-_RENORM_TOL = 1e-12
 
 ATTACHMENT_POLICIES = ("random-subset", "connect-to-all")
 
@@ -106,8 +105,8 @@ class EvolutionConfig:
             raise ConfigurationError("p must be in [0, 1]")
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError("epsilon must be in (0, 1)")
-        if self.delta < 0.0:
-            raise ConfigurationError("delta must be nonnegative")
+        if not 0.0 <= self.delta < np.inf:
+            raise ConfigurationError("delta must be finite and nonnegative")
         if not 0.0 < self.beta_min <= self.beta_max < 1.0:
             raise ConfigurationError("need 0 < beta_min <= beta_max < 1")
         if self.attachment not in ATTACHMENT_POLICIES:
@@ -118,7 +117,7 @@ class EvolutionConfig:
             raise ConfigurationError("horizon must be at least 1")
         self.distribution.validate(self.beta_min, self.beta_max)
         sup = self.assignment.sup_abs()
-        if sup > 1.0:
+        if not sup <= 1.0:             # a NaN sup (a custom F) fails too
             raise ConfigurationError(
                 f"sup|F| = {sup:g} > 1: the update map would leave the simplex")
 
@@ -261,45 +260,41 @@ class Timeline:
         return "\n".join(rows) + "\n"
 
 
-def _rebuild(graph: InfluenceGraph, ids: tuple[int, ...], x: np.ndarray,
-             t: int) -> PopulationState:
+def _rebuild(kernel: _EdgeKernel, x: np.ndarray, t: int) -> PopulationState:
+    """The state after a phase's edits: the kernel's graph and vertex order,
+    the masses ``x`` in that order, renormalized."""
     total = x.sum()
-    if abs(total - 1.0) > _RENORM_TOL:
+    if not abs(total - 1.0) <= _RENORM_TOL:
         raise ArithmeticError(f"mass drifted by {abs(total - 1.0):g} within a phase")
-    return PopulationState(graph, ids, x / total, t)
+    return PopulationState(kernel.graph, kernel.ids, x / total, t)
 
 
-def _editor(state: PopulationState, kernel: _EdgeKernel | None):
-    """What edits the graph: the kernel, which then follows the edit, if it is
-    the state's; else the graph itself."""
-    return kernel if kernel is not None and kernel.graph is state.graph else state.graph
-
-
-def birth_phase(state: PopulationState, config: EvolutionConfig,
-                rng: np.random.Generator,
-                attach_rng: np.random.Generator | None = None
+def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
+                step: int, kernel: _EdgeKernel | None = None
                 ) -> tuple[PopulationState, BirthEvent | None]:
     """With probability p, create a type funded by every existing one.
 
-    ``rng`` drives the Bernoulli coin and the Z draws (in sorted-id order);
-    ``attach_rng`` (default: same stream) drives neighbor selection.
+    The stream of (step, PHASE_BIRTH) drives the Bernoulli coin and then the
+    Z draws (in sorted-id order). The attach stream, which drives neighbor
+    selection, is made only on an actual birth, so no other draw shifts when
+    a birth appears or vanishes. ``kernel`` adds the newborn, after
+    ``kernel_for`` has rebuilt it if it was stale, and follows it.
     """
+    if config.p == 0.0:
+        return state, None
+    rng = streams.stream(step, PHASE_BIRTH)
     if rng.random() >= config.p:
         return state, None
-    return _spawn_type(state, config, rng, attach_rng or rng)
-
-
-def _spawn_type(state: PopulationState, config: EvolutionConfig,
-                rng: np.random.Generator, attach_rng: np.random.Generator,
-                kernel: _EdgeKernel | None = None) -> tuple[PopulationState, BirthEvent]:
+    kernel = kernel_for(state, config.assignment, kernel)
     z = config.distribution.sample(rng, len(state.ids), config.beta_min, config.beta_max)
     newborn_mass = float(np.dot(z, state.x))
-    neighbors = choose_attachment(state.graph, config.attachment, attach_rng)
-    new_id = _editor(state, kernel).add_type(neighbors)
+    neighbors = choose_attachment(state.graph, config.attachment,
+                                  streams.stream(step, PHASE_ATTACH))
+    new_id = kernel.add_type(neighbors)
     event = BirthEvent(new_id, newborn_mass, dict(zip(state.ids, map(float, z))),
                        sorted(neighbors))
     x = np.append(state.x * (1.0 - z), newborn_mass)   # the newborn's id sorts last
-    return _rebuild(state.graph, state.ids + (new_id,), x, state.t), event
+    return _rebuild(kernel, x, state.t), event
 
 
 def death_phase(state: PopulationState, config: EvolutionConfig,
@@ -310,56 +305,50 @@ def death_phase(state: PopulationState, config: EvolutionConfig,
     instant of death (degree taken after earlier removals in the same
     phase). Redistribution only raises survivors, so the cascade
     terminates; a sole survivor always ends it. Among equal masses the
-    lowest id dies first. ``kernel`` follows the removals if it is current.
-    A dying type without neighbors (only on a disconnected graph) raises
-    ``ValueError`` before it is removed.
+    lowest id dies first. ``kernel`` makes the removals, after ``kernel_for``
+    has rebuilt it if it was stale, and follows them. A dying type without
+    neighbors (only on a disconnected graph) raises ``ValueError`` before
+    it is removed.
     """
-    editor = _editor(state, kernel)
-    ids, x = list(state.ids), state.x
-    events: list[DeathEvent] = []
-    while len(ids) >= 2:
+    x, events = state.x, []
+    while len(x) >= 2:
         i = int(x.argmin())             # first index: the lowest id among equal masses
         if x[i] > config.epsilon:
             break
-        v, m = ids[i], float(x[i])
-        recipients = sorted(state.graph.neighbors(v))
+        if not events:
+            kernel = kernel_for(state, config.assignment, kernel)
+        v, m = kernel.ids[i], float(x[i])
+        recipients = sorted(kernel.graph.neighbors(v))
         if not recipients:
             raise ValueError(f"type {v} dies with no neighbors to take its mass")
-        share = m / len(recipients)
-        del ids[i]
+        kernel.remove_type(v, config.rewiring)
         x = np.delete(x, i)
-        x[[bisect_left(ids, u) for u in recipients]] += share
-        editor.remove_type(v, config.rewiring)
+        x[[bisect_left(kernel.ids, u) for u in recipients]] += m / len(recipients)
         events.append(DeathEvent(v, m, recipients))
     if not events:
         return state, []
-    return _rebuild(state.graph, tuple(ids), x, state.t), events
+    return _rebuild(kernel, x, state.t), events
 
 
 def evolution_step(state: PopulationState, config: EvolutionConfig,
-                   streams: RunStreams, step_index: int | None = None,
-                   kernel: _EdgeKernel | None = None) -> tuple[PopulationState, StepRecord]:
-    """One full step: migration, then birth, then death, in that order.
+                   streams: RunStreams, kernel: _EdgeKernel | None = None
+                   ) -> tuple[PopulationState, StepRecord]:
+    """Step ``state.t``: migration, then birth, then death, in that order.
 
     ``kernel``, if current for the state's graph, does the migration and
-    follows the birth and the deaths, so the next step can use it as is.
+    makes and follows the birth and the deaths, so the next step can use it
+    as is.
     """
-    step = state.t if step_index is None else step_index
+    step = state.t
     phi_before = potential_phi(state)
     min_mass_before = float(state.x.min())
 
     state, active, _residual = migrate_step(state, config.assignment, config.delta, kernel)
     phi_mig = phi_birth = phi_after = potential_phi(state)
 
-    # Streams are created lazily: the attach stream only exists on an actual
-    # birth, so unrelated draws never shift when events appear or vanish.
-    birth = None
-    if config.p > 0:
-        birth_rng = streams.stream(step, PHASE_BIRTH)
-        if birth_rng.random() < config.p:
-            state, birth = _spawn_type(state, config, birth_rng,
-                                       streams.stream(step, PHASE_ATTACH), kernel)
-            phi_birth = phi_after = potential_phi(state)
+    state, birth = birth_phase(state, config, streams, step, kernel)
+    if birth is not None:
+        phi_birth = phi_after = potential_phi(state)
 
     state, deaths = death_phase(state, config, kernel)
     if deaths:
@@ -388,7 +377,7 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     streams = RunStreams(config.seed)
     records: list[StepRecord] = []
     kernel = kernel_for(state, config.assignment)     # followed through every event
-    for step in range(config.horizon):
-        state, record = evolution_step(state, config, streams, step, kernel)
+    for _ in range(config.horizon):
+        state, record = evolution_step(state, config, streams, kernel)
         records.append(record)
     return Timeline(records, state, config.seed)

@@ -15,6 +15,7 @@ by spawn index, so results never depend on worker count.
 from __future__ import annotations
 
 import math
+import os
 import pickle
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -113,13 +114,16 @@ def _finish(successes: int, trials: int, bound: float | None,
 CHUNK = 1024     # most rows in one batch, i.e. in one run_to_convergence call
 
 
-def _check_jobs(jobs: int) -> None:
+def _workers(jobs: int) -> int:
+    """The worker processes for ``jobs``, capped at the CPU count: a forked
+    pool starts all of its workers at once."""
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _pmap(fn, items, jobs: int) -> list:
-    _check_jobs(jobs)
+    workers = _workers(jobs)
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     try:
@@ -127,17 +131,17 @@ def _pmap(fn, items, jobs: int) -> list:
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         raise ConfigurationError(f"a trial's inputs cannot be sent to worker "
                                  f"processes ({exc}); run with jobs=1") from exc
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (4 * jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(items) // (4 * workers))
         return list(pool.map(fn, items, chunksize=chunk))
 
 
 def _map_rows(fn, rows, args: tuple, jobs: int) -> list:
-    """fn((chunk, *args)) over chunks of at most CHUNK rows, at least ``jobs`` of
-    them where rows allow; a row's result does not depend on its chunk.
+    """fn((chunk, *args)) over chunks of at most CHUNK rows, at least one per
+    worker (``_workers(jobs)``) where rows allow; a row's result does not
+    depend on its chunk.
     """
-    _check_jobs(jobs)
-    size = min(CHUNK, max(1, -(-len(rows) // jobs)))
+    size = min(CHUNK, max(1, -(-len(rows) // _workers(jobs))))
     items = [(rows[lo:lo + size], *args) for lo in range(0, len(rows), size)]
     return [out for part in _pmap(fn, items, jobs) for out in part]
 
@@ -182,7 +186,7 @@ def _convergence_chunk(args) -> list[dict]:
     ids = tuple(graph.vertex_list())
     starts = np.array([sample_simplex(generator(s), len(ids)) for s in seeds])
     res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
-                             max_iters, record_phi=False, certify=theta)
+                             max_iters, certify=theta)
     artifacts = []
     for x, stop, reason, s in zip(res.limit.x, res.stops.tolist(), res.reasons.tolist(),
                                   res.support):
@@ -218,7 +222,7 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     the seed its start was drawn from.
     """
     sup = assignment.sup_abs(graph)
-    if sup >= 0.5:
+    if not sup < 0.5:
         raise HypothesisError("sup|F| < 1/2", f"sup|F| = {sup:g} >= 1/2")
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
@@ -297,7 +301,7 @@ def _basin_chunk(args) -> list[str]:
     starts, graph, assignment, tol, max_iters, theta = args
     ids = tuple(graph.vertex_list())
     res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
-                             max_iters, record_phi=False, certify=theta)
+                             max_iters, certify=theta)
     # one label per active pattern, indexed by the pattern's bits
     names = [_label(v for k, v in enumerate(ids) if bits >> k & 1) for bits in range(8)]
     active = np.where(res.support.any(axis=1, keepdims=True), res.support, res.limit.x > theta)

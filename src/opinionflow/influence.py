@@ -47,8 +47,9 @@ class InfluenceFunction:
         if self.family == "custom":
             if self.fn is None:
                 raise ConfigurationError("custom influence needs fn=")
-        elif self.a < 0:
-            raise ConfigurationError("coefficient a must be nonnegative")
+        elif not 0.0 <= self.a < np.inf:
+            raise ConfigurationError(f"coefficient a must be finite and nonnegative, "
+                                     f"got {self.a!r}")
 
     # -- evaluation ----------------------------------------------------------
 

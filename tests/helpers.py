@@ -106,6 +106,24 @@ def connected_graph_atlas(n_max):
     return atlas
 
 
+def _edge_functions(kernel):
+    fns = [None] * kernel.m
+    for f, idx in kernel._groups:
+        for e in idx:
+            fns[e] = f
+    return fns
+
+
+def assert_same_kernel(a, b):
+    """Two edge kernels hold the same vertex order, edges, functions and plan."""
+    assert a.ids == b.ids and (a.n, a.m) == (b.n, b.m)
+    for got, want in ((a.iu, b.iu), (a.iv, b.iv)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert all(f is g for f, g in zip(_edge_functions(a), _edge_functions(b), strict=True))
+    assert a._plan == b._plan
+
+
 def reference_run(x0, assignment, tol=1e-10, max_iters=10**6, trace=None):
     """Per-state convergence loop as written before batching: (limit x, iterations, converged).
 

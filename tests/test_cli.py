@@ -373,6 +373,7 @@ class TestConfigHandling:
 
 
 INT_KEYS = {"max_iters", "seed", "horizon", "resolution", "trials", "eliminate"}
+FLOAT_KEYS = {"tol", "p", "epsilon", "delta", "beta_min", "beta_max"}
 EVOLUTION_KEYS = ["p", "epsilon", "delta", "beta_min", "beta_max", "seed", "horizon"]
 # Each subcommand, a config it runs on, and every scalar key it reads.
 READS = {
@@ -387,7 +388,8 @@ READS = {
 }
 MALFORMED = [pytest.param(command, base, key, bad, id=f"{command}-{key}-{bad!r}")
              for command, (base, keys) in READS.items() for key in keys
-             for bad in ["ten", [1]] + ([2.7] if key in INT_KEYS else [])]
+             for bad in ["ten", [1]] + ([2.7] if key in INT_KEYS else [])
+             + ([float("nan"), float("-inf")] if key in FLOAT_KEYS else [])]
 
 
 class TestConfigValues:
@@ -405,6 +407,14 @@ class TestConfigValues:
          "max_iters must be an integer, got 'ten'"),
         (["evolve", "--steps", "2.7"], "horizon must be an integer, got '2.7'"),
         (["verify", "convergence", "--trials", "[1]"], "trials must be an integer"),
+        (["simulate", "--graph", "triangle", "--x0", "nan,0.5,0.5", "--max-iters", "50"],
+         "bad x0 'nan,0.5,0.5': masses must lie in [0, 1]"),
+        (["simulate", "--graph", "triangle", "--tol", "nan"], "tol must be finite, got nan"),
+        (["basin", "--f", "linear:nan", "--resolution", "4"],
+         "coefficient a must be finite and nonnegative, got nan"),
+        (["evolve", "--delta", "nan"], "delta must be finite, got nan"),
+        (["verify", "stability", "--delta", "inf", "--trials", "2"],
+         "delta must be finite, got inf"),
     ])
     def test_malformed_flag_value_exits_64(self, tmp_path, capsys, argv, message):
         code, out = run(tmp_path, *argv)

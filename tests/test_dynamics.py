@@ -15,8 +15,8 @@ from opinionflow.errors import NotAFixedPointError
 from opinionflow.harness import _settled_limit, sample_simplex
 from opinionflow.seeding import generator, trial_seed
 
-from .helpers import (certificate_oracle, edge_state, flow_oracle, path_acb, random_setup,
-                      reference_run)
+from .helpers import (assert_same_kernel, certificate_oracle, edge_state, flow_oracle,
+                      path_acb, random_setup, reference_run)
 
 
 class TestFlow:
@@ -223,8 +223,11 @@ class TestConvergence:
         np.testing.assert_allclose(res.limit.x, [0.5, 0.5, 0.0], atol=1e-9)
 
     def test_phi_trace_monotone(self):
-        res = run_to_convergence(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.5)))
-        assert np.all(np.diff(res.phi_trace) >= -1e-14)
+        res = run_to_convergence(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.5)),
+                                 record_trajectory=True)
+        phi = [float(x @ x) for x in res.trajectory]
+        assert len(phi) == res.iterations + 2
+        assert np.all(np.diff(phi) >= -1e-14)
 
     def test_max_iters_flags_unconverged(self):
         res = run_to_convergence(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.5)),
@@ -258,7 +261,7 @@ class TestBatchedConvergence:
     def check(self, graph, asg, starts, max_iters=MAX_ITERS):
         ids = tuple(graph.vertex_list())
         res = run_to_convergence(PopulationState(graph, ids, starts), asg,
-                                 max_iters=max_iters, record_phi=False)
+                                 max_iters=max_iters)
         assert res.limit.x.shape == starts.shape
         for b, x0 in enumerate(starts):
             x, iterations, converged = reference_run(PopulationState(graph, ids, x0), asg,
@@ -328,8 +331,8 @@ class TestBatchedConvergence:
     def test_batch_records_no_trace(self):
         g = InfluenceGraph.triangle()
         batch = PopulationState(g, (0, 1, 2), raster(2))
-        with pytest.raises(ValueError):
-            run_to_convergence(batch, InfluenceAssignment(linear(0.5)))
+        with pytest.raises(ValueError, match="single state"):
+            run_to_convergence(batch, InfluenceAssignment(linear(0.5)), record_trajectory=True)
 
 
 def connected_graphs(draw, n):
@@ -432,9 +435,8 @@ class TestCertificate:
             kernel = _EdgeKernel(g, asg)
             assert not kernel.certifiable and kernel.certificate(starts, THETA_ACTIVE) is None
             batch = PopulationState(g, (0, 1, 2), starts)
-            got = run_to_convergence(batch, asg, max_iters=5000, record_phi=False,
-                                     certify=THETA_ACTIVE)
-            want = run_to_convergence(batch, asg, max_iters=5000, record_phi=False)
+            got = run_to_convergence(batch, asg, max_iters=5000, certify=THETA_ACTIVE)
+            want = run_to_convergence(batch, asg, max_iters=5000)
             assert got.limit.x.tobytes() == want.limit.x.tobytes()
             assert got.stops.tolist() == want.stops.tolist()
             assert "certified" not in got.reasons and not got.support.any()
@@ -443,14 +445,14 @@ class TestCertificate:
         # S = {1} dominates path:3, but the 1-2 edge moves nothing: 2 keeps its mass
         asg = InfluenceAssignment(linear(0.4), {(1, 2): linear(0.0)})
         batch = PopulationState(InfluenceGraph.path(3), (0, 1, 2), np.array([[0.1, 0.8, 0.1]]))
-        res = run_to_convergence(batch, asg, record_phi=False, certify=THETA_ACTIVE)
+        res = run_to_convergence(batch, asg, certify=THETA_ACTIVE)
         assert res.reasons.tolist() == ["l1"]
         assert (res.limit.x[0] > THETA_ACTIVE).tolist() == [False, True, True]
 
     def test_needs_a_batch(self):
         with pytest.raises(ValueError, match="batch"):
             run_to_convergence(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.4)),
-                               record_phi=False, certify=THETA_ACTIVE)
+                               certify=THETA_ACTIVE)
 
     @pytest.mark.parametrize("asg", [InfluenceAssignment(linear(0.49)),
                                      InfluenceAssignment(cubic(0.45)),
@@ -459,7 +461,7 @@ class TestCertificate:
         g = InfluenceGraph.cycle(5)
         starts = np.vstack([random_starts(5, 40, 7), [[0.5, 0.5, 0, 0, 0], [0.2] * 5]])
         res = run_to_convergence(PopulationState(g, tuple(range(5)), starts), asg,
-                                 max_iters=50_000, record_phi=False, certify=THETA_ACTIVE)
+                                 max_iters=50_000, certify=THETA_ACTIVE)
         for b, x0 in enumerate(starts):
             start, stop = PopulationState(g, tuple(range(5)), x0), int(res.stops[b])
             x, iterations, converged = reference_run(start, asg, max_iters=min(stop + 1, 50_000))
@@ -478,11 +480,11 @@ class TestCertificate:
         g, asg = InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5))
         starts = raster(30)
         whole = run_to_convergence(PopulationState(g, (0, 1, 2), starts), asg,
-                                   record_phi=False, certify=THETA_ACTIVE)
+                                   certify=THETA_ACTIVE)
         assert {"certified", "l1"} <= set(whole.reasons.tolist())
         for lo, hi in [(0, 1), (1, 9), (9, 200), (200, len(starts))]:
             part = run_to_convergence(PopulationState(g, (0, 1, 2), starts[lo:hi]), asg,
-                                      record_phi=False, certify=THETA_ACTIVE)
+                                      certify=THETA_ACTIVE)
             assert part.limit.x.tobytes() == whole.limit.x[lo:hi].tobytes()
             assert part.stops.tolist() == whole.stops[lo:hi].tolist()
             assert part.reasons.tolist() == whole.reasons[lo:hi].tolist()
@@ -491,7 +493,7 @@ class TestCertificate:
     def test_trial_159_certifies_on_1_3(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
         batch = PopulationState(start.graph, start.ids, start.x[None])
-        res = run_to_convergence(batch, asg, record_phi=False, certify=THETA_ACTIVE)
+        res = run_to_convergence(batch, asg, certify=THETA_ACTIVE)
         assert res.reasons.tolist() == ["certified"] and res.stops.tolist() == [32]
         assert np.flatnonzero(res.support[0]).tolist() == [1, 3]
 
@@ -510,13 +512,13 @@ class TestMassDrift:
         starts = np.array([[0.5, 0.3, 0.2], self.off])
         batch = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), starts)
         with pytest.raises(ArithmeticError):
-            run_to_convergence(batch, InfluenceAssignment(linear(0.5)), record_phi=False)
+            run_to_convergence(batch, InfluenceAssignment(linear(0.5)))
 
     def test_batch_certified_at_step_0(self):
         starts = np.array([[0.8, 0.1, 0.1], [0.8, 0.1, 0.1 + 1e-9]])
         batch = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), starts)
         with pytest.raises(ArithmeticError, match="mass drifted by 1e-09"):
-            run_to_convergence(batch, InfluenceAssignment(linear(0.5)), record_phi=False,
+            run_to_convergence(batch, InfluenceAssignment(linear(0.5)),
                                certify=THETA_ACTIVE)
 
     def test_settle(self):
@@ -613,7 +615,7 @@ class TestFloatPath:
 
     def test_trial_159_tail_matches_reference(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
-        res = run_to_convergence(start, asg, max_iters=50_000, record_phi=False)
+        res = run_to_convergence(start, asg, max_iters=50_000)
         x, iterations, converged = reference_run(start, asg, max_iters=50_000)
         assert res.limit.x.tobytes() == x.tobytes()
         assert (res.iterations, res.converged) == (iterations, converged) == (50_000, False)
@@ -621,7 +623,7 @@ class TestFloatPath:
 
     def test_settle_matches_ndarray_loop(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
-        state = run_to_convergence(start, asg, max_iters=50_000, record_phi=False).limit
+        state = run_to_convergence(start, asg, max_iters=50_000).limit
         limit, used, settled = _settled_limit(state, 47_000, asg, THETA_ACTIVE, TOL_STEP,
                                               50_000)
         kernel, x = _EdgeKernel(state.graph, asg), state.x
@@ -656,6 +658,14 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             PopulationState.from_masses(g, [1.2, -0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        g = InfluenceGraph.triangle()
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            PopulationState.from_masses(g, [bad, 0.5, 0.5])
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            PopulationState.from_masses(g, {0: 0.5, 1: bad, 2: 0.5}, normalize=True)
+
     def test_mass_lookup(self):
         g = InfluenceGraph([3, 7], [(3, 7)])
         s = PopulationState.from_masses(g, {3: 0.25, 7: 0.75})
@@ -664,21 +674,30 @@ class TestStateValidation:
             s.mass(99)
 
 
-def _edge_functions(kernel):
-    fns = [None] * kernel.m
-    for f, idx in kernel._groups:
-        for e in idx:
-            fns[e] = f
-    return fns
+def nan_influence(x):
+    """Custom influence that returns NaN everywhere off zero."""
+    return np.where(x == 0.0, 0.0, np.nan)
 
 
-def assert_same_kernel(a, b):
-    assert a.ids == b.ids and (a.n, a.m) == (b.n, b.m)
-    for got, want in ((a.iu, b.iu), (a.iv, b.iv)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    assert all(f is g for f, g in zip(_edge_functions(a), _edge_functions(b), strict=True))
-    assert a._plan == b._plan
+class TestNaNDrift:
+    """A NaN mass or flow fails the drift check on every stepping path."""
+
+    def test_nan_state_raises_on_the_float_path(self):
+        g = InfluenceGraph.triangle()
+        kernel = _EdgeKernel(g, InfluenceAssignment(linear(0.4)))
+        assert kernel._plan is not None
+        with pytest.raises(ArithmeticError, match="drifted by nan"):
+            migrate_step(PopulationState(g, (0, 1, 2), np.array([np.nan, 0.5, 0.5])),
+                         kernel.assignment, kernel=kernel)
+
+    def test_nan_influence_raises_on_one_state_and_a_batch(self):
+        asg = InfluenceAssignment(InfluenceFunction("custom", fn=nan_influence))
+        g = InfluenceGraph.path(3)
+        with pytest.raises(ArithmeticError, match="drifted by nan"):
+            run_to_convergence(PopulationState.from_masses(g, [0.5, 0.3, 0.2]), asg)
+        batch = PopulationState(g, (0, 1, 2), random_starts(3, 4, 1))
+        with pytest.raises(ArithmeticError, match="drifted by nan"):
+            run_to_convergence(batch, asg)
 
 
 class TestKernelFollowsEdits:

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment,
-                         InfluenceGraph, PopulationState, birth_phase, cubic,
+                         InfluenceFunction, InfluenceGraph, PopulationState, birth_phase, cubic,
                          death_phase, evolution_step, linear, run_evolution,
                          run_to_convergence, soft)
+from opinionflow.dynamics import _EdgeKernel, kernel_for
 from opinionflow.errors import ConfigurationError
+from opinionflow.graph import choose_attachment
 from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams
 
-from .helpers import reference_evolution
+from .helpers import assert_same_kernel, reference_evolution
 
 
 class _FixedZ:
@@ -56,9 +58,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             make_config(p=1.5)
 
+    @pytest.mark.parametrize("delta", [-0.1, np.nan, np.inf])
+    def test_delta_finite_and_nonnegative(self, delta):
+        with pytest.raises(ConfigurationError, match="delta must be finite and nonnegative"):
+            make_config(delta=delta)
+
     def test_overstrong_influence_rejected(self):
         with pytest.raises(ConfigurationError):
             make_config(assignment=InfluenceAssignment(linear(1.2)))
+        nan_f = InfluenceFunction("custom", fn=lambda x: np.full_like(x, np.nan))
+        with pytest.raises(ConfigurationError, match="sup.F. = nan"):
+            make_config(assignment=InfluenceAssignment(nan_f))
 
     def test_point_distribution_support_checked(self):
         with pytest.raises(ConfigurationError):
@@ -92,8 +102,7 @@ class TestBirthPhase:
         s = PopulationState.from_masses(g, [0.5, 0.5])
         cfg = make_config(p=1.0, attachment="connect-to-all")
         cfg.distribution = _FixedZ([0.2, 0.1])
-        rng = np.random.default_rng(0)
-        out, event = birth_phase(s, cfg, rng)
+        out, event = birth_phase(s, cfg, RunStreams(0), 0)
         assert event is not None
         np.testing.assert_allclose(out.x, [0.4, 0.45, 0.15])
         assert event.new_id == 2
@@ -105,7 +114,7 @@ class TestBirthPhase:
         s = PopulationState.from_masses(g, [0.5, 0.5])
         cfg = make_config(p=0.0)
         for seed in range(20):
-            out, event = birth_phase(s, cfg, np.random.default_rng(seed))
+            out, event = birth_phase(s, cfg, RunStreams(seed), 0)
             assert event is None
             assert out is s
 
@@ -119,7 +128,7 @@ class TestBirthPhase:
         draws = rng.exponential(size=n)
         s = PopulationState(g, tuple(range(n)), draws / draws.sum())
         cfg = make_config(p=1.0, beta_min=0.05, beta_max=0.2)
-        out, event = birth_phase(s, cfg, np.random.default_rng(seed + 1))
+        out, event = birth_phase(s, cfg, RunStreams(seed + 1), 0)
         assert cfg.beta_min - 1e-12 <= event.mass <= cfg.beta_max + 1e-12
         assert abs(out.x.sum() - 1.0) < 1e-12
 
@@ -127,9 +136,79 @@ class TestBirthPhase:
         g = InfluenceGraph.path(4)
         s = PopulationState.uniform(g)
         cfg = make_config(p=1.0)
-        out, event = birth_phase(s, cfg, np.random.default_rng(3))
+        out, event = birth_phase(s, cfg, RunStreams(3), 0)
         assert out.graph.is_connected()
         assert 1 <= len(event.neighbors) <= 3
+
+
+class _CountingStreams(RunStreams):
+    """RunStreams that records the (step, phase) of every stream it makes."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.made = []
+
+    def stream(self, step, phase):
+        self.made.append((step, phase))
+        return super().stream(step, phase)
+
+
+class TestPhasesThroughTheKernel:
+    """Both phases edit the graph through the run's kernel and take the vertex
+    order from it; a stale kernel is rebuilt first, so it changes nothing."""
+
+    ASSIGNMENT = InfluenceAssignment(linear(0.4), {(1, 2): soft(0.8)})
+
+    def start(self):
+        # type 1 is at or below epsilon, before and after the birth takes its Z share
+        g = InfluenceGraph.path(5)
+        return PopulationState(g, tuple(range(5)), np.array([0.3, 0.02, 0.3, 0.28, 0.1]))
+
+    def config(self):
+        return make_config(p=1.0, epsilon=0.05, assignment=self.ASSIGNMENT)
+
+    def test_attach_stream_only_on_a_birth(self):
+        s = PopulationState.uniform(InfluenceGraph.path(3))
+        for p, want in ((0.0, []), (1e-12, [(7, PHASE_BIRTH)]),
+                        (1.0, [(7, PHASE_BIRTH), (7, PHASE_ATTACH)])):
+            streams = _CountingStreams(1)
+            birth_phase(PopulationState(s.graph.copy(), s.ids, s.x), make_config(p=p),
+                        streams, 7)
+            assert streams.made == want
+
+    def test_current_kernel_makes_and_follows_both_phases(self):
+        s, cfg = self.start(), self.config()
+        kernel = _EdgeKernel(s.graph, cfg.assignment)
+        out, birth = birth_phase(s, cfg, RunStreams(4), 0, kernel)
+        assert birth.new_id == 5 and out.ids is kernel.ids
+        assert kernel_for(out, cfg.assignment, kernel) is kernel
+        out, deaths = death_phase(out, cfg, kernel)
+        assert deaths[0].type_id == 1 and out.ids is kernel.ids
+        assert kernel_for(out, cfg.assignment, kernel) is kernel
+        assert_same_kernel(kernel, _EdgeKernel(out.graph, cfg.assignment))
+
+    @pytest.mark.parametrize("stale", ["missed-edit", "other-graph", "other-assignment"])
+    def test_stale_kernel_gives_the_state_of_no_kernel(self, stale):
+        cfg = self.config()
+        want = self.start()
+        got = PopulationState(want.graph.copy(), want.ids, want.x.copy())
+        if stale == "missed-edit":
+            g = InfluenceGraph.path(4)
+            kernel = _EdgeKernel(g, cfg.assignment)
+            assert g.add_type([3]) == 4     # an edit the kernel did not see: g is path:5
+            got = PopulationState(g, want.ids, want.x.copy())
+        elif stale == "other-graph":
+            kernel = _EdgeKernel(got.graph.copy(), cfg.assignment)
+        else:
+            kernel = _EdgeKernel(got.graph, InfluenceAssignment(linear(0.4)))
+        graph = got.graph
+        want, want_birth = birth_phase(want, cfg, RunStreams(4), 0)
+        got, got_birth = birth_phase(got, cfg, RunStreams(4), 0, kernel)
+        want, want_deaths = death_phase(want, cfg)
+        got, got_deaths = death_phase(got, cfg, kernel)
+        assert want_deaths and got_deaths == want_deaths and got_birth == want_birth
+        assert got.ids == want.ids and got.x.tobytes() == want.x.tobytes()
+        assert got.graph is graph and graph.edges() == want.graph.edges()
 
 
 class TestDeathPhase:
@@ -206,7 +285,7 @@ class TestEvolutionStep:
         g = InfluenceGraph.complete(2)
         s = PopulationState.from_masses(g, [0.55, 0.45])
         cfg = make_config(p=0.0, epsilon=0.01, delta=0.5)  # dead zone swallows the gap
-        state, record = evolution_step(s, cfg, RunStreams(0), 0)
+        state, record = evolution_step(s, cfg, RunStreams(0))
         np.testing.assert_array_equal(state.x, s.x)
         assert not record.migration_active
         assert record.birth is None
@@ -219,7 +298,7 @@ class TestEvolutionStep:
         cfg = make_config(p=1.0, epsilon=0.01, beta_min=0.1, beta_max=0.2,
                           distribution=BirthDistribution("point", value=0.15),
                           attachment="connect-to-all")
-        state, record = evolution_step(s, cfg, RunStreams(1), 0)
+        state, record = evolution_step(s, cfg, RunStreams(1))
         # migration: (0.624, 0.376); birth absorbs 15% of each
         np.testing.assert_allclose(state.x, [0.624 * 0.85, 0.376 * 0.85, 0.15])
         assert record.migration_active
@@ -227,17 +306,24 @@ class TestEvolutionStep:
         assert record.type_count == 3
 
     def test_step_stream_matches_birth_phase(self):
-        # the composite step and a manual phase call see identical draws
+        # the composite step and a manual phase call see identical draws: the
+        # coin, then Z from the birth stream; the neighbors from the attach stream
         g = InfluenceGraph.path(3)
-        s = PopulationState.uniform(g)
+        s = PopulationState(g, (0, 1, 2), np.array([0.5, 0.3, 0.2]), t=5)
         cfg = make_config(p=1.0, delta=1.0)  # no migration
         streams = RunStreams(42)
         manual, event = birth_phase(
-            PopulationState(s.graph.copy(), s.ids, s.x.copy()), cfg,
-            streams.stream(0, PHASE_BIRTH), streams.stream(0, 2))
-        state, record = evolution_step(s, cfg, streams, 0)
+            PopulationState(s.graph.copy(), s.ids, s.x.copy(), s.t), cfg, streams, s.t)
+        state, record = evolution_step(s, cfg, streams)
+        assert record.step == 5
         assert record.birth.z == event.z
         assert record.birth.neighbors == event.neighbors
+        rng = streams.stream(5, PHASE_BIRTH)
+        rng.random()
+        z = cfg.distribution.sample(rng, 3, cfg.beta_min, cfg.beta_max)
+        assert event.z == dict(zip((0, 1, 2), map(float, z)))
+        assert event.neighbors == sorted(choose_attachment(
+            InfluenceGraph.path(3), cfg.attachment, streams.stream(5, PHASE_ATTACH)))
 
 
 class TestRunEvolution:

@@ -11,14 +11,14 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
                          InfluenceFunction, InfluenceGraph, PopulationState,
                          Timeline, basin_map, birth_phase, detect_stable_windows,
                          harness, linear, monte_carlo_convergence, potential_phi,
-                         run_evolution, sample_simplex, sample_state,
+                         run_evolution, run_to_convergence, sample_simplex, sample_state,
                          verify_birth_counts,
                          verify_phi_bounds, verify_phi_bounds_sweep,
                          verify_stability_theorem, verify_type_bound, wilson95)
 from opinionflow.errors import ConfigurationError, HypothesisError
 from opinionflow.evolution import StepRecord
 from opinionflow.harness import required_window_length
-from opinionflow.seeding import generator, trial_seed
+from opinionflow.seeding import RunStreams, generator, trial_seed
 
 from .helpers import path_acb, reference_phi_sweep
 
@@ -26,6 +26,11 @@ from .helpers import path_acb, reference_phi_sweep
 def weak_linear(x):
     """Module-level custom influence: picklable by reference."""
     return 0.4 * x
+
+
+def linear_049(x):
+    """Module-level custom influence that steps as linear:0.49 but never certifies."""
+    return 0.49 * x
 
 
 def fake_timeline(active_pattern):
@@ -134,6 +139,9 @@ class TestMonteCarloConvergence:
         with pytest.raises(HypothesisError):
             monte_carlo_convergence(InfluenceGraph.triangle(),
                                     InfluenceAssignment(linear(0.5)), 10)
+        nan_f = InfluenceFunction("custom", fn=lambda x: np.full_like(x, np.nan))
+        with pytest.raises(HypothesisError, match="sup.F. = nan"):
+            monte_carlo_convergence(InfluenceGraph.triangle(), InfluenceAssignment(nan_f), 10)
 
     def test_limits_have_equal_mass_components(self):
         stats = monte_carlo_convergence(path_acb(), InfluenceAssignment(linear(0.4)),
@@ -226,6 +234,57 @@ class TestCertifiedSweep:
             assert u == {"trial": u["trial"], "trial_seed": trial_seed(3, u["trial"]),
                          "label": a["label"], "stop": "budget"}
 
+    def test_settle_loop_gives_uncertified_rows_the_certified_census(self):
+        # custom F = 0.49x takes the L1 stop and _settled_limit where linear:0.49
+        # certifies; at the L1 stop many rows still hold a vanishing type above theta
+        g = self.graphs["cycle5"]
+        custom = InfluenceAssignment(InfluenceFunction("custom", fn=linear_049))
+        settled = monte_carlo_convergence(g, custom, trials=20, root_seed=71)
+        certified = monte_carlo_convergence(g, InfluenceAssignment(linear(0.49)),
+                                            trials=20, root_seed=71)
+        assert settled.extras["stops"] == {"certified": 0, "l1": 20, "budget": 0}
+        assert certified.extras["stops"] == {"certified": 20, "l1": 0, "budget": 0}
+        assert settled.extras["census"] == certified.extras["census"] == \
+            {"0+2": 9, "0+3": 3, "1+3": 2, "1+4": 3, "2+4": 3}
+        ids = tuple(range(5))
+        starts = np.array([sample_simplex(generator(trial_seed(71, i)), 5) for i in range(20)])
+        at_l1 = run_to_convergence(PopulationState(g, ids, starts), custom).limit.x
+        labels = ["+".join(str(v) for v in ids if x[v] > 1e-9) for x in at_l1]
+        assert labels != [a["label"] for a in settled.artifacts]
+
+    def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
+        pools = []
+
+        class Pool:
+            """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        chunks = []
+        pmap = harness._pmap
+        monkeypatch.setattr(harness, "_pmap", lambda fn, items, jobs: (
+            chunks.append(len(items)), pmap(fn, items, jobs))[1])
+        serial = monte_carlo_convergence(InfluenceGraph.triangle(), self.asg, 6)
+        capped = monte_carlo_convergence(InfluenceGraph.triangle(), self.asg, 6, jobs=5000)
+        assert pools == [2] and chunks == [1, 2]
+        assert capped.to_json_dict() == serial.to_json_dict()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._workers(5000) == 1
+        with pytest.raises(ConfigurationError, match="cannot be sent to worker"):
+            harness._pmap(len, [(lambda: 0,), (1,)], 5000)   # the pickle check stays
+
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -1):
             with pytest.raises(ConfigurationError, match="jobs must be at least 1"):
@@ -296,6 +355,7 @@ class TestBasinMap:
             return [fn(item) for item in items]
 
         monkeypatch.setattr(harness, "_pmap", record)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)   # no cap below 3 jobs
         basin_map(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)), 12, jobs=2)
         monte_carlo_convergence(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.49)),
                                 trials=5, jobs=3)
@@ -417,7 +477,7 @@ class TestVerifyPhiBounds:
         g = InfluenceGraph.path(4)
         s = PopulationState.uniform(g)
         phi0 = potential_phi(s)
-        out, _ = birth_phase(s, cfg, np.random.default_rng(0))
+        out, _ = birth_phase(s, cfg, RunStreams(0), 0)
         drop = phi0 - potential_phi(out)
         assert drop == pytest.approx(phi0 * (2 * z - z * z) - z * z, abs=1e-14)
         assert drop <= 2 * cfg.beta_max

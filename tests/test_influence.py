@@ -141,6 +141,16 @@ class TestAssignment:
         with pytest.raises(ConfigurationError, match="a must be a number"):
             InfluenceAssignment.from_json_dict({"family": "linear", "a": a})
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), "nan", "-inf"])
+    def test_non_finite_coefficient(self, a):
+        with pytest.raises(ConfigurationError, match="a must be finite"):
+            InfluenceAssignment.from_json_dict({"family": "linear", "a": a})
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), -0.1])
+    def test_coefficient_finite_and_nonnegative(self, a):
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            InfluenceFunction("soft", a)
+
     def test_bad_family(self):
         with pytest.raises(ConfigurationError):
             InfluenceFunction("quartic", 0.5)
