@@ -275,16 +275,17 @@ def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStr
     """With probability p, create a type funded by every existing one.
 
     The stream of (step, PHASE_BIRTH) drives the Bernoulli coin and then the
-    Z draws (in sorted-id order). The attach stream, which drives neighbor
-    selection, is made only on an actual birth, so no other draw shifts when
-    a birth appears or vanishes. ``kernel`` adds the newborn, after
-    ``kernel_for`` has rebuilt it if it was stale, and follows it.
+    Z draws (in sorted-id order). The coin comes from ``streams.coin``, which
+    draws it with its block; the stream itself, and the attach stream that
+    drives neighbor selection, are made only on an actual birth, so no other
+    draw shifts when a birth appears or vanishes. ``kernel`` adds the
+    newborn, after ``kernel_for`` has rebuilt it if it was stale, and
+    follows it.
     """
-    if config.p == 0.0:
+    if config.p == 0.0 or streams.coin(step, PHASE_BIRTH) >= config.p:
         return state, None
     rng = streams.stream(step, PHASE_BIRTH)
-    if rng.random() >= config.p:
-        return state, None
+    rng.random()                        # the coin: the Z draws follow it
     kernel = kernel_for(state, config.assignment, kernel)
     z = config.distribution.sample(rng, len(state.ids), config.beta_min, config.beta_max)
     newborn_mass = float(np.dot(z, state.x))

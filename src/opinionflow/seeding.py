@@ -18,6 +18,41 @@ import numpy as np
 PHASE_BIRTH = 1      # Bernoulli(p) and the Z draws
 PHASE_ATTACH = 2     # neighbor choice for a newborn type
 
+COIN_BLOCK = 1024    # steps whose coins ``RunStreams.coin`` draws at once
+
+# Philox4x64-10 (Salmon et al., Random123): round multipliers and key bumps.
+_MASK64 = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products m * b, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    b_lo, b_hi = b & _LOW32, b >> _32
+    lo_lo, hi_lo = b_lo * m_lo, b_hi * m_lo
+    cross = (lo_lo >> _32) + (hi_lo & _LOW32) + b_lo * m_hi    # < 2^64
+    return b_hi * m_hi + (hi_lo >> _32) + (cross >> _32), b * np.uint64(m)
+
+
+def _philox_first_words(key: tuple[int, int], steps: np.ndarray, phase: int) -> np.ndarray:
+    """Word 0 of Philox4x64-10 at counters [1, 0, step, phase], one per step.
+
+    That is the first uint64 a ``Philox(counter=[0, 0, step, phase])``
+    returns: it bumps the counter before its first block.
+    """
+    c0, c1 = np.ones_like(steps), np.zeros_like(steps)
+    c2, c3 = steps, np.full_like(steps, phase)
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return c0
+
 
 @functools.cache
 def _philox_key_type() -> type:
@@ -57,6 +92,8 @@ class RunStreams:
         # counter words, so streams are disjoint unless one phase draws 2^128
         # values.
         self._key = _philox_key_type()(self.seed)
+        self._words = tuple(map(int, self._key.generate_state(2, np.uint64)))
+        self._coins: dict[int, tuple[int, list[float]]] = {}   # phase -> (block, coins)
 
     def stream(self, step: int, phase: int) -> np.random.Generator:
         """Fresh generator for (step, phase); identical on every call."""
@@ -64,6 +101,20 @@ class RunStreams:
         counter[2] = np.uint64(step)
         counter[3] = np.uint64(phase)
         return np.random.Generator(np.random.Philox(seed=self._key, counter=counter))
+
+    def coin(self, step: int, phase: int) -> float:
+        """``stream(step, phase).random()``, bit for bit, without a Generator.
+
+        Draws the coins of COIN_BLOCK consecutive steps at once, in numpy
+        uint64 arithmetic: ``random()`` is (first word >> 11) * 2**-53.
+        """
+        block = step // COIN_BLOCK
+        cached = self._coins.get(phase)
+        if cached is None or cached[0] != block:
+            steps = np.uint64(block * COIN_BLOCK) + np.arange(COIN_BLOCK, dtype=np.uint64)
+            raw = _philox_first_words(self._words, steps, phase)
+            cached = self._coins[phase] = block, ((raw >> np.uint64(11)) * 2.0**-53).tolist()
+        return cached[1][step % COIN_BLOCK]
 
 
 def trial_seed(root_seed: int, index: int) -> int:

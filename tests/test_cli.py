@@ -1,11 +1,15 @@
 """Command-line front end: subcommands, exit codes, manifests, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from functools import partial
 
 import pytest
 
+import opinionflow
 from opinionflow import cli, harness
 from opinionflow.cli import main
 from opinionflow.harness import sample_simplex
@@ -177,6 +181,17 @@ class TestBasin:
     def test_wrong_size_graph(self, tmp_path):
         code, _ = run(tmp_path, "basin", "--graph", "path:4", "--resolution", "4")
         assert code == 64
+
+    def test_never_loads_numpy_random(self, tmp_path):
+        # numpy.random costs about 6 MB of resident memory, and a raster draws nothing
+        script = ("import sys\n"
+                  "from opinionflow.cli import main\n"
+                  "assert main(['basin', '--resolution', '8', '--out', sys.argv[1]]) == 0\n"
+                  "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'\n")
+        src = os.path.dirname(os.path.dirname(opinionflow.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], check=True,
+                       env={**os.environ, "PYTHONPATH": path})
 
 
 # small configs whose hypotheses hold, one per evolution verify target
@@ -415,6 +430,10 @@ class TestConfigValues:
         (["evolve", "--delta", "nan"], "delta must be finite, got nan"),
         (["verify", "stability", "--delta", "inf", "--trials", "2"],
          "delta must be finite, got inf"),
+        (["simulate", "--graph", "triangle", "--tol", "0"], "tol must be positive, got 0.0"),
+        (["basin", "--tol", "-1", "--resolution", "4"], "tol must be positive, got -1.0"),
+        (["simulate", "--graph", "triangle", "--max-iters", "-3"],
+         "max_iters must be at least 0, got -3"),
     ])
     def test_malformed_flag_value_exits_64(self, tmp_path, capsys, argv, message):
         code, out = run(tmp_path, *argv)

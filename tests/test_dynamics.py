@@ -8,7 +8,8 @@ from opinionflow import (InfluenceAssignment, InfluenceFunction, InfluenceGraph,
                          PopulationState, active_set, classify_fixed_point, cubic, flow,
                          is_fixed_point, linear, local_potential_psi,
                          migrate_step, potential_phi, run_to_convergence, soft)
-from opinionflow.dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel,
+from opinionflow.dynamics import (FLOAT_MAX_EDGES, FLOAT_MAX_TYPES, MAX_ITERS, THETA_ACTIVE,
+                                  TOL_STEP, _cert_stride, _EdgeKernel, _pairwise_sum,
                                   kernel_for)
 from opinionflow.graph import REWIRING_POLICIES, choose_attachment
 from opinionflow.errors import NotAFixedPointError
@@ -544,9 +545,16 @@ def trial_159_start():
 
 @st.composite
 def float_path_cases(draw):
-    """A connected graph on 2..7 types, a linear/soft mix, a state and a dead zone."""
-    n = draw(st.integers(2, 7))
-    edges = [tuple(e) for e in connected_graphs(draw, n).edges()]
+    """A graph on 2..128 types with at most FLOAT_MAX_EDGES edges, a linear/soft
+    mix, a state and a dead zone. A spanning tree joins the first types, as
+    many as the gate allows; the others may be isolated."""
+    n = draw(st.one_of(st.integers(2, FLOAT_MAX_TYPES),
+                       st.sampled_from([2, 7, 8, 9, 16, 17, 64, FLOAT_MAX_TYPES])))
+    joined = min(n, FLOAT_MAX_EDGES + 1)
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, joined)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges |= set(draw(st.lists(pair, max_size=FLOAT_MAX_EDGES - len(edges))))
+    edges = sorted(edges)
     coef = st.floats(0.01, 0.99)
     family = st.sampled_from([linear, soft])
     overrides = {e: draw(family)(draw(coef)) for e in edges if draw(st.booleans())}
@@ -560,6 +568,19 @@ def float_path_cases(draw):
     edge = draw(st.sampled_from(edges))
     delta = draw(st.sampled_from([0.0, 0.05, abs(x[edge[0]] - x[edge[1]])]))
     return InfluenceGraph(range(n), edges), asg, x, delta
+
+
+def test_pairwise_sum_is_numpy_sum():
+    rng = np.random.default_rng(5)
+    for n in range(1, FLOAT_MAX_TYPES + 1):
+        for _ in range(8):
+            x = rng.random(n) ** rng.integers(1, 40)
+            x[rng.random(n) < 0.3] = 0.0
+            x[rng.random(n) < 0.1] = 5e-324
+            x *= rng.choice([1.0, 1e300, 1e-300])
+            assert _pairwise_sum(x.tolist()).hex() == float(np.add.reduce(x)).hex()
+        zeros = np.full(n, -0.0)
+        assert _pairwise_sum(zeros.tolist()).hex() == float(np.add.reduce(zeros)).hex()
 
 
 class TestFloatPath:
@@ -597,21 +618,28 @@ class TestFloatPath:
             assert not active and x_new.tobytes() == x.tobytes()
 
     def test_gate(self):
-        assert _EdgeKernel(InfluenceGraph.complete(7), InfluenceAssignment(soft(0.9)))._plan
-        assert _EdgeKernel(InfluenceGraph.path(8), InfluenceAssignment(linear(0.4)))._plan is None
+        asg = InfluenceAssignment(soft(0.9))
+        for n, planned in ((FLOAT_MAX_TYPES, True), (FLOAT_MAX_TYPES + 1, False)):
+            assert (_EdgeKernel(InfluenceGraph(range(n), [(0, 1), (1, 2)]), asg)._plan
+                    is not None) == planned
+        for m, planned in ((FLOAT_MAX_EDGES, True), (FLOAT_MAX_EDGES + 1, False)):
+            assert (_EdgeKernel(InfluenceGraph.path(m + 1), asg)._plan is not None) == planned
         custom = InfluenceFunction("custom", fn=lambda d: 0.4 * d)
         for f in (cubic(0.4), custom):
             asg = InfluenceAssignment(linear(0.4), {(1, 2): f})
             assert _EdgeKernel(InfluenceGraph.path(3), asg)._plan is None
 
     def test_evolving_kernel_crosses_the_gate(self):
-        g = InfluenceGraph.path(7)
-        kernel = _EdgeKernel(g, InfluenceAssignment(linear(0.4)))
-        assert kernel._plan is not None
-        kernel.add_type({6})
-        assert kernel._plan is None
-        kernel.remove_type(3)
-        assert kernel._plan == _EdgeKernel(g, kernel.assignment)._plan is not None
+        asg = InfluenceAssignment(linear(0.4))
+        for g, neighbors in ((InfluenceGraph.path(FLOAT_MAX_EDGES + 1), {FLOAT_MAX_EDGES}),
+                             (InfluenceGraph(range(FLOAT_MAX_TYPES), [(0, 1), (1, 2), (2, 3),
+                                                                      (3, 4)]), {0})):
+            kernel = _EdgeKernel(g, asg)
+            assert kernel._plan is not None
+            kernel.add_type(neighbors)              # one edge or one type too many
+            assert kernel._plan is None
+            kernel.remove_type(3)                   # 2-3-4 becomes 2-4
+            assert kernel._plan == _EdgeKernel(g, asg)._plan is not None
 
     def test_trial_159_tail_matches_reference(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))

@@ -169,8 +169,7 @@ class TestPhasesThroughTheKernel:
 
     def test_attach_stream_only_on_a_birth(self):
         s = PopulationState.uniform(InfluenceGraph.path(3))
-        for p, want in ((0.0, []), (1e-12, [(7, PHASE_BIRTH)]),
-                        (1.0, [(7, PHASE_BIRTH), (7, PHASE_ATTACH)])):
+        for p, want in ((0.0, []), (1e-12, []), (1.0, [(7, PHASE_BIRTH), (7, PHASE_ATTACH)])):
             streams = _CountingStreams(1)
             birth_phase(PopulationState(s.graph.copy(), s.ids, s.x), make_config(p=p),
                         streams, 7)
@@ -448,6 +447,7 @@ class TestIncrementalStep:
         cfg = make_config(p=0.01, epsilon=0.05, delta=0.3, seed=7, horizon=2000)
         tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
         assert tl.birth_count() > 0 and tl.death_count() > 0
+        assert tl.max_type_count() >= 8             # past the old n < 8 float path
 
 
 class TestRunStreams:
@@ -459,6 +459,14 @@ class TestRunStreams:
                 want = np.random.Generator(np.random.Philox(
                     seed=np.random.SeedSequence(seed), counter=counter)).random(6)
                 np.testing.assert_array_equal(streams.stream(step, phase).random(6), want)
+
+    def test_coin_is_the_streams_first_draw(self):
+        steps = (0, 1023, 1024, 1025, 2**40 + 7, 2**64 - 1)
+        for seed in np.random.default_rng(17).integers(0, 2**63, 20).tolist():
+            streams = RunStreams(seed)
+            for phase in (PHASE_BIRTH, PHASE_ATTACH):
+                for step in steps:
+                    assert streams.coin(step, phase) == streams.stream(step, phase).random()
 
     def test_every_call_is_a_fresh_generator(self):
         streams = RunStreams(9)
