@@ -319,28 +319,34 @@ class _EdgeKernel:
         return x_new, flows, residual
 
     def advance(self, x: np.ndarray, steps: int, tol: float = 0.0, delta: float = 0.0):
-        """Up to ``steps`` steps of one state, as ``step`` gives them, bit for bit.
+        """Up to ``steps`` steps of one state or a batch, as ``step`` gives them, bit for bit.
 
-        Stops after the first step whose L1 size is below ``tol``. Returns
-        (x, applied, residual_max, active, stopped): the new state, the
-        number of steps applied, the largest residual, whether the last
-        step carried a nonzero flow, and whether the ``tol`` stop fired.
-        Runs as Python float arithmetic when the kernel has a float plan:
-        on a few types that costs a fraction of numpy's per-call overhead.
+        Stops after the first step at which some row's L1 size is below
+        ``tol``. Returns (x, applied, residual_max, active, stopped): the new
+        state, the number of steps applied, the largest residual, whether the
+        last step carried a nonzero flow, and whether the ``tol`` stop fired,
+        as a per-row mask for a batch. One state, or a batch of one, runs as
+        Python float arithmetic when the kernel has a float plan: on a few
+        types that costs a fraction of numpy's per-call overhead.
         """
-        if self._plan is not None:
+        if x.ndim == 2 and len(x) == 1:     # one state costs less per step than a batch of one
+            x1, applied, residual_max, active, stopped = self.advance(x[0], steps, tol, delta)
+            return x1[None], applied, residual_max, active, np.array([stopped])
+        if self._plan is not None and x.ndim == 1:
             x, applied, residual_max, active, stopped = self._advance_floats(
                 x.tolist(), steps, tol, delta)
             return np.array(x), applied, residual_max, active, stopped
-        residual_max, stopped = 0.0, False
+        residual_max, stopped = 0.0, np.zeros(x.shape[:-1], dtype=bool)
         for applied in range(1, steps + 1):
             x_new, flows, residual = self.step(x, delta)
             residual_max = max(residual_max, residual)
-            stopped = tol > 0.0 and float(np.abs(x_new - x).sum()) < tol
+            if tol > 0.0:
+                stopped = np.abs(x_new - x).sum(axis=-1) < tol
             x = x_new
-            if stopped:
+            if tol > 0.0 and stopped.any():
                 break
-        return x, applied, residual_max, bool(np.any(flows != 0.0)), stopped
+        return x, applied, residual_max, bool(np.any(flows != 0.0)), \
+            stopped if x.ndim == 2 else bool(stopped)
 
     def _advance_floats(self, x: list, steps: int, tol: float, delta: float):
         """``advance`` on a list of floats through the plan (see ``_insert``)."""
@@ -554,13 +560,12 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     ``trajectory``, if recorded, holds x0 and the state after every
     applied step.
 
-    ``x0.x`` may also be a batch ``(B, n)``, which records no trajectory.
-    Row b leaves the batch at its own stop ``stops[b]`` with
-    the limit and stop it gets alone, bit for bit, and converged exactly
-    when ``stops[b] < max_iters``; ``iterations`` is ``stops.max()`` and
-    ``converged`` says whether every row converged. The last live row goes
-    on as one state through ``_EdgeKernel.advance``, which costs less per
-    step than a batch of one. ``reasons[b]`` is "l1" or "budget".
+    ``x0.x`` may also be a batch ``(B, n)``, which records no trajectory;
+    one state runs as a batch of one. Row b leaves the batch at its own stop
+    ``stops[b]`` with the limit and stop it gets alone, bit for bit, and
+    converged exactly when ``stops[b] < max_iters``; ``iterations`` is
+    ``stops.max()`` and ``converged`` says whether every row converged.
+    ``reasons[b]`` is "l1" or "budget".
 
     ``certify``, the activity threshold theta, adds a second stop to a
     batch: ``_EdgeKernel.certificate`` tests every live row at step 0 and
@@ -587,47 +592,26 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     support = np.zeros(x.shape, dtype=bool)
     check = certify is not None and kernel.certifiable
     trajectory = [x0.x.copy()] if record_trajectory else None
-
-    def certified(t: int) -> np.ndarray:
-        """Mask of the live rows that certify at step t; they leave with stop t."""
-        s = kernel.certificate(x, certify)
-        hit = s.any(axis=1)
-        out[live[hit]], stops[live[hit]], support[live[hit]] = x[hit], t, s[hit]
-        return hit
-
     residual_max, t = 0.0, 0
-    if check and max_iters > 0:
-        keep = ~certified(0)
-        x, live = x[keep], live[keep]
-    while t < max_iters and len(live) > 1:
-        x_new, _, residual = kernel.step(x)
+    while t < max_iters and len(live):
+        if check and t % _cert_stride(t) == 0:
+            s = kernel.certificate(x, certify)
+            hit = s.any(axis=1)
+            out[live[hit]], stops[live[hit]], support[live[hit]] = x[hit], t, s[hit]
+            x, live = x[~hit], live[~hit]
+            if not len(live):
+                break
+        # one call per step when recording, else one per certificate test or to the budget
+        chunk = 1 if record_trajectory else _cert_stride(t) if check else max_iters
+        x, applied, residual, _, stopped = kernel.advance(
+            x, min(chunk - t % chunk, max_iters - t), tol)
         residual_max = max(residual_max, residual)
-        done = np.abs(x_new - x).sum(axis=1) < tol
-        x = x_new
-        if done.any():
-            out[live[done]], stops[live[done]] = x[done], t
-            x, live = x[~done], live[~done]
-        t += 1
-        if check and t % _cert_stride(t) == 0 and t < max_iters and len(live):
-            keep = ~certified(t)
-            x, live = x[keep], live[keep]
-    if len(live) == 1:
-        # one call, or one per step when recording, or one per certificate test
-        while t < max_iters:
-            chunk = 1 if record_trajectory else _cert_stride(t) if check else max_iters
-            x1, applied, residual, _, stopped = kernel.advance(
-                x[0], min(chunk - t % chunk, max_iters - t), tol)
-            x = x1[None]
-            residual_max = max(residual_max, residual)
-            t += applied
-            if trajectory is not None:
-                trajectory.append(x1)
-            if stopped:
-                stops[live[0]] = t - 1
-                break
-            if (check and t % _cert_stride(t) == 0 and t < max_iters
-                    and certified(t)[0]):
-                break
+        t += applied
+        if trajectory is not None:
+            trajectory.append(x[0])
+        if stopped.any():
+            out[live[stopped]], stops[live[stopped]] = x[stopped], t - 1
+            x, live = x[~stopped], live[~stopped]
     out[live] = x
     if check:       # the L1-stop test, in one call for every row that stopped so
         l1 = np.flatnonzero((stops < max_iters) & ~support.any(axis=1))
@@ -636,12 +620,10 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     converged = bool(np.all(stops < max_iters))
     applied = iterations + 1 if converged else max_iters
     limit = PopulationState(x0.graph, x0.ids, out if batch else out[0], x0.t + applied)
-    res = ConvergenceResult(limit, iterations, converged, residual_max, trajectory)
-    if batch:
-        res.stops, res.support = stops, support
-        res.reasons = np.where(support.any(axis=1), "certified",
-                               np.where(stops < max_iters, "l1", "budget"))
-    return res
+    reasons = np.where(support.any(axis=1), "certified",
+                       np.where(stops < max_iters, "l1", "budget"))
+    return ConvergenceResult(limit, iterations, converged, residual_max, trajectory,
+                             stops, reasons, support)
 
 
 def active_set(state: PopulationState, theta_active: float = THETA_ACTIVE) -> set[int]:

@@ -102,8 +102,6 @@ def eigenvalues(M: np.ndarray) -> Spectrum:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("eigenvalues needs a square matrix")
-    if M.shape[0] > 512:
-        raise ValueError("dense eigensolve capped at n=512")
     try:
         vals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:

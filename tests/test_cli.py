@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, manifests, determinism."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -165,6 +166,15 @@ class TestAnalyze:
         code, _ = run(tmp_path, "analyze", "--graph", "complete:2",
                       "--f", "linear:0.5", "--x0", "0.6,0.4")
         assert code == 64
+
+    def test_above_512_types(self, tmp_path):
+        code, out = run(tmp_path, "analyze", "--graph", "star:600", "--f", "linear:0.4",
+                        "--x0", ",".join(["1"] + ["0"] * 600))
+        assert code == 0
+        report = read_json(out / "analysis.json")
+        assert len(report["spectrum"]) == 600
+        assert report["spectral_radius_projected"] == pytest.approx(0.6)
+        assert report["linearly_stable"] is True
 
 
 class TestBasin:
@@ -517,3 +527,23 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "types", "--help"]])
     def test_help_and_version_exit_0(self, argv):
         assert exit_code(argv) == 0
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_digests.json")
+
+
+class TestGoldenDigests:
+    """SHA-256 of CLI output files, pinned across commits.
+
+    Files that hold an ``np.dot`` value or ``cubic`` output are left out:
+    OpenBLAS picks its dot kernel per CPU, so those bits may differ between
+    machines.
+    """
+
+    @pytest.mark.parametrize("command", sorted(read_json(GOLDEN)))
+    def test_output_bytes(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert main([*shlex.split(command), "--out", str(out)]) == 0
+        want = read_json(GOLDEN)[command]
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want}
+        assert got == want

@@ -312,7 +312,18 @@ class TestBatchedConvergence:
             x, iterations, converged = reference_run(PopulationState(g, tuple(range(5)), x0),
                                                      asg)
             np.testing.assert_array_equal(res.limit.x, x)
-            assert (res.iterations, res.converged, res.stops) == (iterations, converged, None)
+            assert (res.iterations, res.converged, res.stops.tolist()) == \
+                (iterations, converged, [iterations])
+
+    def test_single_state_carries_row_fields(self):
+        g, asg = InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5))
+        for max_iters, reason in ((MAX_ITERS, "l1"), (5, "budget")):
+            res = run_to_convergence(PopulationState.from_masses(g, [0.5, 0.3, 0.2]), asg,
+                                     tol=1e-16 if reason == "budget" else TOL_STEP,
+                                     max_iters=max_iters)
+            assert res.stops.tolist() == [res.iterations]
+            assert res.reasons.tolist() == [reason]
+            assert res.support.shape == (1, 3) and not res.support.any()
 
     def test_single_row_exhausting_budget(self):
         # row 0 leaves at once; row 1 runs out the budget alone, through advance
@@ -659,6 +670,62 @@ class TestFloatPath:
             x = kernel.step(x)[0]
         assert (used, settled) == (50_000, False)
         assert limit.x.tobytes() == x.tobytes()
+
+
+@st.composite
+def batch_advance_cases(draw):
+    """A kernel, whether it has a float plan, and a batch of 1, 2 or 5 rows,
+    some of them corners, which stop at their first step under any tol > 0.
+    Without a plan: a cubic edge, or more than FLOAT_MAX_EDGES edges."""
+    kind = draw(st.sampled_from(["plan", "cubic", "edges"]))
+    family = st.sampled_from([linear, soft])
+    coef = st.floats(0.01, 0.99)
+    if kind == "edges":
+        n = draw(st.integers(9, 10))
+        graph = InfluenceGraph.complete(n)
+    else:
+        n = draw(st.integers(2, 7))
+        graph = connected_graphs(draw, n)
+    overrides = {tuple(e): draw(family)(draw(coef)) for e in graph.edges()
+                 if draw(st.booleans())}
+    if kind == "cubic":
+        overrides[tuple(graph.edges()[0])] = cubic(draw(coef))
+    asg = InfluenceAssignment(draw(family)(draw(coef)), overrides)
+    rows = []
+    for _ in range(draw(st.sampled_from([1, 2, 5]))):
+        if draw(st.booleans()):
+            rows.append(np.eye(n)[draw(st.integers(0, n - 1))])
+        else:
+            w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+            rows.append(w / w.sum())
+    return _EdgeKernel(graph, asg), kind == "plan", np.array(rows)
+
+
+class TestBatchAdvance:
+    """``advance`` on a batch steps every row as it steps alone, up to the first stop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch_advance_cases(), st.sampled_from([1, 3, 40]), st.sampled_from([0.0, 1e-3]),
+           st.sampled_from([0.0, 0.05]))
+    def test_rows_step_as_alone(self, case, steps, tol, delta):
+        kernel, planned, xs = case
+        assert (kernel._plan is not None) == planned
+        x, applied, residual, active, stopped = kernel.advance(xs, steps, tol, delta)
+        alone = [kernel.advance(row, steps, tol, delta) for row in xs]
+        assert applied == min(a[1] for a in alone)
+        assert stopped.dtype == bool and stopped.tolist() == [
+            a[4] and a[1] == applied for a in alone]
+        upto = [kernel.advance(row, applied, tol, delta) for row in xs]
+        assert x.tobytes() == np.array([u[0] for u in upto]).tobytes()
+        assert residual == max(u[2] for u in upto)
+        assert active == any(u[3] for u in upto)
+
+    def test_one_state_returns_a_bool(self):
+        x = np.array([1.0, 0.0, 0.0])
+        for kernel in TestFloatPath.both(InfluenceGraph.triangle(),
+                                         InfluenceAssignment(linear(0.5))):
+            assert kernel.advance(x, 3, 1e-3)[4] is True
+            assert kernel.advance(x[None], 3, 1e-3)[4].tolist() == [True]
 
 
 class TestActiveSet:

@@ -169,6 +169,18 @@ class TestClassifyStability:
             assert rep.spectral_radius_projected > 1.0 + 1e-9
             assert not rep.active_independent
 
+    def test_above_512_types(self):
+        # the dense eigensolve has no size cap: the star's centre corner
+        # classifies at 601 types as it does at 6
+        asg = InfluenceAssignment(linear(0.4))
+        for leaves in (5, 600):
+            p = PopulationState.from_masses(InfluenceGraph.star(leaves), [1.0] + [0.0] * leaves)
+            rep = classify_stability(p, asg)
+            assert len(rep.spectrum_projected.values) == leaves
+            assert rep.spectral_radius_projected == pytest.approx(0.6)
+            assert rep.linearly_stable
+            assert rep.active_independent
+
     def test_diffeo_flag_tracks_sup(self):
         rep = classify_stability(edge_state(1.0, 0.0), InfluenceAssignment(linear(0.5)))
         assert not rep.diffeo_hypothesis
