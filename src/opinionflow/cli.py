@@ -71,20 +71,27 @@ def _read_spec(spec, what: str):
 
 
 def parse_graph(spec) -> InfluenceGraph:
-    """Named graph ("triangle", "path:4", ...), inline JSON, @file, or dict."""
+    """Named graph ("triangle", "path:4", ...), inline JSON, @file, or dict,
+    with at least one vertex."""
     spec = _read_spec(spec, "graph")
+    graph = None
     try:
         if isinstance(spec, dict):
-            return InfluenceGraph.from_json_dict(spec)
-        name, _, arg = spec.partition(":")
-        if name == "triangle":
-            return InfluenceGraph.triangle()
-        if name in ("path", "cycle", "complete", "star"):
-            return getattr(InfluenceGraph, name)(int(arg))
+            graph = InfluenceGraph.from_json_dict(spec)
+        else:
+            name, _, arg = spec.partition(":")
+            if name == "triangle":
+                graph = InfluenceGraph.triangle()
+            elif name in ("path", "cycle", "complete", "star"):
+                graph = getattr(InfluenceGraph, name)(int(arg))
     except ValueError as exc:
         raise ConfigurationError(f"bad graph spec {spec!r}: {exc}")
-    raise ConfigurationError(f"unknown graph spec {spec!r} (use triangle, path:N, cycle:N, "
-                             "complete:N, star:N, inline JSON, or @file)")
+    if graph is None:
+        raise ConfigurationError(f"unknown graph spec {spec!r} (use triangle, path:N, cycle:N, "
+                                 "complete:N, star:N, inline JSON, or @file)")
+    if not len(graph):
+        raise ConfigurationError(f"graph must have at least one vertex, got {spec!r}")
+    return graph
 
 
 def parse_influence(spec) -> InfluenceAssignment:
@@ -157,6 +164,8 @@ def _config(args, *keys: str, **defaults) -> dict:
         value = cfg.get(key, default) if value is None else value
         if value is not None and key in _TYPES:
             value = coerce(key, _TYPES[key], value)
+            if key == "seed" and value < 0:
+                raise ConfigurationError(f"seed must be at least 0, got {value}")
         cfg[key] = value
     return cfg
 

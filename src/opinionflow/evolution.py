@@ -115,6 +115,8 @@ class EvolutionConfig:
             raise ConfigurationError(f"unknown rewiring policy {self.rewiring!r}")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be at least 0, got {self.seed}")
         self.distribution.validate(self.beta_min, self.beta_max)
         sup = self.assignment.sup_abs()
         if not sup <= 1.0:             # a NaN sup (a custom F) fails too
@@ -269,6 +271,20 @@ def _rebuild(kernel: _EdgeKernel, x: np.ndarray, t: int) -> PopulationState:
     return PopulationState(kernel.graph, kernel.ids, x / total, t)
 
 
+def has_birth(config: EvolutionConfig, streams: RunStreams, step: int) -> bool:
+    """The birth rule: step ``step`` of the run that owns ``streams`` has a
+    birth exactly when its (step, PHASE_BIRTH) coin falls below p, and never
+    when p is 0. The state plays no part: births follow the coins alone."""
+    return not (config.p == 0.0 or streams.coin(step, PHASE_BIRTH) >= config.p)
+
+
+def birth_steps(config: EvolutionConfig) -> list[int]:
+    """The steps of ``run_evolution(x0, config)`` that have a birth, whatever
+    x0 is: the birth rule at steps 0 .. horizon-1, with no step run."""
+    streams = RunStreams(config.seed)
+    return [step for step in range(config.horizon) if has_birth(config, streams, step)]
+
+
 def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
                 step: int, kernel: _EdgeKernel | None = None
                 ) -> tuple[PopulationState, BirthEvent | None]:
@@ -282,7 +298,7 @@ def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStr
     newborn, after ``kernel_for`` has rebuilt it if it was stale, and
     follows it.
     """
-    if config.p == 0.0 or streams.coin(step, PHASE_BIRTH) >= config.p:
+    if not has_birth(config, streams, step):
         return state, None
     rng = streams.stream(step, PHASE_BIRTH)
     rng.random()                        # the coin: the Z draws follow it

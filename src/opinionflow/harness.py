@@ -28,7 +28,7 @@ import numpy as np
 from .dynamics import (MAX_ITERS, STOP_REASONS, THETA_ACTIVE, TOL_STEP, PopulationState,
                        classify_fixed_point, kernel_for, run_to_convergence)
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
-from .evolution import EvolutionConfig, Timeline, run_evolution
+from .evolution import EvolutionConfig, Timeline, birth_steps, run_evolution
 from .graph import InfluenceGraph
 from .influence import InfluenceAssignment
 from .seeding import generator, trial_seed
@@ -388,16 +388,22 @@ def _evolution_trial(args):
     return summarize(run_evolution(x0, replace(config, seed=seed_run)))
 
 
+def _run_seeds(trials: int, root_seed: int) -> list[int]:
+    """The run seed of each trial of an evolution sweep: trial_seed(root_seed, 2i)
+    for trial i."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be at least 1, got {trials}")
+    return [trial_seed(root_seed, 2 * i) for i in range(trials)]
+
+
 def _evolution_sweep(summarize, config: EvolutionConfig, graph: InfluenceGraph | None,
                      trials: int, root_seed: int, jobs: int, start: str = "random") -> list:
     """summarize(timeline) of each trial, in order: trial i runs with seed
     trial_seed(root_seed, 2i) on ``graph`` (default path:4) from equal masses
     ("adversarial") or from a simplex point drawn with trial_seed(root_seed, 2i+1)."""
-    if trials < 1:
-        raise ConfigurationError(f"trials must be at least 1, got {trials}")
     graph = graph or InfluenceGraph.path(4)
-    items = [(config, graph, start, trial_seed(root_seed, 2 * i),
-              trial_seed(root_seed, 2 * i + 1), summarize) for i in range(trials)]
+    items = [(config, graph, start, seed_run, trial_seed(root_seed, 2 * i + 1), summarize)
+             for i, seed_run in enumerate(_run_seeds(trials, root_seed))]
     return _pmap(_evolution_trial, items, jobs)
 
 
@@ -558,17 +564,20 @@ def verify_phi_bounds_sweep(config: EvolutionConfig, trials: int,
 
 # -- birth-count concentration ----------------------------------------------------
 
-def verify_birth_counts(config: EvolutionConfig, trials: int,
-                        initial_graph: InfluenceGraph | None = None,
-                        root_seed: int = 0, jobs: int = 1) -> dict:
+def verify_birth_counts(config: EvolutionConfig, trials: int, root_seed: int = 0) -> dict:
     """Empirical check of the Chernoff bounds on births over the horizon.
+
+    Trial i counts the births of the run with seed trial_seed(root_seed, 2i),
+    the seed the other evolution verifiers give their trial i. A step's birth
+    depends on its coin alone, so the count comes from ``birth_steps`` and no
+    evolution is run: the start and the graph play no part.
 
     Returns both one-sided stats: births >= t*p/2 against 1-e^(-tp/8), and
     births <= 3*t*p/2 against 1-e^(-tp/6).
     """
     t, p = config.horizon, config.p
-    births = np.array(_evolution_sweep(Timeline.birth_count, config, initial_graph,
-                                       trials, root_seed, jobs))
+    births = np.array([len(birth_steps(replace(config, seed=seed)))
+                       for seed in _run_seeds(trials, root_seed)])
     low_ok = int(np.sum(births >= t * p / 2.0))
     high_ok = int(np.sum(births <= 3.0 * t * p / 2.0))
     lower = _finish(low_ok, trials, 1.0 - math.exp(-t * p / 8.0), [],

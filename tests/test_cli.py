@@ -444,11 +444,23 @@ class TestConfigValues:
         (["basin", "--tol", "-1", "--resolution", "4"], "tol must be positive, got -1.0"),
         (["simulate", "--graph", "triangle", "--max-iters", "-3"],
          "max_iters must be at least 0, got -3"),
+        (["evolve", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (["simulate", "--graph", "triangle", "--x0", "random", "--seed", "-1"],
+         "seed must be at least 0, got -1"),
+        (["verify", "convergence", "--seed", "-1"], "seed must be at least 0, got -1"),
     ])
     def test_malformed_flag_value_exits_64(self, tmp_path, capsys, argv, message):
         code, out = run(tmp_path, *argv)
         assert code == 64
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["verify", "convergence"], ["evolve"],
+                                      ["analyze", "--x0", "uniform"]])
+    def test_graph_without_vertices_exits_64(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv, "--graph", '{"vertices": [], "edges": []}')
+        assert code == 64
+        assert "graph must have at least one vertex" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_number_accepted_for_int_key(self, tmp_path):

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment,
                          InfluenceFunction, InfluenceGraph, PopulationState, birth_phase, cubic,
                          death_phase, evolution_step, linear, run_evolution,
-                         run_to_convergence, soft)
+                         run_to_convergence, sample_state, soft)
 from opinionflow.dynamics import _EdgeKernel, kernel_for
 from opinionflow.errors import ConfigurationError
+from opinionflow.evolution import birth_steps
 from opinionflow.graph import choose_attachment
-from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams
+from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator
 
 from .helpers import assert_same_kernel, reference_evolution
 
@@ -57,6 +58,10 @@ class TestConfig:
     def test_probability_range(self):
         with pytest.raises(ConfigurationError):
             make_config(p=1.5)
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed must be at least 0, got -1"):
+            make_config(seed=-1)
 
     @pytest.mark.parametrize("delta", [-0.1, np.nan, np.inf])
     def test_delta_finite_and_nonnegative(self, delta):
@@ -139,6 +144,33 @@ class TestBirthPhase:
         out, event = birth_phase(s, cfg, RunStreams(3), 0)
         assert out.graph.is_connected()
         assert 1 <= len(event.neighbors) <= 3
+
+
+CRITERION_10 = dict(p=0.1, epsilon=0.05, delta=0.1, beta_min=0.05, beta_max=0.2, horizon=400)
+# name: (config fields, path length, start)
+BIRTH_RULE_RUNS = {
+    "criterion-10": (CRITERION_10, 4, "random"),
+    "quiet": (dict(p=0.001, epsilon=0.05, delta=0.3, beta_min=0.05, beta_max=0.1,
+                   horizon=3000), 4, "uniform"),
+    "churn": (dict(p=0.5, epsilon=1e-4, delta=0.01, beta_min=0.1, beta_max=0.3, horizon=300,
+                   assignment=InfluenceAssignment(linear(9e-4))), 50, "uniform"),
+    "p=0": ({**CRITERION_10, "p": 0.0}, 4, "random"),
+    "p=1e-12": ({**CRITERION_10, "p": 1e-12}, 4, "random"),
+    "p=1": ({**CRITERION_10, "p": 1.0}, 4, "random"),
+}
+
+
+class TestBirthRule:
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("name", list(BIRTH_RULE_RUNS))
+    def test_marks_the_steps_of_the_birth_records(self, name, seed):
+        fields_, n, start = BIRTH_RULE_RUNS[name]
+        cfg = EvolutionConfig(**fields_, seed=seed)
+        graph = InfluenceGraph.path(n)
+        x0 = (PopulationState.uniform(graph) if start == "uniform"
+              else sample_state(graph, generator(seed)))
+        steps = [r.step for r in run_evolution(x0, cfg) if r.birth is not None]
+        assert birth_steps(cfg) == steps
 
 
 class _CountingStreams(RunStreams):

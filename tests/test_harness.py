@@ -16,6 +16,7 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
                          verify_phi_bounds, verify_phi_bounds_sweep,
                          verify_stability_theorem, verify_type_bound, wilson95)
 from opinionflow.errors import ConfigurationError, HypothesisError
+from opinionflow import evolution
 from opinionflow.evolution import StepRecord
 from opinionflow.harness import required_window_length
 from opinionflow.seeding import RunStreams, generator, trial_seed
@@ -544,10 +545,29 @@ class TestEvolutionSweep:
 
 
 class TestVerifyBirthCounts:
+    CFG = EvolutionConfig(p=0.1, epsilon=0.05, delta=0.1, beta_min=0.05,
+                          beta_max=0.2, horizon=100)
+
     def test_small_chernoff_sweep(self):
-        cfg = EvolutionConfig(p=0.1, epsilon=0.05, delta=0.1, beta_min=0.05,
-                              beta_max=0.2, horizon=100)
-        out = verify_birth_counts(cfg, trials=150, root_seed=11)
+        out = verify_birth_counts(self.CFG, trials=150, root_seed=11)
         assert out["lower"].verdict == "pass"
         assert out["upper"].verdict == "pass"
         assert out["mean_births"] == pytest.approx(10.0, abs=1.5)
+
+    def test_counts_the_births_of_the_sweeps_runs(self):
+        births = harness._evolution_sweep(Timeline.birth_count, self.CFG, None, 20, 11, 1)
+        out = verify_birth_counts(self.CFG, trials=20, root_seed=11)
+        assert out["mean_births"] == np.mean(births)
+
+    def test_never_runs_an_evolution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_birth_counts ran an evolution")
+
+        monkeypatch.setattr(harness, "run_evolution", refuse)
+        monkeypatch.setattr(evolution, "run_evolution", refuse)
+        assert verify_birth_counts(self.CFG, trials=150, root_seed=11)["mean_births"] == 9.86
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one(self, trials):
+        with pytest.raises(ConfigurationError, match="trials must be at least 1"):
+            verify_birth_counts(self.CFG, trials=trials)
