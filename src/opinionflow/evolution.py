@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -27,7 +27,7 @@ from .dynamics import (_RENORM_TOL, PopulationState, _EdgeKernel, kernel_for, mi
 from .errors import ConfigurationError, coerce
 from .graph import choose_attachment, REWIRING_POLICIES
 from .influence import InfluenceAssignment, InfluenceFunction
-from .seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams
+from .seeding import COIN_BLOCK, PHASE_ATTACH, PHASE_BIRTH, RunStreams
 
 ATTACHMENT_POLICIES = ("random-subset", "connect-to-all")
 
@@ -190,6 +190,9 @@ class DeathEvent:
 
 @dataclass
 class StepRecord:
+    """The log of step ``step``; with ``repeat`` > 1, of a run of steps
+    ``step`` .. ``step + repeat - 1`` whose logs differ only in the step number."""
+
     step: int
     phi_before: float
     phi_after_migration: float
@@ -200,6 +203,7 @@ class StepRecord:
     birth: BirthEvent | None
     deaths: list[DeathEvent]
     type_count: int               # at the end of the step
+    repeat: int = 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -216,32 +220,55 @@ class StepRecord:
         }
 
 
+def _run_lines(line: str, key: str, record: StepRecord) -> str:
+    """``line``, the rendering of ``record``'s first step, written for each of
+    its steps: the one line split around the step number that follows
+    ``key``, so only the numbers are rendered per step."""
+    if record.repeat == 1:
+        return line
+    cut = line.index(key + str(record.step)) + len(key)
+    head, tail = line[:cut], line[cut + len(str(record.step)):]
+    steps = map(str, range(record.step, record.step + record.repeat))
+    return head + (tail + "\n" + head).join(steps) + tail
+
+
 @dataclass
 class Timeline:
-    """Complete per-step event log of one run, plus the terminal state."""
+    """Complete per-step event log of one run, plus the terminal state.
+
+    A record with ``repeat`` > 1 stands for that many steps; ``len`` counts
+    steps and iteration yields one record per step, while the counts, the
+    writers and the harness checks read the runs as they are.
+    """
 
     records: list[StepRecord]
     terminal: PopulationState
     seed: int
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(r.repeat for r in self.records)
 
     def __iter__(self) -> Iterator[StepRecord]:
-        return iter(self.records)
+        for r in self.records:
+            if r.repeat == 1:
+                yield r
+            else:
+                yield from (replace(r, step=s, repeat=1)
+                            for s in range(r.step, r.step + r.repeat))
 
     def birth_count(self) -> int:
-        return sum(1 for r in self.records if r.birth is not None)
+        return sum(r.repeat for r in self.records if r.birth is not None)
 
     def death_count(self) -> int:
-        return sum(len(r.deaths) for r in self.records)
+        return sum(len(r.deaths) * r.repeat for r in self.records)
 
     def max_type_count(self) -> int:
         return max(r.type_count for r in self.records)
 
     def to_jsonl(self) -> str:
         """One canonical JSON object per step; final line is the terminal state."""
-        lines = [json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        lines = [_run_lines(json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":")),
+                            '"step":', r)
                  for r in self.records]
         terminal = {
             "terminal": {
@@ -257,8 +284,9 @@ class Timeline:
     def summary_csv(self) -> str:
         rows = ["step,phi,type_count,migration_active,births,deaths"]
         for r in self.records:
-            rows.append(f"{r.step},{r.phi_after!r},{r.type_count},"
-                        f"{int(r.migration_active)},{int(r.birth is not None)},{len(r.deaths)}")
+            rows.append(_run_lines(f"{r.step},{r.phi_after!r},{r.type_count},"
+                                   f"{int(r.migration_active)},{int(r.birth is not None)},"
+                                   f"{len(r.deaths)}", "", r))
         return "\n".join(rows) + "\n"
 
 
@@ -281,8 +309,22 @@ def has_birth(config: EvolutionConfig, streams: RunStreams, step: int) -> bool:
 def birth_steps(config: EvolutionConfig) -> list[int]:
     """The steps of ``run_evolution(x0, config)`` that have a birth, whatever
     x0 is: the birth rule at steps 0 .. horizon-1, with no step run."""
-    streams = RunStreams(config.seed)
-    return [step for step in range(config.horizon) if has_birth(config, streams, step)]
+    coins = RunStreams(config.seed).coins(0, config.horizon, PHASE_BIRTH)
+    return np.flatnonzero(coins < config.p).tolist()
+
+
+def _next_birth(config: EvolutionConfig, streams: RunStreams, start: int) -> int:
+    """The first step from ``start`` on that has a birth, or the horizon if
+    none does: the birth rule, compared a coin block at a time."""
+    if config.p == 0.0:
+        return config.horizon
+    for first in range(start - start % COIN_BLOCK, config.horizon, COIN_BLOCK):
+        lo = max(start, first)
+        coins = streams.coins(lo, min(first + COIN_BLOCK, config.horizon), PHASE_BIRTH)
+        fired = np.flatnonzero(coins < config.p)
+        if fired.size:
+            return lo + int(fired[0])
+    return config.horizon
 
 
 def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
@@ -348,16 +390,18 @@ def death_phase(state: PopulationState, config: EvolutionConfig,
 
 
 def evolution_step(state: PopulationState, config: EvolutionConfig,
-                   streams: RunStreams, kernel: _EdgeKernel | None = None
-                   ) -> tuple[PopulationState, StepRecord]:
+                   streams: RunStreams, kernel: _EdgeKernel | None = None,
+                   phi_before: float | None = None) -> tuple[PopulationState, StepRecord]:
     """Step ``state.t``: migration, then birth, then death, in that order.
 
     ``kernel``, if current for the state's graph, does the migration and
     makes and follows the birth and the deaths, so the next step can use it
-    as is.
+    as is. ``phi_before``, if given, is ``potential_phi(state)``: the last
+    step's ``phi_after``, which ``run_evolution`` hands on.
     """
     step = state.t
-    phi_before = potential_phi(state)
+    if phi_before is None:
+        phi_before = potential_phi(state)
     min_mass_before = float(state.x.min())
 
     state, active, _residual = migrate_step(state, config.assignment, config.delta, kernel)
@@ -386,6 +430,13 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     The initial graph is copied, so the caller's objects are untouched.
     The graph must be connected: the birth/death rules assume (and then
     maintain) connectivity.
+
+    A frozen step (no flow, no birth, no death, and masses out equal to
+    masses in bit for bit) is repeated exactly by every later step up to
+    the next birth: each migrates the same masses with the same kernel, the
+    death phase finds what it found before, and only the coin changes. So
+    the run jumps there, and logs the steps in between as one record with
+    ``repeat`` set, which differs from the frozen step's only in the step.
     """
     graph = x0.graph.copy()
     if not graph.is_connected():
@@ -394,7 +445,16 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     streams = RunStreams(config.seed)
     records: list[StepRecord] = []
     kernel = kernel_for(state, config.assignment)     # followed through every event
-    for _ in range(config.horizon):
-        state, record = evolution_step(state, config, streams, kernel)
+    phi = None
+    while state.t < config.horizon:
+        x = state.x
+        state, record = evolution_step(state, config, streams, kernel, phi)
         records.append(record)
+        phi = record.phi_after
+        if (not record.migration_active and record.birth is None and not record.deaths
+                and state.x.tobytes() == x.tobytes()):
+            stop = _next_birth(config, streams, state.t)
+            if stop > state.t:
+                records.append(replace(record, step=state.t, repeat=stop - state.t))
+                state.t = stop
     return Timeline(records, state, config.seed)

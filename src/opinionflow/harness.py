@@ -363,10 +363,11 @@ class StableWindow:
 def detect_stable_windows(timeline: Timeline) -> list[StableWindow]:
     """All maximal windows of migration-inactive steps, in order."""
     windows = []
-    for active, run in groupby(timeline, key=lambda record: record.migration_active):
+    for active, run in groupby(timeline.records, key=lambda record: record.migration_active):
         if not active:
-            steps = [record.step for record in run]
-            windows.append(StableWindow(steps[0], steps[-1] - steps[0]))
+            run = list(run)
+            first, last = run[0], run[-1]
+            windows.append(StableWindow(first.step, last.step + last.repeat - 1 - first.step))
     return windows
 
 
@@ -527,26 +528,28 @@ def verify_phi_bounds(timeline: Timeline, config: EvolutionConfig,
 
     Every migration phase that moved mass while all types held at least
     epsilon must have raised the potential by at least 2*alpha_min*eps*
-    delta^3; every birth may lower it by at most 2*beta_max.
+    delta^3; every birth may lower it by at most 2*beta_max. A record with
+    ``repeat`` > 1 counts, and fails, once per step it stands for.
     """
     alpha_min, _ = config.assignment.alpha_bounds()
     migration_bound = 2.0 * alpha_min * config.epsilon * config.delta**3
     birth_bound = 2.0 * config.beta_max
     migration_checks = birth_checks = 0
     violations = []
-    for r in timeline:
+    for r in timeline.records:
+        steps = range(r.step, r.step + r.repeat)
         if r.migration_active and r.min_mass_before >= config.epsilon:
-            migration_checks += 1
+            migration_checks += r.repeat
             gain = r.phi_after_migration - r.phi_before
             if gain < migration_bound - atol:
-                violations.append({"step": r.step, "kind": "migration",
-                                   "delta_phi": gain, "bound": migration_bound})
+                violations.extend({"step": s, "kind": "migration",
+                                   "delta_phi": gain, "bound": migration_bound} for s in steps)
         if r.birth is not None:
-            birth_checks += 1
+            birth_checks += r.repeat
             drop = r.phi_after_migration - r.phi_after_birth
             if drop > birth_bound + atol:
-                violations.append({"step": r.step, "kind": "birth",
-                                   "delta_phi": -drop, "bound": birth_bound})
+                violations.extend({"step": s, "kind": "birth",
+                                   "delta_phi": -drop, "bound": birth_bound} for s in steps)
     return PhiBoundsReport(len(timeline), migration_checks, birth_checks,
                            migration_bound, birth_bound, violations)
 

@@ -93,7 +93,7 @@ class RunStreams:
         # values.
         self._key = _philox_key_type()(self.seed)
         self._words = tuple(map(int, self._key.generate_state(2, np.uint64)))
-        self._coins: dict[int, tuple[int, list[float]]] = {}   # phase -> (block, coins)
+        self._coins: dict[int, tuple[int, np.ndarray]] = {}   # phase -> (block, coins)
 
     def stream(self, step: int, phase: int) -> np.random.Generator:
         """Fresh generator for (step, phase); identical on every call."""
@@ -108,13 +108,37 @@ class RunStreams:
         Draws the coins of COIN_BLOCK consecutive steps at once, in numpy
         uint64 arithmetic: ``random()`` is (first word >> 11) * 2**-53.
         """
-        block = step // COIN_BLOCK
+        return float(self._block(step // COIN_BLOCK, phase)[step % COIN_BLOCK])
+
+    def coins(self, start: int, stop: int, phase: int) -> np.ndarray:
+        """The coins of steps ``start`` .. ``stop``-1, ``coin(step, phase)`` each.
+
+        Works block by block: a whole block, or the one ``coin`` holds, comes
+        from ``coin``'s cache; the part of a block that ``stop`` cuts short is
+        drawn on its own, only up to ``stop``.
+        """
+        parts = []
+        for first in range(start - start % COIN_BLOCK, stop, COIN_BLOCK):
+            block, lo, hi = first // COIN_BLOCK, max(start, first), min(stop, first + COIN_BLOCK)
+            cached = self._coins.get(phase)
+            if hi == first + COIN_BLOCK or (cached is not None and cached[0] == block):
+                parts.append(self._block(block, phase)[lo - first:hi - first])
+            else:
+                parts.append(self._draw(lo, hi - lo, phase))
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    def _block(self, block: int, phase: int) -> np.ndarray:
+        """The coins of the COIN_BLOCK steps of ``block``; the last block drawn is kept."""
         cached = self._coins.get(phase)
         if cached is None or cached[0] != block:
-            steps = np.uint64(block * COIN_BLOCK) + np.arange(COIN_BLOCK, dtype=np.uint64)
-            raw = _philox_first_words(self._words, steps, phase)
-            cached = self._coins[phase] = block, ((raw >> np.uint64(11)) * 2.0**-53).tolist()
-        return cached[1][step % COIN_BLOCK]
+            cached = self._coins[phase] = block, self._draw(block * COIN_BLOCK, COIN_BLOCK, phase)
+        return cached[1]
+
+    def _draw(self, first: int, count: int, phase: int) -> np.ndarray:
+        """The coins of steps ``first`` .. ``first + count``-1."""
+        steps = np.uint64(first) + np.arange(count, dtype=np.uint64)
+        raw = _philox_first_words(self._words, steps, phase)
+        return (raw >> np.uint64(11)) * 2.0**-53
 
 
 def trial_seed(root_seed: int, index: int) -> int:

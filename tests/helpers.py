@@ -124,6 +124,17 @@ def assert_same_kernel(a, b):
     assert a._plan == b._plan
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, failing at the first line that differs: pytest's own
+    report on two long unequal texts is a full diff, which takes minutes."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    first = next((i for i, pair in enumerate(zip(got_lines, want_lines))
+                  if pair[0] != pair[1]), None)
+    assert first is None, f"line {first}: {got_lines[first]!r} != {want_lines[first]!r}"
+    assert len(got_lines) == len(want_lines)
+    assert got == want
+
+
 def reference_run(x0, assignment, tol=1e-10, max_iters=10**6, trace=None):
     """Per-state convergence loop as written before batching: (limit x, iterations, converged).
 

@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment,
                          InfluenceFunction, InfluenceGraph, PopulationState, birth_phase, cubic,
-                         death_phase, evolution_step, linear, run_evolution,
+                         death_phase, evolution_step, linear, potential_phi, run_evolution,
                          run_to_convergence, sample_state, soft)
+from opinionflow import evolution
 from opinionflow.dynamics import _EdgeKernel, kernel_for
 from opinionflow.errors import ConfigurationError
-from opinionflow.evolution import birth_steps
+from opinionflow.evolution import birth_steps, has_birth
 from opinionflow.graph import choose_attachment
 from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator
 
-from .helpers import assert_same_kernel, reference_evolution
+from .helpers import assert_same_kernel, assert_same_text, reference_evolution
 
 
 class _FixedZ:
@@ -323,6 +324,13 @@ class TestEvolutionStep:
         assert record.deaths == []
         assert record.phi_before == record.phi_after
 
+    def test_phi_before_is_computed_unless_handed_on(self):
+        s = PopulationState.from_masses(InfluenceGraph.path(4), [0.4, 0.3, 0.2, 0.1])
+        cfg = make_config(p=0.0)
+        _, own = evolution_step(s, cfg, RunStreams(0))
+        _, handed = evolution_step(s, cfg, RunStreams(0), phi_before=potential_phi(s))
+        assert own == handed and own.phi_before == potential_phi(s)
+
     def test_composite_step_by_hand(self):
         g = InfluenceGraph.complete(2)
         s = PopulationState.from_masses(g, [0.6, 0.4])
@@ -454,7 +462,7 @@ class TestIncrementalStep:
 
     def _check(self, x0, cfg):
         ours = run_evolution(x0, cfg)
-        assert ours.to_jsonl() == reference_evolution(x0, cfg).to_jsonl()
+        assert_same_text(ours.to_jsonl(), reference_evolution(x0, cfg).to_jsonl())
         return ours
 
     def test_criterion_12_config(self):
@@ -482,6 +490,65 @@ class TestIncrementalStep:
         assert tl.max_type_count() >= 8             # past the old n < 8 float path
 
 
+QUIET = dict(p=0.001, epsilon=0.05, delta=0.3)     # the evolve-quiet config
+
+
+class TestFrozenJump:
+    """A frozen step is jumped to the next birth; the jumped timeline writes
+    the per-step oracle's bytes, and most quiet steps are never computed."""
+
+    def _check(self, x0, cfg):
+        ours, want = run_evolution(x0, cfg), reference_evolution(x0, cfg)
+        assert_same_text(ours.to_jsonl(), want.to_jsonl())
+        assert_same_text(ours.summary_csv(), want.summary_csv())
+        assert len(ours) == cfg.horizon
+        return ours
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_quiet_config_runs_cross_coin_blocks(self, seed):
+        cfg = make_config(**QUIET, seed=seed, horizon=5000)
+        tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
+        runs = [(r.step, r.step + r.repeat) for r in tl.records if r.repeat > 1]
+        assert any(a // 1024 != (b - 1) // 1024 for a, b in runs)
+
+    def test_single_type_is_frozen_from_step_zero(self):
+        cfg = make_config(**QUIET, seed=1, horizon=5000)
+        tl = self._check(PopulationState.uniform(InfluenceGraph.path(1)), cfg)
+        assert tl.records[1].step == 1 and tl.records[1].repeat > 1
+
+    def test_no_births_is_one_run_to_the_horizon(self):
+        cfg = make_config(**{**QUIET, "p": 0.0}, horizon=3000)
+        tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
+        assert [(r.step, r.repeat) for r in tl.records] == [(0, 1), (1, 2999)]
+
+    def test_a_birth_every_step_leaves_no_run(self):
+        cfg = make_config(**{**QUIET, "p": 1.0}, seed=3, horizon=300)
+        tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
+        assert len(tl.records) == 300 and tl.birth_count() == 300
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32), delta=st.sampled_from([0.0, 0.05, 0.3]),
+           p=st.sampled_from([0.0, 1e-3, 0.01, 0.2, 1.0]), random_start=st.booleans())
+    def test_matches_the_per_step_oracle(self, seed, delta, p, random_start):
+        graph = InfluenceGraph.path(4)
+        x0 = (sample_state(graph, generator(seed)) if random_start
+              else PopulationState.uniform(graph))
+        self._check(x0, make_config(p=p, epsilon=0.05, delta=delta, seed=seed, horizon=1200))
+
+    def test_most_quiet_steps_are_never_computed(self, monkeypatch):
+        calls = []
+        step = evolution.evolution_step
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].t)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "evolution_step", counted)
+        cfg = make_config(**QUIET, seed=1, horizon=5000)
+        tl = run_evolution(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
+        assert len(tl) == 5000 and len(calls) < 2500
+
+
 class TestRunStreams:
     def test_draws_match_seed_sequence_philox(self):
         for seed in (0, 1, 131, 2**63 + 5):
@@ -499,6 +566,25 @@ class TestRunStreams:
             for phase in (PHASE_BIRTH, PHASE_ATTACH):
                 for step in steps:
                     assert streams.coin(step, phase) == streams.stream(step, phase).random()
+
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.5, 1.0])
+    @pytest.mark.parametrize("start, stop", [(0, 1023), (0, 1024), (0, 1025), (1023, 1025),
+                                             (1024, 1025), (5, 5), (1000, 3100),
+                                             (2**64 - 1100, 2**64 - 1), (2**64 - 1024, 2**64)])
+    def test_coins_of_a_range_give_the_birth_rule(self, p, start, stop):
+        cfg = make_config(p=p, seed=11)
+        coins = RunStreams(11).coins(start, stop, PHASE_BIRTH)
+        one_by_one = RunStreams(11)
+        assert coins.tolist() == [one_by_one.coin(s, PHASE_BIRTH) for s in range(start, stop)]
+        assert [start + i for i in np.flatnonzero(coins < p).tolist()] == \
+            [s for s in range(start, stop) if has_birth(cfg, one_by_one, s)]
+
+    def test_coins_read_the_block_coin_holds(self):
+        streams, fresh = RunStreams(4), RunStreams(4)
+        streams.coin(1030, PHASE_BIRTH)                 # holds block 1
+        assert streams.coins(1025, 1030, PHASE_BIRTH).tolist() == \
+            fresh.coins(1025, 1030, PHASE_BIRTH).tolist()
+        assert streams.coin(2047, PHASE_BIRTH) == fresh.stream(2047, PHASE_BIRTH).random()
 
     def test_every_call_is_a_fresh_generator(self):
         streams = RunStreams(9)

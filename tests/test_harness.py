@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment,
                          InfluenceFunction, InfluenceGraph, PopulationState,
@@ -17,11 +19,11 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
                          verify_stability_theorem, verify_type_bound, wilson95)
 from opinionflow.errors import ConfigurationError, HypothesisError
 from opinionflow import evolution
-from opinionflow.evolution import StepRecord
+from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord
 from opinionflow.harness import required_window_length
 from opinionflow.seeding import RunStreams, generator, trial_seed
 
-from .helpers import path_acb, reference_phi_sweep
+from .helpers import path_acb, reference_evolution, reference_phi_sweep
 
 
 def weak_linear(x):
@@ -45,6 +47,23 @@ def fake_timeline(active_pattern):
     g = InfluenceGraph.complete(2)
     terminal = PopulationState.from_masses(g, [0.5, 0.5])
     return Timeline(records, terminal, seed=0)
+
+
+def runs_timeline(runs):
+    """Timeline stub of records that stand for runs: (migration_active, repeat) each,
+    on the same phi values as ``fake_timeline``."""
+    records, step = [], 0
+    for active, repeat in runs:
+        records.append(StepRecord(step, 0.5, 0.5, 0.5, 0.5, bool(active), 0.5, None, [], 2,
+                                  repeat=repeat))
+        step += repeat
+    terminal = PopulationState.from_masses(InfluenceGraph.complete(2), [0.5, 0.5])
+    return Timeline(records, terminal, seed=0)
+
+
+def per_step(timeline):
+    """The same timeline with one record per step."""
+    return Timeline(list(timeline), timeline.terminal, timeline.seed)
 
 
 def naive_windows(active_pattern):
@@ -122,9 +141,66 @@ class TestStableWindows:
             covered = sorted(s for w in ws for s in range(w.start, w.start + w.length))
             assert covered == [i for i, a in enumerate(pattern) if not a]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=25))
+    def test_runs_give_the_windows_of_their_steps(self, runs):
+        tl = runs_timeline(runs)
+        pattern = [int(active) for active, repeat in runs for _ in range(repeat)]
+        ws = detect_stable_windows(tl)
+        assert [(w.start, w.duration) for w in ws] == naive_windows(pattern)
+        assert ws == detect_stable_windows(per_step(tl))
+
     def test_required_window_length(self):
         assert required_window_length(0.001) == 334
         assert required_window_length(1 / 3) == 2
+
+
+class TestTimelineRuns:
+    """The counts, windows and phi checks read a record with ``repeat`` > 1 as
+    that many steps, without expanding it, and agree with the per-step form."""
+
+    CFG = EvolutionConfig(p=0.01, epsilon=0.05, delta=0.3, beta_min=0.05, beta_max=0.1,
+                          horizon=2000, assignment=InfluenceAssignment(linear(0.5)))
+
+    def hand_built(self):
+        birth = BirthEvent(2, 0.1, {0: 0.1, 1: 0.1}, [0])
+        deaths = [DeathEvent(2, 0.01, [0])]
+        records = [
+            StepRecord(0, 0.5, 0.5, 0.5, 0.5, False, 0.5, None, [], 2, repeat=3),
+            StepRecord(3, 0.5, 0.5 + 1e-9, 0.5, 0.5, True, 0.5, None, [], 2, repeat=2),
+            StepRecord(5, 0.5, 0.6, 0.3, 0.3, True, 0.5, birth, [], 3, repeat=2),
+            StepRecord(7, 0.3, 0.3, 0.3, 0.5, False, 0.5, None, deaths, 2, repeat=4),
+            StepRecord(11, 0.5, 0.5, 0.5, 0.5, False, 0.5, None, [], 2),
+        ]
+        terminal = PopulationState.from_masses(InfluenceGraph.complete(2), [0.5, 0.5])
+        return Timeline(records, terminal, seed=0)
+
+    def readings(self, tl, config):
+        return {"len": len(tl), "births": tl.birth_count(), "deaths": tl.death_count(),
+                "peak": tl.max_type_count(), "windows": detect_stable_windows(tl),
+                "phi": verify_phi_bounds(tl, config).to_json_dict(),
+                "best": harness._best_window(tl, 5),
+                "types": harness._type_counts(tl, bound_types=2.5, cap=20)}
+
+    def test_hand_built_runs(self):
+        tl = self.hand_built()
+        got = self.readings(tl, self.CFG)
+        assert got == self.readings(per_step(tl), self.CFG)
+        assert (got["len"], got["births"], got["deaths"], got["peak"]) == (12, 2, 4, 3)
+        assert [(w.start, w.duration) for w in got["windows"]] == [(0, 2), (7, 4)]
+        assert [(v["step"], v["kind"]) for v in got["phi"]["violations"]] == \
+            [(3, "migration"), (4, "migration"), (5, "birth"), (6, "birth")]
+        assert (got["phi"]["migration_checks"], got["phi"]["birth_checks"]) == (4, 2)
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_jumped_runs_read_as_their_per_step_twins(self, seed):
+        cfg = replace(self.CFG, seed=seed)
+        x0 = sample_state(InfluenceGraph.path(4), generator(seed))
+        ours, twin = run_evolution(x0, cfg), reference_evolution(x0, cfg)
+        assert any(r.repeat > 1 for r in ours.records)
+        got = self.readings(ours, cfg)
+        assert got == self.readings(twin, cfg)
+        assert got["phi"]["birth_checks"] > 0 and got["windows"]
 
 
 class TestMonteCarloConvergence:
