@@ -177,11 +177,16 @@ def _json_bytes(data) -> str:
 
 
 def _write_outputs(out_dir: str, subcommand: str, config: dict, seed,
-                   files: dict[str, str]) -> None:
+                   files: dict, diagnostics: dict | None = None) -> None:
+    """Write each of ``files``: its text, or what its writer, called with the
+    open file, writes there. Then the manifest, with ``diagnostics`` if given."""
     os.makedirs(out_dir, exist_ok=True)
     for name, content in files.items():
         with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(content)
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -189,6 +194,8 @@ def _write_outputs(out_dir: str, subcommand: str, config: dict, seed,
         "version": __version__,
         "outputs": sorted(files),
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(_json_bytes(manifest))
 
@@ -253,14 +260,14 @@ def _cmd_evolve(args) -> int:
         "deaths": timeline.death_count(),
         "final_types": len(timeline.terminal.graph),
         "terminal": {str(v): m for v, m in sorted(timeline.terminal.as_dict().items())},
-        "phi_final": timeline.records[-1].phi_after,
+        "phi_final": timeline.last_step().phi_after,
         "diffeo_admissible": config.diffeo_admissible,
     }
     _write_outputs(args.out, "evolve", echo, config.seed, {
-        "timeline.jsonl": timeline.to_jsonl(),
-        "summary.csv": timeline.summary_csv(),
+        "timeline.jsonl": timeline.to_jsonl,
+        "summary.csv": timeline.summary_csv,
         "summary.json": _json_bytes(summary),
-    })
+    }, timeline.diagnostics)
     return EXIT_OK
 
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator
+from itertools import chain, repeat
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -27,9 +29,10 @@ from .dynamics import (_RENORM_TOL, PopulationState, _EdgeKernel, kernel_for, mi
 from .errors import ConfigurationError, coerce
 from .graph import choose_attachment, REWIRING_POLICIES
 from .influence import InfluenceAssignment, InfluenceFunction
-from .seeding import COIN_BLOCK, PHASE_ATTACH, PHASE_BIRTH, RunStreams
+from .seeding import COIN_BLOCK, PHASE_ATTACH, PHASE_BIRTH, RunStreams, run_coins
 
 ATTACHMENT_POLICIES = ("random-subset", "connect-to-all")
+COIN_CELLS = 1 << 14     # most coins ``birth_counts`` draws at once: 128 kB per array
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,17 @@ class DeathEvent:
 @dataclass
 class StepRecord:
     """The log of step ``step``; with ``repeat`` > 1, of a run of steps
-    ``step`` .. ``step + repeat - 1`` whose logs differ only in the step number."""
+    ``step`` .. ``step + repeat - 1`` that cycles through the logs of one
+    period and differs from them only in the step number.
+
+    The period is k = 1 + len(``cycle``): the run's step ``step + i`` writes
+    this record's log when i is a multiple of k, and ``cycle[i % k - 1]``
+    otherwise. With ``cycle`` empty every step of the run writes this log.
+    ``cycle`` holds fewer than ``repeat`` logs, so a one-step record has none.
+    The logs of a period are quiet steps (no flow, no birth, no death, one
+    type count) and differ only in their potentials and smallest mass, so
+    what the counts and checks read of a run, they read from this record.
+    """
 
     step: int
     phi_before: float
@@ -204,6 +217,7 @@ class StepRecord:
     deaths: list[DeathEvent]
     type_count: int               # at the end of the step
     repeat: int = 1
+    cycle: tuple[StepRecord, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,30 +234,62 @@ class StepRecord:
         }
 
 
-def _run_lines(line: str, key: str, record: StepRecord) -> str:
-    """``line``, the rendering of ``record``'s first step, written for each of
-    its steps: the one line split around the step number that follows
-    ``key``, so only the numbers are rendered per step."""
-    if record.repeat == 1:
-        return line
-    cut = line.index(key + str(record.step)) + len(key)
-    head, tail = line[:cut], line[cut + len(str(record.step)):]
-    steps = map(str, range(record.step, record.step + record.repeat))
-    return head + (tail + "\n" + head).join(steps) + tail
+WRITE_BLOCK = 4096    # most periods of a run that a writer renders into one block
+
+
+def _write_lines(write, records: list[StepRecord], render, key: str) -> None:
+    """``render(log)`` and a newline for every step of ``records``, handed to
+    ``write`` a record or a block at a time.
+
+    A run renders each log of its period once and splits it around the step
+    number that follows ``key``; its full periods are then joined from the
+    split logs and strided ranges of step numbers, at C speed, and the
+    period that the run's end cuts short is written line by line.
+    """
+    for r in records:
+        if r.repeat == 1:
+            write(render(r) + "\n")
+            continue
+        parts = []
+        for log in (r, *r.cycle):
+            line, number = render(log), str(log.step)
+            cut = line.index(key + number) + len(key)
+            parts.append((line[:cut], line[cut + len(number):] + "\n"))
+        k, end = len(parts), r.step + r.repeat
+        full = end - r.repeat % k
+        for lo in range(r.step, full, k * WRITE_BLOCK):
+            hi = min(lo + k * WRITE_BLOCK, full)
+            columns = [column for i, (head, tail) in enumerate(parts)
+                       for column in (repeat(head), map(str, range(lo + i, hi, k)), repeat(tail))]
+            write("".join(chain.from_iterable(zip(*columns))))
+        write("".join(head + str(s) + tail for (head, tail), s in zip(parts, range(full, end))))
+
+
+def _json_line(record: StepRecord) -> str:
+    return json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _csv_line(record: StepRecord) -> str:
+    return (f"{record.step},{record.phi_after!r},{record.type_count},"
+            f"{int(record.migration_active)},{int(record.birth is not None)},"
+            f"{len(record.deaths)}")
 
 
 @dataclass
 class Timeline:
     """Complete per-step event log of one run, plus the terminal state.
 
-    A record with ``repeat`` > 1 stands for that many steps; ``len`` counts
-    steps and iteration yields one record per step, while the counts, the
-    writers and the harness checks read the runs as they are.
+    A record with ``repeat`` > 1 stands for that many steps (see
+    ``StepRecord``); ``len`` counts steps and iteration yields one record per
+    step, while the counts, the writers and the harness checks read the runs
+    as they are. ``diagnostics`` holds the counts ``run_evolution`` keeps of
+    its work: steps stepped and jumped, and runs per period.
     """
 
     records: list[StepRecord]
     terminal: PopulationState
     seed: int
+    diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return sum(r.repeat for r in self.records)
@@ -253,8 +299,15 @@ class Timeline:
             if r.repeat == 1:
                 yield r
             else:
-                yield from (replace(r, step=s, repeat=1)
-                            for s in range(r.step, r.step + r.repeat))
+                period = (r, *r.cycle)
+                yield from (replace(period[i % len(period)], step=r.step + i, repeat=1, cycle=())
+                            for i in range(r.repeat))
+
+    def last_step(self) -> StepRecord:
+        """The record of the last step, which a run may end anywhere in its period."""
+        r = self.records[-1]
+        log = (r, *r.cycle)[(r.repeat - 1) % (1 + len(r.cycle))]
+        return replace(log, step=r.step + r.repeat - 1, repeat=1, cycle=())
 
     def birth_count(self) -> int:
         return sum(r.repeat for r in self.records if r.birth is not None)
@@ -265,11 +318,15 @@ class Timeline:
     def max_type_count(self) -> int:
         return max(r.type_count for r in self.records)
 
-    def to_jsonl(self) -> str:
-        """One canonical JSON object per step; final line is the terminal state."""
-        lines = [_run_lines(json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":")),
-                            '"step":', r)
-                 for r in self.records]
+    def to_jsonl(self, fh: TextIO | None = None) -> str | None:
+        """One canonical JSON object per step; final line is the terminal state.
+
+        Written to ``fh`` a block at a time, or returned as one string when
+        no file is given.
+        """
+        parts: list[str] = []
+        write = parts.append if fh is None else fh.write
+        _write_lines(write, self.records, _json_line, '"step":')
         terminal = {
             "terminal": {
                 "graph": self.terminal.graph.to_json_dict(),
@@ -278,16 +335,16 @@ class Timeline:
             },
             "seed": self.seed,
         }
-        lines.append(json.dumps(terminal, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        write(json.dumps(terminal, sort_keys=True, separators=(",", ":")) + "\n")
+        return "".join(parts) if fh is None else None
 
-    def summary_csv(self) -> str:
-        rows = ["step,phi,type_count,migration_active,births,deaths"]
-        for r in self.records:
-            rows.append(_run_lines(f"{r.step},{r.phi_after!r},{r.type_count},"
-                                   f"{int(r.migration_active)},{int(r.birth is not None)},"
-                                   f"{len(r.deaths)}", "", r))
-        return "\n".join(rows) + "\n"
+    def summary_csv(self, fh: TextIO | None = None) -> str | None:
+        """One row per step under a header, written or returned as ``to_jsonl``."""
+        parts: list[str] = []
+        write = parts.append if fh is None else fh.write
+        write("step,phi,type_count,migration_active,births,deaths\n")
+        _write_lines(write, self.records, _csv_line, "")
+        return "".join(parts) if fh is None else None
 
 
 def _rebuild(kernel: _EdgeKernel, x: np.ndarray, t: int) -> PopulationState:
@@ -311,6 +368,20 @@ def birth_steps(config: EvolutionConfig) -> list[int]:
     x0 is: the birth rule at steps 0 .. horizon-1, with no step run."""
     coins = RunStreams(config.seed).coins(0, config.horizon, PHASE_BIRTH)
     return np.flatnonzero(coins < config.p).tolist()
+
+
+def birth_counts(config: EvolutionConfig, seeds: list[int]) -> np.ndarray:
+    """``len(birth_steps(config))`` under each of ``seeds`` as the run seed:
+    the coins of many runs drawn together, at most COIN_CELLS at a time."""
+    counts = np.zeros(len(seeds), dtype=np.int64)
+    width = min(config.horizon, COIN_CELLS)
+    rows = COIN_CELLS // width
+    for lo in range(0, len(seeds), rows):
+        for first in range(0, config.horizon, width):
+            coins = run_coins(seeds[lo:lo + rows], first,
+                              min(width, config.horizon - first), PHASE_BIRTH)
+            counts[lo:lo + rows] += np.count_nonzero(coins < config.p, axis=1)
+    return counts
 
 
 def _next_birth(config: EvolutionConfig, streams: RunStreams, start: int) -> int:
@@ -431,12 +502,16 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     The graph must be connected: the birth/death rules assume (and then
     maintain) connectivity.
 
-    A frozen step (no flow, no birth, no death, and masses out equal to
-    masses in bit for bit) is repeated exactly by every later step up to
-    the next birth: each migrates the same masses with the same kernel, the
-    death phase finds what it found before, and only the coin changes. So
-    the run jumps there, and logs the steps in between as one record with
-    ``repeat`` set, which differs from the frozen step's only in the step.
+    A quiet step has no flow, no birth and no death. Since the last event
+    the run keeps the input masses of each quiet step, as bytes. When a
+    quiet step's output masses equal, bit for bit, the input masses of an
+    earlier quiet step, the steps from that one on form a cycle of period
+    k (k = 1 for a frozen step): up to the next birth every later step
+    migrates the same masses with the same kernel, the death phase finds
+    what it found before, and only the coin and the step number change. So
+    the run jumps to the next birth, logs the steps in between as one
+    record that cycles through the k logs, and resumes at the masses and
+    potential of the cycle's step that the birth step falls on.
     """
     graph = x0.graph.copy()
     if not graph.is_connected():
@@ -445,16 +520,39 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     streams = RunStreams(config.seed)
     records: list[StepRecord] = []
     kernel = kernel_for(state, config.assignment)     # followed through every event
-    phi = None
+    phi = key = None                  # key: the input masses of the next step, as bytes
+    stretch: dict[bytes, int] = {}    # the input masses of each quiet step since the last event
+    inputs: list[np.ndarray] = []     # the same, in step order, as arrays
+    stepped, periods = 0, Counter()
     while state.t < config.horizon:
         x = state.x
         state, record = evolution_step(state, config, streams, kernel, phi)
         records.append(record)
-        phi = record.phi_after
-        if (not record.migration_active and record.birth is None and not record.deaths
-                and state.x.tobytes() == x.tobytes()):
-            stop = _next_birth(config, streams, state.t)
-            if stop > state.t:
-                records.append(replace(record, step=state.t, repeat=stop - state.t))
-                state.t = stop
-    return Timeline(records, state, config.seed)
+        phi, stepped = record.phi_after, stepped + 1
+        if record.migration_active or record.birth is not None or record.deaths:
+            stretch.clear()
+            inputs.clear()
+            key = None
+            continue
+        stretch[x.tobytes() if key is None else key] = len(inputs)
+        inputs.append(x)
+        key = state.x.tobytes()
+        first = stretch.get(key)
+        if first is None:
+            continue
+        cycle = records[first - len(inputs):]
+        stop = _next_birth(config, streams, state.t)
+        if stop > state.t:
+            span = stop - state.t
+            periods[len(cycle)] += 1
+            records.append(replace(cycle[0], step=state.t, repeat=span, cycle=tuple(
+                replace(log, step=state.t + i) for i, log in enumerate(cycle[1:span], 1))))
+            at_stop = span % len(cycle)
+            phi = cycle[at_stop].phi_before
+            state = PopulationState(state.graph, state.ids, inputs[first + at_stop], stop)
+            key = None
+        stretch.clear()
+        inputs.clear()
+    diagnostics = {"stepped_steps": stepped, "jumped_steps": config.horizon - stepped,
+                   "runs_per_period": {str(k): n for k, n in sorted(periods.items())}}
+    return Timeline(records, state, config.seed, diagnostics)

@@ -28,7 +28,7 @@ import numpy as np
 from .dynamics import (MAX_ITERS, STOP_REASONS, THETA_ACTIVE, TOL_STEP, PopulationState,
                        classify_fixed_point, kernel_for, run_to_convergence)
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
-from .evolution import EvolutionConfig, Timeline, birth_steps, run_evolution
+from .evolution import EvolutionConfig, Timeline, birth_counts, run_evolution
 from .graph import InfluenceGraph
 from .influence import InfluenceAssignment
 from .seeding import generator, trial_seed
@@ -454,7 +454,7 @@ def verify_stability_theorem(config: EvolutionConfig, trials: int,
 # -- theorem: the number of types stays logarithmic --------------------------------
 
 def _type_counts(timeline: Timeline, bound_types: float, cap: int) -> dict:
-    final = timeline.records[-1].type_count
+    final = timeline.last_step().type_count
     peak = timeline.max_type_count()
     return {"final_types": final, "peak_types": peak,
             "cap_ok": peak <= cap, "success": final <= bound_types}
@@ -529,7 +529,8 @@ def verify_phi_bounds(timeline: Timeline, config: EvolutionConfig,
     Every migration phase that moved mass while all types held at least
     epsilon must have raised the potential by at least 2*alpha_min*eps*
     delta^3; every birth may lower it by at most 2*beta_max. A record with
-    ``repeat`` > 1 counts, and fails, once per step it stands for.
+    ``repeat`` > 1 counts, and fails, once per step it stands for; the logs of
+    its cycle, quiet steps, are never checked.
     """
     alpha_min, _ = config.assignment.alpha_bounds()
     migration_bound = 2.0 * alpha_min * config.epsilon * config.delta**3
@@ -572,15 +573,15 @@ def verify_birth_counts(config: EvolutionConfig, trials: int, root_seed: int = 0
 
     Trial i counts the births of the run with seed trial_seed(root_seed, 2i),
     the seed the other evolution verifiers give their trial i. A step's birth
-    depends on its coin alone, so the count comes from ``birth_steps`` and no
-    evolution is run: the start and the graph play no part.
+    depends on its coin alone, so the counts come from ``birth_counts``, which
+    draws the coins of all trials together, and no evolution is run: the
+    start and the graph play no part.
 
     Returns both one-sided stats: births >= t*p/2 against 1-e^(-tp/8), and
     births <= 3*t*p/2 against 1-e^(-tp/6).
     """
     t, p = config.horizon, config.p
-    births = np.array([len(birth_steps(replace(config, seed=seed)))
-                       for seed in _run_seeds(trials, root_seed)])
+    births = birth_counts(config, _run_seeds(trials, root_seed))
     low_ok = int(np.sum(births >= t * p / 2.0))
     high_ok = int(np.sum(births <= 3.0 * t * p / 2.0))
     lower = _finish(low_ok, trials, 1.0 - math.exp(-t * p / 8.0), [],

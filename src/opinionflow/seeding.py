@@ -21,7 +21,6 @@ PHASE_ATTACH = 2     # neighbor choice for a newborn type
 COIN_BLOCK = 1024    # steps whose coins ``RunStreams.coin`` draws at once
 
 # Philox4x64-10 (Salmon et al., Random123): round multipliers and key bumps.
-_MASK64 = (1 << 64) - 1
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
@@ -36,21 +35,22 @@ def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b_hi * m_hi + (hi_lo >> _32) + (cross >> _32), b * np.uint64(m)
 
 
-def _philox_first_words(key: tuple[int, int], steps: np.ndarray, phase: int) -> np.ndarray:
-    """Word 0 of Philox4x64-10 at counters [1, 0, step, phase], one per step.
+def _philox_first_words(keys: np.ndarray, steps: np.ndarray, phase: int) -> np.ndarray:
+    """Word 0 of Philox4x64-10 at counters [1, 0, step, phase], one per step
+    under each key: ``keys`` of shape (rows, 2), uint64, give (rows, len(steps)).
 
     That is the first uint64 a ``Philox(counter=[0, 0, step, phase])``
     returns: it bumps the counter before its first block.
     """
     c0, c1 = np.ones_like(steps), np.zeros_like(steps)
     c2, c3 = steps, np.full_like(steps, phase)
-    k0, k1 = key
+    k0, k1 = keys[:, :1], keys[:, 1:]
     for r in range(10):
         if r:
-            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     return c0
 
 
@@ -92,7 +92,7 @@ class RunStreams:
         # counter words, so streams are disjoint unless one phase draws 2^128
         # values.
         self._key = _philox_key_type()(self.seed)
-        self._words = tuple(map(int, self._key.generate_state(2, np.uint64)))
+        self._words = self._key.generate_state(2, np.uint64)[None]
         self._coins: dict[int, tuple[int, np.ndarray]] = {}   # phase -> (block, coins)
 
     def stream(self, step: int, phase: int) -> np.random.Generator:
@@ -136,9 +136,22 @@ class RunStreams:
 
     def _draw(self, first: int, count: int, phase: int) -> np.ndarray:
         """The coins of steps ``first`` .. ``first + count``-1."""
-        steps = np.uint64(first) + np.arange(count, dtype=np.uint64)
-        raw = _philox_first_words(self._words, steps, phase)
-        return (raw >> np.uint64(11)) * 2.0**-53
+        return _coins(self._words, first, count, phase)[0]
+
+
+def _coins(keys: np.ndarray, first: int, count: int, phase: int) -> np.ndarray:
+    """The coins of steps ``first`` .. ``first + count``-1 under each row of
+    ``keys``: ``random()`` is (first word >> 11) * 2**-53."""
+    steps = np.uint64(first) + np.arange(count, dtype=np.uint64)
+    return (_philox_first_words(keys, steps, phase) >> np.uint64(11)) * 2.0**-53
+
+
+def run_coins(seeds: list[int], first: int, count: int, phase: int) -> np.ndarray:
+    """``RunStreams(seed).coins(first, first + count, phase)`` of each of
+    ``seeds``, one row each, drawn together."""
+    keys = np.array([_philox_key_type()(int(seed)).generate_state(2, np.uint64)
+                     for seed in seeds]).reshape(-1, 2)
+    return _coins(keys, first, count, phase)
 
 
 def trial_seed(root_seed: int, index: int) -> int:

@@ -11,10 +11,12 @@ from functools import partial
 import pytest
 
 import opinionflow
-from opinionflow import cli, harness
+from opinionflow import EvolutionConfig, InfluenceGraph, cli, evolution, harness
 from opinionflow.cli import main
-from opinionflow.harness import sample_simplex
+from opinionflow.harness import sample_simplex, sample_state
 from opinionflow.seeding import generator
+
+from .helpers import reference_evolution
 
 
 def run(tmp_path, *argv):
@@ -110,6 +112,61 @@ class TestEvolve:
         evo = read_json(tmp_path / "evo" / "summary.json")["terminal"]
         for v, m in sim.items():
             assert evo.get(v, 0.0) == pytest.approx(m, abs=1e-5)
+
+    @pytest.mark.parametrize("steps", [50, 51])
+    def test_summary_reads_the_last_step_of_a_cycle_run(self, tmp_path, steps):
+        # p = 0 from this start: one run of period 2 from step 2 to the horizon
+        args = ["--graph", "path:4", "--x0", "random", "--seed", "18", "--p", "0",
+                "--epsilon", "0.05", "--delta", "0.3", "--steps", str(steps)]
+        code, out = run(tmp_path, "evolve", *args)
+        assert code == 0
+        config = EvolutionConfig(p=0.0, epsilon=0.05, delta=0.3, seed=18, horizon=steps)
+        want = reference_evolution(sample_state(InfluenceGraph.path(4), generator(18)), config)
+        summary = read_json(out / "summary.json")
+        assert summary["phi_final"] == want.records[-1].phi_after
+        assert summary["terminal"] == {str(v): m for v, m in want.terminal.as_dict().items()}
+        assert (summary["steps"], summary["final_types"]) == (steps, 4)
+        assert read_json(out / "manifest.json")["diagnostics"] == \
+            {"stepped_steps": 2, "jumped_steps": steps - 2, "runs_per_period": {"2": 1}}
+
+    def test_diagnostics_count_the_steps_run(self, tmp_path, monkeypatch):
+        calls = []
+        step = evolution.evolution_step
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].t)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "evolution_step", counted)
+        code, out = run(tmp_path, "evolve", "--graph", "path:4", "--x0", "uniform",
+                        "--p", "0.001", "--epsilon", "0.05", "--delta", "0.3",
+                        "--steps", "5000", "--seed", "2")
+        assert code == 0
+        diagnostics = read_json(out / "manifest.json")["diagnostics"]
+        assert diagnostics == {"stepped_steps": len(calls), "jumped_steps": 5000 - len(calls),
+                               "runs_per_period": {"1": 4, "2": 1}}
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_quiet_run_writes_in_bounded_memory(self, tmp_path):
+        # the 10^5-step timeline.jsonl is 26 MB: a writer that builds the whole file
+        # in memory before writing it peaks far above the bound. The child reports
+        # VmHWM, the peak of its own address space: its ru_maxrss would also count
+        # this process, which Linux carries into a child across fork and exec.
+        script = ("import sys\n"
+                  "from opinionflow.cli import main\n"
+                  "assert main(['evolve', '--graph', 'path:4', '--x0', 'uniform', '--p', '0.001',"
+                  " '--epsilon', '0.05', '--delta', '0.3', '--steps', '100000', '--seed', '1',"
+                  " '--out', sys.argv[1]]) == 0\n"
+                  "print([line.split()[1] for line in open('/proc/self/status')"
+                  " if line.startswith('VmHWM:')][0])\n")
+        src = os.path.dirname(os.path.dirname(opinionflow.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                               check=True, capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": path})
+        assert (tmp_path / "out" / "timeline.jsonl").stat().st_size > 25e6
+        peak_mb = int(child.stdout.split()[-1]) / 1024      # VmHWM is in kB
+        assert peak_mb < 80
 
     def test_influence_leaving_the_simplex_rejected(self, tmp_path, capsys):
         code, out = run(tmp_path, "evolve", "--graph", "path:2", "--x0", "0.6,0.4",

@@ -15,7 +15,7 @@ from opinionflow.dynamics import _EdgeKernel, kernel_for
 from opinionflow.errors import ConfigurationError
 from opinionflow.evolution import birth_steps, has_birth
 from opinionflow.graph import choose_attachment
-from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator
+from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator, run_coins
 
 from .helpers import assert_same_kernel, assert_same_text, reference_evolution
 
@@ -491,25 +491,39 @@ class TestIncrementalStep:
 
 
 QUIET = dict(p=0.001, epsilon=0.05, delta=0.3)     # the evolve-quiet config
+# the evolve-quiet horizon by which each seed has run into a cycle of period 2
+PERIOD_TWO_BY = {1: 13_000, 2: 5_000, 7: 33_000}
+
+
+def period_two_start():
+    """A path:4 start that, with p = 0 and QUIET's delta and epsilon, cycles with
+    period 2 from step 2 on: renormalization flips the last bits back and forth."""
+    return sample_state(InfluenceGraph.path(4), generator(18))
 
 
 class TestFrozenJump:
-    """A frozen step is jumped to the next birth; the jumped timeline writes
-    the per-step oracle's bytes, and most quiet steps are never computed."""
+    """A quiet step that repeats an earlier quiet step's input masses, frozen
+    (period 1) or in a cycle of period k, is jumped to the next birth; the
+    jumped timeline writes the per-step oracle's bytes, and most quiet steps
+    are never computed."""
 
     def _check(self, x0, cfg):
         ours, want = run_evolution(x0, cfg), reference_evolution(x0, cfg)
         assert_same_text(ours.to_jsonl(), want.to_jsonl())
         assert_same_text(ours.summary_csv(), want.summary_csv())
         assert len(ours) == cfg.horizon
+        assert list(ours) == want.records
+        assert ours.last_step() == want.records[-1]
+        assert ours.terminal.x.tobytes() == want.terminal.x.tobytes()
         return ours
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_quiet_config_runs_cross_coin_blocks(self, seed):
-        cfg = make_config(**QUIET, seed=seed, horizon=5000)
+        cfg = make_config(**QUIET, seed=seed, horizon=PERIOD_TWO_BY[seed])
         tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
         runs = [(r.step, r.step + r.repeat) for r in tl.records if r.repeat > 1]
         assert any(a // 1024 != (b - 1) // 1024 for a, b in runs)
+        assert any(len(r.cycle) == 1 and r.repeat > 2 for r in tl.records)
 
     def test_single_type_is_frozen_from_step_zero(self):
         cfg = make_config(**QUIET, seed=1, horizon=5000)
@@ -520,6 +534,19 @@ class TestFrozenJump:
         cfg = make_config(**{**QUIET, "p": 0.0}, horizon=3000)
         tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
         assert [(r.step, r.repeat) for r in tl.records] == [(0, 1), (1, 2999)]
+
+    @pytest.mark.parametrize("horizon", [50, 51])
+    def test_no_births_is_one_cycle_run_ending_on_either_log(self, horizon):
+        cfg = make_config(**{**QUIET, "p": 0.0}, horizon=horizon)
+        tl = self._check(period_two_start(), cfg)
+        assert [(r.step, r.repeat, len(r.cycle)) for r in tl.records] == \
+            [(0, 1, 0), (1, 1, 0), (2, horizon - 2, 1)]
+        assert tl.diagnostics == {"stepped_steps": 2, "jumped_steps": horizon - 2,
+                                  "runs_per_period": {"2": 1}}
+        run = tl.records[-1]
+        last = run if horizon % 2 else run.cycle[0]     # the run starts at step 2
+        assert tl.last_step().phi_after == last.phi_after
+        assert run.phi_after != run.cycle[0].phi_after     # the two logs differ
 
     def test_a_birth_every_step_leaves_no_run(self):
         cfg = make_config(**{**QUIET, "p": 1.0}, seed=3, horizon=300)
@@ -546,7 +573,9 @@ class TestFrozenJump:
         monkeypatch.setattr(evolution, "evolution_step", counted)
         cfg = make_config(**QUIET, seed=1, horizon=5000)
         tl = run_evolution(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
-        assert len(tl) == 5000 and len(calls) < 2500
+        assert len(tl) == 5000 and len(calls) < 0.05 * 5000
+        assert tl.diagnostics["stepped_steps"] == len(calls)
+        assert tl.diagnostics["jumped_steps"] == 5000 - len(calls)
 
 
 class TestRunStreams:
@@ -578,6 +607,14 @@ class TestRunStreams:
         assert coins.tolist() == [one_by_one.coin(s, PHASE_BIRTH) for s in range(start, stop)]
         assert [start + i for i in np.flatnonzero(coins < p).tolist()] == \
             [s for s in range(start, stop) if has_birth(cfg, one_by_one, s)]
+
+    @pytest.mark.parametrize("first, count", [(0, 1500), (1023, 3), (2**64 - 5, 5)])
+    def test_coins_of_many_runs_are_each_runs_coins(self, first, count):
+        seeds = [0, 1, 131, 2**63 + 5]
+        coins = run_coins(seeds, first, count, PHASE_BIRTH)
+        assert coins.shape == (len(seeds), count)
+        for seed, row in zip(seeds, coins):
+            assert row.tolist() == RunStreams(seed).coins(first, first + count, PHASE_BIRTH).tolist()
 
     def test_coins_read_the_block_coin_holds(self):
         streams, fresh = RunStreams(4), RunStreams(4)

@@ -1,5 +1,6 @@
 """Monte Carlo drivers: sampling, windows, verifiers, basin rasters."""
 
+import io
 import json
 import math
 from dataclasses import replace
@@ -192,6 +193,39 @@ class TestTimelineRuns:
             [(3, "migration"), (4, "migration"), (5, "birth"), (6, "birth")]
         assert (got["phi"]["migration_checks"], got["phi"]["birth_checks"]) == (4, 2)
 
+    def cycle_runs(self):
+        """Runs of period 2 and 3 around a birth; the last one ends inside its period."""
+        def quiet(step, phi, low, **kw):
+            return StepRecord(step, phi, phi + 1e-17, phi + 1e-17, phi + 1e-17, False, low,
+                              None, [], 2, **kw)
+
+        birth = BirthEvent(2, 0.1, {0: 0.1, 1: 0.1}, [0])
+        records = [
+            quiet(0, 0.5, 0.25),
+            quiet(1, 0.5, 0.25, repeat=5, cycle=(quiet(2, 0.6, 0.26),)),
+            StepRecord(6, 0.5, 0.6, 0.3, 0.3, True, 0.25, birth, [], 3),
+            quiet(7, 0.3, 0.1, repeat=8, cycle=(quiet(8, 0.31, 0.11), quiet(9, 0.32, 0.12))),
+            quiet(15, 0.3, 0.1, repeat=2, cycle=(quiet(16, 0.33, 0.13),)),
+        ]
+        terminal = PopulationState.from_masses(InfluenceGraph.complete(2), [0.5, 0.5])
+        return Timeline(records, terminal, seed=0)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4096])
+    def test_cycle_runs_read_and_write_as_their_per_step_twins(self, block, monkeypatch):
+        monkeypatch.setattr(evolution, "WRITE_BLOCK", block)
+        tl = self.cycle_runs()
+        twin = per_step(tl)
+        assert [r.phi_before for r in twin] == \
+            [0.5, 0.5, 0.6, 0.5, 0.6, 0.5, 0.5, 0.3, 0.31, 0.32, 0.3, 0.31, 0.32, 0.3, 0.31,
+             0.3, 0.33]
+        assert self.readings(tl, self.CFG) == self.readings(twin, self.CFG)
+        assert tl.last_step() == twin.records[-1]
+        for write in (Timeline.to_jsonl, Timeline.summary_csv):
+            text = write(tl)
+            assert text == write(twin)
+            fh = io.StringIO()
+            assert write(tl, fh) is None and fh.getvalue() == text
+
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_jumped_runs_read_as_their_per_step_twins(self, seed):
         cfg = replace(self.CFG, seed=seed)
@@ -201,6 +235,13 @@ class TestTimelineRuns:
         got = self.readings(ours, cfg)
         assert got == self.readings(twin, cfg)
         assert got["phi"]["birth_checks"] > 0 and got["windows"]
+
+    def test_period_two_runs_read_as_their_per_step_twins(self):
+        cfg = EvolutionConfig(p=0.001, epsilon=0.05, delta=0.3, seed=2, horizon=5000)
+        x0 = PopulationState.uniform(InfluenceGraph.path(4))
+        ours, twin = run_evolution(x0, cfg), reference_evolution(x0, cfg)
+        assert any(r.cycle for r in ours.records)
+        assert self.readings(ours, cfg) == self.readings(twin, cfg)
 
 
 class TestMonteCarloConvergence:
@@ -634,6 +675,15 @@ class TestVerifyBirthCounts:
         births = harness._evolution_sweep(Timeline.birth_count, self.CFG, None, 20, 11, 1)
         out = verify_birth_counts(self.CFG, trials=20, root_seed=11)
         assert out["mean_births"] == np.mean(births)
+
+    @pytest.mark.parametrize("cells", [64, 1000, 1 << 14])
+    def test_chunks_count_the_births_of_each_run(self, cells, monkeypatch):
+        # 64 cells split every run's horizon; 1000 hold two runs; 1 << 14 hold 40
+        monkeypatch.setattr(evolution, "COIN_CELLS", cells)
+        seeds = [trial_seed(11, 2 * i) for i in range(45)]
+        want = [len(evolution.birth_steps(replace(self.CFG, horizon=400, seed=seed)))
+                for seed in seeds]
+        assert evolution.birth_counts(replace(self.CFG, horizon=400), seeds).tolist() == want
 
     def test_never_runs_an_evolution(self, monkeypatch):
         def refuse(*args, **kwargs):
