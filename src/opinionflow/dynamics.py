@@ -180,8 +180,12 @@ class _EdgeKernel:
         self._fns: list = []            # influence function of each edge code
         self._insert(graph.edges())
 
-    def _insert(self, pairs) -> None:
-        """Add edges (u, v) of ids, u < v, at their (v, u) place, then regroup."""
+    def _insert(self, pairs, last: bool = False) -> None:
+        """Add edges (u, v) of ids, u < v, at their (v, u) place, then regroup.
+
+        ``last`` says the pairs, as given, sort after every edge held (a
+        newborn's edges), so they are appended without a sort.
+        """
         if pairs:
             ends = np.array([bisect_left(self.ids, w) for e in pairs for w in e],
                             dtype=np.intp).reshape(-1, 2)
@@ -189,11 +193,15 @@ class _EdgeKernel:
             self.iu = np.concatenate([self.iu, ends[:, 0]])
             self.iv = np.concatenate([self.iv, ends[:, 1]])
             self._code = np.concatenate([self._code, np.array(code, dtype=np.intp)])
-            order = np.argsort(self.iv * self.n + self.iu, kind="stable")
-            self.iu, self.iv, self._code = self.iu[order], self.iv[order], self._code[order]
+            if not last:
+                order = np.argsort(self.iv * self.n + self.iu, kind="stable")
+                self.iu, self.iv, self._code = self.iu[order], self.iv[order], self._code[order]
         self.m = len(self.iu)
-        groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
-        self._groups = [(f, idx) for f, idx in groups if len(idx)]
+        if len(self._fns) == 1:         # one function: every edge is in its group
+            self._groups = [(self._fns[0], np.arange(self.m))] if self.m else []
+        else:
+            groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
+            self._groups = [(f, idx) for f, idx in groups if len(idx)]
         # Per-edge plan (u, v, a, is_soft) for the float path of ``advance``,
         # which gives the bits of ``step`` because:
         # - d = xu - xv, xu * xv * F(d) (left to right), x + (in - out) and
@@ -230,7 +238,7 @@ class _EdgeKernel:
         if current:                     # ids never come back, so new_id sorts last
             self.ids += (new_id,)
             self.n += 1
-            self._insert([(u, new_id) for u in sorted(self.graph.neighbors(new_id))])
+            self._insert([(u, new_id) for u in sorted(self.graph.neighbors(new_id))], last=True)
             self.version = self.graph.version
         return new_id
 

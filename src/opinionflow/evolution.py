@@ -29,10 +29,9 @@ from .dynamics import (_RENORM_TOL, PopulationState, _EdgeKernel, kernel_for, mi
 from .errors import ConfigurationError, coerce
 from .graph import choose_attachment, REWIRING_POLICIES
 from .influence import InfluenceAssignment, InfluenceFunction
-from .seeding import COIN_BLOCK, PHASE_ATTACH, PHASE_BIRTH, RunStreams, run_coins
+from .seeding import COIN_WINDOW, PHASE_ATTACH, PHASE_BIRTH, RunStreams, run_coins
 
 ATTACHMENT_POLICIES = ("random-subset", "connect-to-all")
-COIN_CELLS = 1 << 14     # most coins ``birth_counts`` draws at once: 128 kB per array
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,8 @@ class Timeline:
     ``StepRecord``); ``len`` counts steps and iteration yields one record per
     step, while the counts, the writers and the harness checks read the runs
     as they are. ``diagnostics`` holds the counts ``run_evolution`` keeps of
-    its work: steps stepped and jumped, and runs per period.
+    its work: steps stepped and jumped, runs per period, Philox passes made
+    for coins, and the longest death cascade.
     """
 
     records: list[StepRecord]
@@ -366,16 +366,16 @@ def has_birth(config: EvolutionConfig, streams: RunStreams, step: int) -> bool:
 def birth_steps(config: EvolutionConfig) -> list[int]:
     """The steps of ``run_evolution(x0, config)`` that have a birth, whatever
     x0 is: the birth rule at steps 0 .. horizon-1, with no step run."""
-    coins = RunStreams(config.seed).coins(0, config.horizon, PHASE_BIRTH)
+    coins = RunStreams(config.seed, config.horizon).coins(0, config.horizon, PHASE_BIRTH)
     return np.flatnonzero(coins < config.p).tolist()
 
 
 def birth_counts(config: EvolutionConfig, seeds: list[int]) -> np.ndarray:
     """``len(birth_steps(config))`` under each of ``seeds`` as the run seed:
-    the coins of many runs drawn together, at most COIN_CELLS at a time."""
+    the coins of many runs drawn together, at most COIN_WINDOW at a time."""
     counts = np.zeros(len(seeds), dtype=np.int64)
-    width = min(config.horizon, COIN_CELLS)
-    rows = COIN_CELLS // width
+    width = min(config.horizon, COIN_WINDOW)
+    rows = COIN_WINDOW // width
     for lo in range(0, len(seeds), rows):
         for first in range(0, config.horizon, width):
             coins = run_coins(seeds[lo:lo + rows], first,
@@ -386,15 +386,15 @@ def birth_counts(config: EvolutionConfig, seeds: list[int]) -> np.ndarray:
 
 def _next_birth(config: EvolutionConfig, streams: RunStreams, start: int) -> int:
     """The first step from ``start`` on that has a birth, or the horizon if
-    none does: the birth rule, compared a coin block at a time."""
+    none does: the birth rule, one comparison per coin window."""
     if config.p == 0.0:
         return config.horizon
-    for first in range(start - start % COIN_BLOCK, config.horizon, COIN_BLOCK):
-        lo = max(start, first)
-        coins = streams.coins(lo, min(first + COIN_BLOCK, config.horizon), PHASE_BIRTH)
-        fired = np.flatnonzero(coins < config.p)
+    while start < config.horizon:
+        first, coins = streams.window(start, PHASE_BIRTH)
+        fired = np.flatnonzero(coins[start - first:config.horizon - first] < config.p)
         if fired.size:
-            return lo + int(fired[0])
+            return start + int(fired[0])
+        start = first + len(coins)
     return config.horizon
 
 
@@ -405,7 +405,7 @@ def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStr
 
     The stream of (step, PHASE_BIRTH) drives the Bernoulli coin and then the
     Z draws (in sorted-id order). The coin comes from ``streams.coin``, which
-    draws it with its block; the stream itself, and the attach stream that
+    draws it with its window; the stream itself, and the attach stream that
     drives neighbor selection, are made only on an actual birth, so no other
     draw shifts when a birth appears or vanishes. ``kernel`` adds the
     newborn, after ``kernel_for`` has rebuilt it if it was stale, and
@@ -452,7 +452,7 @@ def death_phase(state: PopulationState, config: EvolutionConfig,
         if not recipients:
             raise ValueError(f"type {v} dies with no neighbors to take its mass")
         kernel.remove_type(v, config.rewiring)
-        x = np.delete(x, i)
+        x = np.concatenate((x[:i], x[i + 1:]))
         x[[bisect_left(kernel.ids, u) for u in recipients]] += m / len(recipients)
         events.append(DeathEvent(v, m, recipients))
     if not events:
@@ -517,18 +517,19 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     if not graph.is_connected():
         raise ConfigurationError("birth/death mode needs a connected starting graph")
     state = PopulationState(graph, x0.ids, x0.x.copy(), 0)
-    streams = RunStreams(config.seed)
+    streams = RunStreams(config.seed, config.horizon)
     records: list[StepRecord] = []
     kernel = kernel_for(state, config.assignment)     # followed through every event
     phi = key = None                  # key: the input masses of the next step, as bytes
     stretch: dict[bytes, int] = {}    # the input masses of each quiet step since the last event
     inputs: list[np.ndarray] = []     # the same, in step order, as arrays
-    stepped, periods = 0, Counter()
+    stepped, cascade, periods = 0, 0, Counter()
     while state.t < config.horizon:
         x = state.x
         state, record = evolution_step(state, config, streams, kernel, phi)
         records.append(record)
         phi, stepped = record.phi_after, stepped + 1
+        cascade = max(cascade, len(record.deaths))
         if record.migration_active or record.birth is not None or record.deaths:
             stretch.clear()
             inputs.clear()
@@ -554,5 +555,6 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
         stretch.clear()
         inputs.clear()
     diagnostics = {"stepped_steps": stepped, "jumped_steps": config.horizon - stepped,
-                   "runs_per_period": {str(k): n for k, n in sorted(periods.items())}}
+                   "runs_per_period": {str(k): n for k, n in sorted(periods.items())},
+                   "coin_draws": streams.coin_draws, "max_cascade": cascade}
     return Timeline(records, state, config.seed, diagnostics)

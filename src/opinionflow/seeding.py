@@ -18,7 +18,10 @@ import numpy as np
 PHASE_BIRTH = 1      # Bernoulli(p) and the Z draws
 PHASE_ATTACH = 2     # neighbor choice for a newborn type
 
-COIN_BLOCK = 1024    # steps whose coins ``RunStreams.coin`` draws at once
+# Coins that one Philox pass draws: the steps of a ``RunStreams`` window, or
+# the cells of ``evolution.birth_counts``, many runs at once. Both ran as fast
+# at 2^12 as at 2^13 or 2^14, and 2^12 holds the least memory per pass.
+COIN_WINDOW = 1 << 12
 
 # Philox4x64-10 (Salmon et al., Random123): round multipliers and key bumps.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -84,16 +87,22 @@ def _philox_key_type() -> type:
 
 
 class RunStreams:
-    """Counter-addressable random streams for a single evolution run."""
+    """Counter-addressable random streams for a single evolution run.
 
-    def __init__(self, seed: int):
+    ``horizon``, if given, is the run's step count: a coin window that holds
+    a step before it is drawn only up to it.
+    """
+
+    def __init__(self, seed: int, horizon: int | None = None):
         self.seed = int(seed)
+        self.horizon = horizon
         # Philox keyed by SeedSequence(seed); (step, phase) go into the high
         # counter words, so streams are disjoint unless one phase draws 2^128
         # values.
         self._key = _philox_key_type()(self.seed)
         self._words = self._key.generate_state(2, np.uint64)[None]
-        self._coins: dict[int, tuple[int, np.ndarray]] = {}   # phase -> (block, coins)
+        self._windows: dict[int, tuple[int, np.ndarray]] = {}   # phase -> (first, coins)
+        self.coin_draws = 0             # Philox passes made for coins
 
     def stream(self, step: int, phase: int) -> np.random.Generator:
         """Fresh generator for (step, phase); identical on every call."""
@@ -103,40 +112,38 @@ class RunStreams:
         return np.random.Generator(np.random.Philox(seed=self._key, counter=counter))
 
     def coin(self, step: int, phase: int) -> float:
-        """``stream(step, phase).random()``, bit for bit, without a Generator.
-
-        Draws the coins of COIN_BLOCK consecutive steps at once, in numpy
-        uint64 arithmetic: ``random()`` is (first word >> 11) * 2**-53.
-        """
-        return float(self._block(step // COIN_BLOCK, phase)[step % COIN_BLOCK])
+        """``stream(step, phase).random()``, bit for bit, without a Generator:
+        read from the window that holds ``step``."""
+        first, coins = self.window(step, phase)
+        return float(coins[step - first])
 
     def coins(self, start: int, stop: int, phase: int) -> np.ndarray:
-        """The coins of steps ``start`` .. ``stop``-1, ``coin(step, phase)`` each.
-
-        Works block by block: a whole block, or the one ``coin`` holds, comes
-        from ``coin``'s cache; the part of a block that ``stop`` cuts short is
-        drawn on its own, only up to ``stop``.
-        """
+        """The coins of steps ``start`` .. ``stop``-1, ``coin(step, phase)`` each,
+        read window by window."""
         parts = []
-        for first in range(start - start % COIN_BLOCK, stop, COIN_BLOCK):
-            block, lo, hi = first // COIN_BLOCK, max(start, first), min(stop, first + COIN_BLOCK)
-            cached = self._coins.get(phase)
-            if hi == first + COIN_BLOCK or (cached is not None and cached[0] == block):
-                parts.append(self._block(block, phase)[lo - first:hi - first])
-            else:
-                parts.append(self._draw(lo, hi - lo, phase))
+        while start < stop:
+            first, coins = self.window(start, phase)
+            parts.append(coins[start - first:stop - first])
+            start = first + len(coins)
         return np.concatenate(parts) if parts else np.empty(0)
 
-    def _block(self, block: int, phase: int) -> np.ndarray:
-        """The coins of the COIN_BLOCK steps of ``block``; the last block drawn is kept."""
-        cached = self._coins.get(phase)
-        if cached is None or cached[0] != block:
-            cached = self._coins[phase] = block, self._draw(block * COIN_BLOCK, COIN_BLOCK, phase)
-        return cached[1]
-
-    def _draw(self, first: int, count: int, phase: int) -> np.ndarray:
-        """The coins of steps ``first`` .. ``first + count``-1."""
-        return _coins(self._words, first, count, phase)[0]
+    def window(self, step: int, phase: int) -> tuple[int, np.ndarray]:
+        """(first, coins): the coins of the COIN_WINDOW steps from ``first``, the
+        multiple of COIN_WINDOW at or below ``step``, drawn in one Philox pass
+        in numpy uint64 arithmetic (``random()`` is (first word >> 11) * 2**-53).
+        A window that holds a step before the horizon stops at the horizon.
+        The last window drawn in each phase is kept.
+        """
+        cached = self._windows.get(phase)
+        if cached is not None and 0 <= step - cached[0] < len(cached[1]):
+            return cached
+        first = step - step % COIN_WINDOW
+        stop = first + COIN_WINDOW
+        if self.horizon is not None and step < self.horizon:
+            stop = min(stop, self.horizon)
+        self.coin_draws += 1
+        cached = self._windows[phase] = first, _coins(self._words, first, stop - first, phase)[0]
+        return cached
 
 
 def _coins(keys: np.ndarray, first: int, count: int, phase: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import opinionflow
 from opinionflow import EvolutionConfig, InfluenceGraph, cli, evolution, harness
 from opinionflow.cli import main
 from opinionflow.harness import sample_simplex, sample_state
-from opinionflow.seeding import generator
+from opinionflow.seeding import COIN_WINDOW, generator
 
 from .helpers import reference_evolution
 
@@ -127,15 +127,18 @@ class TestEvolve:
         assert summary["terminal"] == {str(v): m for v, m in want.terminal.as_dict().items()}
         assert (summary["steps"], summary["final_types"]) == (steps, 4)
         assert read_json(out / "manifest.json")["diagnostics"] == \
-            {"stepped_steps": 2, "jumped_steps": steps - 2, "runs_per_period": {"2": 1}}
+            {"stepped_steps": 2, "jumped_steps": steps - 2, "runs_per_period": {"2": 1},
+             "coin_draws": 0, "max_cascade": 0}
 
     def test_diagnostics_count_the_steps_run(self, tmp_path, monkeypatch):
-        calls = []
+        calls, cascades = [], [0]
         step = evolution.evolution_step
 
         def counted(*args, **kwargs):
             calls.append(args[0].t)
-            return step(*args, **kwargs)
+            state, record = step(*args, **kwargs)
+            cascades.append(len(record.deaths))
+            return state, record
 
         monkeypatch.setattr(evolution, "evolution_step", counted)
         code, out = run(tmp_path, "evolve", "--graph", "path:4", "--x0", "uniform",
@@ -143,8 +146,11 @@ class TestEvolve:
                         "--steps", "5000", "--seed", "2")
         assert code == 0
         diagnostics = read_json(out / "manifest.json")["diagnostics"]
+        # one Philox pass per coin window up to the horizon: a jump draws no coin twice
         assert diagnostics == {"stepped_steps": len(calls), "jumped_steps": 5000 - len(calls),
-                               "runs_per_period": {"1": 4, "2": 1}}
+                               "runs_per_period": {"1": 4, "2": 1},
+                               "coin_draws": -(-5000 // COIN_WINDOW),
+                               "max_cascade": max(cascades)}
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_quiet_run_writes_in_bounded_memory(self, tmp_path):

@@ -15,7 +15,8 @@ from opinionflow.dynamics import _EdgeKernel, kernel_for
 from opinionflow.errors import ConfigurationError
 from opinionflow.evolution import birth_steps, has_birth
 from opinionflow.graph import choose_attachment
-from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator, run_coins
+from opinionflow.seeding import (COIN_WINDOW, PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator,
+                                 run_coins)
 
 from .helpers import assert_same_kernel, assert_same_text, reference_evolution
 
@@ -522,7 +523,7 @@ class TestFrozenJump:
         cfg = make_config(**QUIET, seed=seed, horizon=PERIOD_TWO_BY[seed])
         tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
         runs = [(r.step, r.step + r.repeat) for r in tl.records if r.repeat > 1]
-        assert any(a // 1024 != (b - 1) // 1024 for a, b in runs)
+        assert any(a // COIN_WINDOW != (b - 1) // COIN_WINDOW for a, b in runs)
         assert any(len(r.cycle) == 1 and r.repeat > 2 for r in tl.records)
 
     def test_single_type_is_frozen_from_step_zero(self):
@@ -542,7 +543,8 @@ class TestFrozenJump:
         assert [(r.step, r.repeat, len(r.cycle)) for r in tl.records] == \
             [(0, 1, 0), (1, 1, 0), (2, horizon - 2, 1)]
         assert tl.diagnostics == {"stepped_steps": 2, "jumped_steps": horizon - 2,
-                                  "runs_per_period": {"2": 1}}
+                                  "runs_per_period": {"2": 1}, "coin_draws": 0,
+                                  "max_cascade": 0}
         run = tl.records[-1]
         last = run if horizon % 2 else run.cycle[0]     # the run starts at step 2
         assert tl.last_step().phi_after == last.phi_after
@@ -562,6 +564,21 @@ class TestFrozenJump:
               else PopulationState.uniform(graph))
         self._check(x0, make_config(p=p, epsilon=0.05, delta=delta, seed=seed, horizon=1200))
 
+    @pytest.mark.parametrize("horizon", [COIN_WINDOW + 300, 3 * COIN_WINDOW])
+    @pytest.mark.parametrize("p", [0.0, 1e-6, 2e-4, 0.01, 1.0])
+    def test_next_birth_is_the_first_birth_of_a_step_scan(self, horizon, p):
+        # the horizon COIN_WINDOW + 300 cuts window 1 short
+        starts = [0, 5, COIN_WINDOW - 2, COIN_WINDOW - 1, COIN_WINDOW, COIN_WINDOW + 1,
+                  2 * COIN_WINDOW - 1, horizon - 1]
+        for seed in (3, 5, 8):
+            cfg = make_config(p=p, seed=seed, horizon=horizon)
+            scan = RunStreams(seed)
+            births = [s for s in range(horizon) if has_birth(cfg, scan, s)]
+            streams = RunStreams(seed, horizon)
+            for start in starts:
+                want = next((s for s in births if s >= start), horizon)
+                assert evolution._next_birth(cfg, streams, start) == want
+
     def test_most_quiet_steps_are_never_computed(self, monkeypatch):
         calls = []
         step = evolution.evolution_step
@@ -577,6 +594,13 @@ class TestFrozenJump:
         assert tl.diagnostics["stepped_steps"] == len(calls)
         assert tl.diagnostics["jumped_steps"] == 5000 - len(calls)
 
+    def test_diagnostics_count_coin_draws_and_the_longest_cascade(self):
+        cfg = make_config(p=0.5, epsilon=0.05, delta=0.01, beta_min=0.1, beta_max=0.3,
+                          seed=1, horizon=300)
+        tl = run_evolution(PopulationState.uniform(InfluenceGraph.path(8)), cfg)
+        assert tl.diagnostics["max_cascade"] == max(len(r.deaths) for r in tl.records) >= 2
+        assert tl.diagnostics["coin_draws"] == 1
+
 
 class TestRunStreams:
     def test_draws_match_seed_sequence_philox(self):
@@ -589,7 +613,8 @@ class TestRunStreams:
                 np.testing.assert_array_equal(streams.stream(step, phase).random(6), want)
 
     def test_coin_is_the_streams_first_draw(self):
-        steps = (0, 1023, 1024, 1025, 2**40 + 7, 2**64 - 1)
+        steps = (0, 1023, 1024, 1025, COIN_WINDOW - 1, COIN_WINDOW, COIN_WINDOW + 1,
+                 2**40 + 7, 2**64 - 1)
         for seed in np.random.default_rng(17).integers(0, 2**63, 20).tolist():
             streams = RunStreams(seed)
             for phase in (PHASE_BIRTH, PHASE_ATTACH):
@@ -597,9 +622,12 @@ class TestRunStreams:
                     assert streams.coin(step, phase) == streams.stream(step, phase).random()
 
     @pytest.mark.parametrize("p", [0.0, 1e-12, 0.5, 1.0])
-    @pytest.mark.parametrize("start, stop", [(0, 1023), (0, 1024), (0, 1025), (1023, 1025),
-                                             (1024, 1025), (5, 5), (1000, 3100),
-                                             (2**64 - 1100, 2**64 - 1), (2**64 - 1024, 2**64)])
+    @pytest.mark.parametrize("start, stop", [
+        (0, 1023), (0, 1024), (0, 1025), (1023, 1025), (1024, 1025), (5, 5), (1000, 3100),
+        (0, COIN_WINDOW - 1), (0, COIN_WINDOW), (0, COIN_WINDOW + 1),
+        (COIN_WINDOW - 1, COIN_WINDOW + 1), (COIN_WINDOW, COIN_WINDOW + 1),
+        (COIN_WINDOW - 7, 2 * COIN_WINDOW + 3), (2**64 - 1100, 2**64 - 1), (2**64 - 1024, 2**64),
+        (2**64 - COIN_WINDOW - 1, 2**64)])
     def test_coins_of_a_range_give_the_birth_rule(self, p, start, stop):
         cfg = make_config(p=p, seed=11)
         coins = RunStreams(11).coins(start, stop, PHASE_BIRTH)
@@ -617,11 +645,25 @@ class TestRunStreams:
             assert row.tolist() == RunStreams(seed).coins(first, first + count, PHASE_BIRTH).tolist()
 
     def test_coins_read_the_block_coin_holds(self):
+        w = COIN_WINDOW
         streams, fresh = RunStreams(4), RunStreams(4)
-        streams.coin(1030, PHASE_BIRTH)                 # holds block 1
-        assert streams.coins(1025, 1030, PHASE_BIRTH).tolist() == \
-            fresh.coins(1025, 1030, PHASE_BIRTH).tolist()
-        assert streams.coin(2047, PHASE_BIRTH) == fresh.stream(2047, PHASE_BIRTH).random()
+        streams.coin(w + 6, PHASE_BIRTH)                # holds window 1
+        assert streams.coins(w + 1, w + 6, PHASE_BIRTH).tolist() == \
+            fresh.coins(w + 1, w + 6, PHASE_BIRTH).tolist()
+        assert streams.coin(2 * w - 1, PHASE_BIRTH) == fresh.stream(2 * w - 1, PHASE_BIRTH).random()
+        assert streams.coin_draws == 1
+
+    @pytest.mark.parametrize("horizon", [5, COIN_WINDOW + 5])
+    def test_windows_stop_at_the_horizon(self, horizon):
+        streams, fresh = RunStreams(4, horizon), RunStreams(4)
+        first, coins = streams.window(horizon - 1, PHASE_BIRTH)
+        assert (first, len(coins)) == (horizon - horizon % COIN_WINDOW, horizon % COIN_WINDOW)
+        # past the horizon a step gets its whole window
+        for step in (horizon - 2, horizon - 1, horizon, horizon + 1):
+            assert streams.coin(step, PHASE_BIRTH) == fresh.stream(step, PHASE_BIRTH).random()
+        assert streams.coin_draws == 2
+        assert streams.coins(0, horizon + 2, PHASE_BIRTH).tolist() == \
+            fresh.coins(0, horizon + 2, PHASE_BIRTH).tolist()
 
     def test_every_call_is_a_fresh_generator(self):
         streams = RunStreams(9)

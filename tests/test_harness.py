@@ -679,7 +679,7 @@ class TestVerifyBirthCounts:
     @pytest.mark.parametrize("cells", [64, 1000, 1 << 14])
     def test_chunks_count_the_births_of_each_run(self, cells, monkeypatch):
         # 64 cells split every run's horizon; 1000 hold two runs; 1 << 14 hold 40
-        monkeypatch.setattr(evolution, "COIN_CELLS", cells)
+        monkeypatch.setattr(evolution, "COIN_WINDOW", cells)
         seeds = [trial_seed(11, 2 * i) for i in range(45)]
         want = [len(evolution.birth_steps(replace(self.CFG, horizon=400, seed=seed)))
                 for seed in seeds]
