@@ -197,11 +197,8 @@ class _EdgeKernel:
                 order = np.argsort(self.iv * self.n + self.iu, kind="stable")
                 self.iu, self.iv, self._code = self.iu[order], self.iv[order], self._code[order]
         self.m = len(self.iu)
-        if len(self._fns) == 1:         # one function: every edge is in its group
-            self._groups = [(self._fns[0], np.arange(self.m))] if self.m else []
-        else:
-            groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
-            self._groups = [(f, idx) for f, idx in groups if len(idx)]
+        groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
+        self._groups = [(f, idx) for f, idx in groups if len(idx)]
         # Per-edge plan (u, v, a, is_soft) for the float path of ``advance``,
         # which gives the bits of ``step`` because:
         # - d = xu - xv, xu * xv * F(d) (left to right), x + (in - out) and

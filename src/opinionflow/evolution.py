@@ -366,7 +366,7 @@ def has_birth(config: EvolutionConfig, streams: RunStreams, step: int) -> bool:
 def birth_steps(config: EvolutionConfig) -> list[int]:
     """The steps of ``run_evolution(x0, config)`` that have a birth, whatever
     x0 is: the birth rule at steps 0 .. horizon-1, with no step run."""
-    coins = RunStreams(config.seed, config.horizon).coins(0, config.horizon, PHASE_BIRTH)
+    coins = RunStreams(config.seed).coins(0, config.horizon, PHASE_BIRTH)
     return np.flatnonzero(coins < config.p).tolist()
 
 
@@ -517,7 +517,7 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     if not graph.is_connected():
         raise ConfigurationError("birth/death mode needs a connected starting graph")
     state = PopulationState(graph, x0.ids, x0.x.copy(), 0)
-    streams = RunStreams(config.seed, config.horizon)
+    streams = RunStreams(config.seed)
     records: list[StepRecord] = []
     kernel = kernel_for(state, config.assignment)     # followed through every event
     phi = key = None                  # key: the input masses of the next step, as bytes

@@ -87,15 +87,10 @@ def _philox_key_type() -> type:
 
 
 class RunStreams:
-    """Counter-addressable random streams for a single evolution run.
+    """Counter-addressable random streams for a single evolution run."""
 
-    ``horizon``, if given, is the run's step count: a coin window that holds
-    a step before it is drawn only up to it.
-    """
-
-    def __init__(self, seed: int, horizon: int | None = None):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.horizon = horizon
         # Philox keyed by SeedSequence(seed); (step, phase) go into the high
         # counter words, so streams are disjoint unless one phase draws 2^128
         # values.
@@ -131,18 +126,13 @@ class RunStreams:
         """(first, coins): the coins of the COIN_WINDOW steps from ``first``, the
         multiple of COIN_WINDOW at or below ``step``, drawn in one Philox pass
         in numpy uint64 arithmetic (``random()`` is (first word >> 11) * 2**-53).
-        A window that holds a step before the horizon stops at the horizon.
         The last window drawn in each phase is kept.
         """
-        cached = self._windows.get(phase)
-        if cached is not None and 0 <= step - cached[0] < len(cached[1]):
-            return cached
         first = step - step % COIN_WINDOW
-        stop = first + COIN_WINDOW
-        if self.horizon is not None and step < self.horizon:
-            stop = min(stop, self.horizon)
-        self.coin_draws += 1
-        cached = self._windows[phase] = first, _coins(self._words, first, stop - first, phase)[0]
+        cached = self._windows.get(phase)
+        if cached is None or cached[0] != first:
+            self.coin_draws += 1
+            cached = self._windows[phase] = first, _coins(self._words, first, COIN_WINDOW, phase)[0]
         return cached
 
 

@@ -574,7 +574,7 @@ class TestFrozenJump:
             cfg = make_config(p=p, seed=seed, horizon=horizon)
             scan = RunStreams(seed)
             births = [s for s in range(horizon) if has_birth(cfg, scan, s)]
-            streams = RunStreams(seed, horizon)
+            streams = RunStreams(seed)
             for start in starts:
                 want = next((s for s in births if s >= start), horizon)
                 assert evolution._next_birth(cfg, streams, start) == want
@@ -652,18 +652,6 @@ class TestRunStreams:
             fresh.coins(w + 1, w + 6, PHASE_BIRTH).tolist()
         assert streams.coin(2 * w - 1, PHASE_BIRTH) == fresh.stream(2 * w - 1, PHASE_BIRTH).random()
         assert streams.coin_draws == 1
-
-    @pytest.mark.parametrize("horizon", [5, COIN_WINDOW + 5])
-    def test_windows_stop_at_the_horizon(self, horizon):
-        streams, fresh = RunStreams(4, horizon), RunStreams(4)
-        first, coins = streams.window(horizon - 1, PHASE_BIRTH)
-        assert (first, len(coins)) == (horizon - horizon % COIN_WINDOW, horizon % COIN_WINDOW)
-        # past the horizon a step gets its whole window
-        for step in (horizon - 2, horizon - 1, horizon, horizon + 1):
-            assert streams.coin(step, PHASE_BIRTH) == fresh.stream(step, PHASE_BIRTH).random()
-        assert streams.coin_draws == 2
-        assert streams.coins(0, horizon + 2, PHASE_BIRTH).tolist() == \
-            fresh.coins(0, horizon + 2, PHASE_BIRTH).tolist()
 
     def test_every_call_is_a_fresh_generator(self):
         streams = RunStreams(9)
