@@ -37,54 +37,6 @@ _RENORM_TOL = 1e-12     # compared as "not residual <= _RENORM_TOL": a NaN resid
 _CERT_FAMILIES = ("linear", "cubic", "soft")
 
 
-# The float path of ``_EdgeKernel.advance`` runs on kernels with at most
-# FLOAT_MAX_TYPES types (a correctness bound: ``_pairwise_sum``) and at most
-# FLOAT_MAX_EDGES edges (a speed gate: its loop costs time per edge, numpy a
-# fixed time per call). Per step, float against ndarray path, on random
-# connected graphs, a 2-core Xeon, Python 3.11, numpy 2.4:
-#   types/edges         11/20      15/28      19/36      29/36      23/44
-#   one step, delta 0   7.9/12.8              11.8/12.8  14.1/12.5  14.4/13.2
-#   50-step call                   9.8/10.4   12.5/11.1             13.7/10.6
-# A dead zone skips most edges: at delta 0.3 one step on 39/76 is 15.9/15.6.
-# evolve-quiet steps on 12-28 edges; churn on 49-86 stays on numpy.
-FLOAT_MAX_TYPES = 128
-FLOAT_MAX_EDGES = 32
-
-
-def _pairwise_sum(v: list) -> float:
-    """``np.add.reduce`` of up to 128 contiguous float64 values, bit for bit.
-
-    numpy's pairwise_sum adds fewer than 8 values left to right. From 8 to
-    128 it keeps 8 strided partial sums r0..r7, seeded with the first 8
-    values, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then
-    adds the remainder in order; above 128 it recurses. The reduction adds
-    the result to its 0.0 identity, which only turns a -0.0 into 0.0.
-    Python's sum() is compensated from 3.12, so it never stands in.
-    """
-    n = len(v)
-    if n < 8:
-        s = 0.0
-        for y in v:
-            s += y
-        return s
-    r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        a0, a1, a2, a3, a4, a5, a6, a7 = v[i:i + 8]
-        r0 += a0
-        r1 += a1
-        r2 += a2
-        r3 += a3
-        r4 += a4
-        r5 += a5
-        r6 += a6
-        r7 += a7
-    s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-    for y in v[tail:]:
-        s += y
-    return s
-
-
 def _drift_error(residual: float) -> ArithmeticError:
     return ArithmeticError(f"mass drifted by {residual:g} in one step; check that sup|F| <= 1")
 
@@ -157,8 +109,8 @@ class _EdgeKernel:
 
     Edges are grouped by influence family so that the per-step work is a
     handful of array operations regardless of how many edges share a family.
-    ``flows``, ``net`` and ``step`` also take a batch ``(B, n)`` and compute
-    each row as alone.
+    ``flows``, ``net`` and ``step`` take one state or a batch ``(B, n)`` and
+    compute each row as alone. ``advance`` steps both through ``step``.
 
     Edges are ordered by (larger endpoint, smaller endpoint). ``np.bincount``
     sums each vertex's bin in array order, and this order hands every vertex
@@ -199,26 +151,6 @@ class _EdgeKernel:
         self.m = len(self.iu)
         groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
         self._groups = [(f, idx) for f, idx in groups if len(idx)]
-        # Per-edge plan (u, v, a, is_soft) for the float path of ``advance``,
-        # which gives the bits of ``step`` because:
-        # - d = xu - xv, xu * xv * F(d) (left to right), x + (in - out) and
-        #   / total are single IEEE-754 operations in numpy and in Python
-        #   floats; neither contracts them into FMAs, and both keep
-        #   subnormals. F is a*d (linear) or a*d/(1.0+abs(d)) (soft) in both.
-        #   cubic's d**3 may take numpy's SIMD power, which can differ from
-        #   Python's in the last bit, and a custom F is arbitrary numpy code.
-        # - np.bincount starts from zeros and adds the weights in array
-        #   order, as the per-vertex accumulators do in kernel edge order.
-        # - ``_pairwise_sum`` copies numpy's sum of up to 128 values (see
-        #   there), so FLOAT_MAX_TYPES is a correctness bound. FLOAT_MAX_EDGES
-        #   is tuned: the loop costs time per edge (see its measurement).
-        if (self.n <= FLOAT_MAX_TYPES and self.m <= FLOAT_MAX_EDGES
-                and all(f.family in ("linear", "soft") for f, _ in self._groups)):
-            fns = [(float(f.a), f.family == "soft") for f in self._fns]
-            self._plan = [(u, v, *fns[c]) for u, v, c in
-                          zip(self.iu.tolist(), self.iv.tolist(), self._code.tolist())]
-        else:
-            self._plan = None
         self._cert = None               # built by the first ``certificate`` call
 
     def _code_of(self, f) -> int:
@@ -330,17 +262,11 @@ class _EdgeKernel:
         ``tol``. Returns (x, applied, residual_max, active, stopped): the new
         state, the number of steps applied, the largest residual, whether the
         last step carried a nonzero flow, and whether the ``tol`` stop fired,
-        as a per-row mask for a batch. One state, or a batch of one, runs as
-        Python float arithmetic when the kernel has a float plan: on a few
-        types that costs a fraction of numpy's per-call overhead.
+        as a per-row mask for a batch.
         """
         if x.ndim == 2 and len(x) == 1:     # one state costs less per step than a batch of one
             x1, applied, residual_max, active, stopped = self.advance(x[0], steps, tol, delta)
             return x1[None], applied, residual_max, active, np.array([stopped])
-        if self._plan is not None and x.ndim == 1:
-            x, applied, residual_max, active, stopped = self._advance_floats(
-                x.tolist(), steps, tol, delta)
-            return np.array(x), applied, residual_max, active, stopped
         residual_max, stopped = 0.0, np.zeros(x.shape[:-1], dtype=bool)
         for applied in range(1, steps + 1):
             x_new, flows, residual = self.step(x, delta)
@@ -352,45 +278,6 @@ class _EdgeKernel:
                 break
         return x, applied, residual_max, bool(np.any(flows != 0.0)), \
             stopped if x.ndim == 2 else bool(stopped)
-
-    def _advance_floats(self, x: list, steps: int, tol: float, delta: float):
-        """``advance`` on a list of floats through the plan (see ``_insert``)."""
-        plan, n, dead = self._plan, self.n, delta > 0.0
-        residual_max, stopped = 0.0, False
-        for applied in range(1, steps + 1):
-            inflow, outflow, active = [0.0] * n, [0.0] * n, False
-            # A zero flow is not added: x + 0.0 == x unless x is -0.0, and an
-            # accumulator that starts at 0.0 never becomes -0.0.
-            for u, v, a, soft in plan:
-                xu = x[u]
-                xv = x[v]
-                d = xu - xv
-                if dead and abs(d) <= delta:
-                    continue
-                f = xu * xv * (a * d / (1.0 + abs(d)) if soft else a * d)
-                if f:
-                    active = True
-                    inflow[u] += f
-                    outflow[v] += f
-            x_new = [xk + (i - o) for xk, i, o in zip(x, inflow, outflow)]
-            total = _pairwise_sum(x_new)
-            residual = abs(total - 1.0)
-            if not residual <= _RENORM_TOL:
-                raise _drift_error(residual)
-            if residual > residual_max:
-                residual_max = residual
-            if tol > 0.0:
-                moves = []
-                for k, xk in enumerate(x):
-                    y = x_new[k] = x_new[k] / total
-                    moves.append(abs(y - xk))
-                stopped = _pairwise_sum(moves) < tol
-            else:
-                x_new = [y / total for y in x_new]
-            x = x_new
-            if stopped:
-                break
-        return x, applied, residual_max, active, stopped
 
     @property
     def certifiable(self) -> bool:

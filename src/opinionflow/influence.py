@@ -232,9 +232,6 @@ class InfluenceAssignment:
     def function_for(self, u: int, v: int) -> InfluenceFunction:
         return self._per_edge.get(self._key(u, v), self.default)
 
-    def set_function(self, u: int, v: int, f: InfluenceFunction) -> None:
-        self._per_edge[self._key(u, v)] = f
-
     def functions(self, graph=None) -> list[InfluenceFunction]:
         """Distinct functions in play; restricted to a graph's edges if given."""
         if graph is None:

@@ -115,13 +115,12 @@ def _edge_functions(kernel):
 
 
 def assert_same_kernel(a, b):
-    """Two edge kernels hold the same vertex order, edges, functions and plan."""
+    """Two edge kernels hold the same vertex order, edges and functions."""
     assert a.ids == b.ids and (a.n, a.m) == (b.n, b.m)
     for got, want in ((a.iu, b.iu), (a.iv, b.iv)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     assert all(f is g for f, g in zip(_edge_functions(a), _edge_functions(b), strict=True))
-    assert a._plan == b._plan
 
 
 def assert_same_text(got: str, want: str) -> None:

@@ -8,8 +8,7 @@ from opinionflow import (InfluenceAssignment, InfluenceFunction, InfluenceGraph,
                          PopulationState, active_set, classify_fixed_point, cubic, flow,
                          is_fixed_point, linear, local_potential_psi,
                          migrate_step, potential_phi, run_to_convergence, soft)
-from opinionflow.dynamics import (FLOAT_MAX_EDGES, FLOAT_MAX_TYPES, MAX_ITERS, THETA_ACTIVE,
-                                  TOL_STEP, _cert_stride, _EdgeKernel, _pairwise_sum,
+from opinionflow.dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel,
                                   kernel_for)
 from opinionflow.graph import REWIRING_POLICIES, choose_attachment
 from opinionflow.errors import NotAFixedPointError
@@ -539,7 +538,7 @@ class TestMassDrift:
             _settled_limit(state, 0, InfluenceAssignment(linear(0.5)), THETA_ACTIVE,
                            TOL_STEP, MAX_ITERS)
 
-    @pytest.mark.parametrize("n", [3, 8])      # the float path, then the ndarray path
+    @pytest.mark.parametrize("n", [3, 8])
     def test_migrate_step(self, n):
         x = np.full(n, 1.0 / n)
         x[0] += 1e-9
@@ -554,103 +553,18 @@ def trial_159_start():
     return PopulationState(g, tuple(range(5)), sample_simplex(generator(trial_seed(71, 159)), 5))
 
 
-@st.composite
-def float_path_cases(draw):
-    """A graph on 2..128 types with at most FLOAT_MAX_EDGES edges, a linear/soft
-    mix, a state and a dead zone. A spanning tree joins the first types, as
-    many as the gate allows; the others may be isolated."""
-    n = draw(st.one_of(st.integers(2, FLOAT_MAX_TYPES),
-                       st.sampled_from([2, 7, 8, 9, 16, 17, 64, FLOAT_MAX_TYPES])))
-    joined = min(n, FLOAT_MAX_EDGES + 1)
-    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, joined)}
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
-    edges |= set(draw(st.lists(pair, max_size=FLOAT_MAX_EDGES - len(edges))))
-    edges = sorted(edges)
-    coef = st.floats(0.01, 0.99)
-    family = st.sampled_from([linear, soft])
-    overrides = {e: draw(family)(draw(coef)) for e in edges if draw(st.booleans())}
-    asg = InfluenceAssignment(draw(family)(draw(coef)), overrides)
-    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
-    tiny = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
-    w[tiny] = 0.0
-    x = w / w.sum()
-    for i in tiny:
-        x[i] = draw(st.sampled_from([0.0, 5e-324]))
-    edge = draw(st.sampled_from(edges))
-    delta = draw(st.sampled_from([0.0, 0.05, abs(x[edge[0]] - x[edge[1]])]))
-    return InfluenceGraph(range(n), edges), asg, x, delta
-
-
-def test_pairwise_sum_is_numpy_sum():
-    rng = np.random.default_rng(5)
-    for n in range(1, FLOAT_MAX_TYPES + 1):
-        for _ in range(8):
-            x = rng.random(n) ** rng.integers(1, 40)
-            x[rng.random(n) < 0.3] = 0.0
-            x[rng.random(n) < 0.1] = 5e-324
-            x *= rng.choice([1.0, 1e300, 1e-300])
-            assert _pairwise_sum(x.tolist()).hex() == float(np.add.reduce(x)).hex()
-        zeros = np.full(n, -0.0)
-        assert _pairwise_sum(zeros.tolist()).hex() == float(np.add.reduce(zeros)).hex()
-
-
-class TestFloatPath:
-    """``advance`` on a float plan gives the bits of the ndarray ``step``."""
-
-    @staticmethod
-    def both(graph, asg):
-        floats, arrays = _EdgeKernel(graph, asg), _EdgeKernel(graph, asg)
-        arrays._plan = None
-        assert floats._plan is not None
-        return floats, arrays
-
-    @settings(max_examples=300, deadline=None)
-    @given(float_path_cases(), st.sampled_from([1, 2, 37]), st.sampled_from([0.0, 1e-3]))
-    def test_equals_ndarray_path(self, case, steps, tol):
-        graph, asg, x, delta = case
-        floats, arrays = self.both(graph, asg)
-        got = floats.advance(x, steps, tol, delta)
-        want = arrays.advance(x, steps, tol, delta)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1:] == want[1:]
-        x_new, flows, residual = arrays.step(x, delta)
-        once = floats.advance(x, 1, delta=delta)
-        assert once[0].tobytes() == x_new.tobytes()
-        assert once[2] == residual and once[3] == bool(np.any(flows != 0.0))
+class TestAdvance:
+    """``advance`` on one state: ``step`` in a loop, bit for bit."""
 
     def test_dead_zone_edge_at_exactly_delta(self):
         g = InfluenceGraph.path(3)
         x = np.array([0.5, 0.3, 0.2])
-        for kernel in self.both(g, InfluenceAssignment(soft(0.9))):
-            x_new, applied, _, active, _ = kernel.advance(x, 1, delta=x[1] - x[2])
-            assert active and applied == 1
-            assert x_new[2] == x[2]                 # the 1-2 edge sat at |d| == delta
-            x_new, _, _, active, _ = kernel.advance(x, 1, delta=0.2)
-            assert not active and x_new.tobytes() == x.tobytes()
-
-    def test_gate(self):
-        asg = InfluenceAssignment(soft(0.9))
-        for n, planned in ((FLOAT_MAX_TYPES, True), (FLOAT_MAX_TYPES + 1, False)):
-            assert (_EdgeKernel(InfluenceGraph(range(n), [(0, 1), (1, 2)]), asg)._plan
-                    is not None) == planned
-        for m, planned in ((FLOAT_MAX_EDGES, True), (FLOAT_MAX_EDGES + 1, False)):
-            assert (_EdgeKernel(InfluenceGraph.path(m + 1), asg)._plan is not None) == planned
-        custom = InfluenceFunction("custom", fn=lambda d: 0.4 * d)
-        for f in (cubic(0.4), custom):
-            asg = InfluenceAssignment(linear(0.4), {(1, 2): f})
-            assert _EdgeKernel(InfluenceGraph.path(3), asg)._plan is None
-
-    def test_evolving_kernel_crosses_the_gate(self):
-        asg = InfluenceAssignment(linear(0.4))
-        for g, neighbors in ((InfluenceGraph.path(FLOAT_MAX_EDGES + 1), {FLOAT_MAX_EDGES}),
-                             (InfluenceGraph(range(FLOAT_MAX_TYPES), [(0, 1), (1, 2), (2, 3),
-                                                                      (3, 4)]), {0})):
-            kernel = _EdgeKernel(g, asg)
-            assert kernel._plan is not None
-            kernel.add_type(neighbors)              # one edge or one type too many
-            assert kernel._plan is None
-            kernel.remove_type(3)                   # 2-3-4 becomes 2-4
-            assert kernel._plan == _EdgeKernel(g, asg)._plan is not None
+        kernel = _EdgeKernel(g, InfluenceAssignment(soft(0.9)))
+        x_new, applied, _, active, _ = kernel.advance(x, 1, delta=x[1] - x[2])
+        assert active and applied == 1
+        assert x_new[2] == x[2]                     # the 1-2 edge sat at |d| == delta
+        x_new, _, _, active, _ = kernel.advance(x, 1, delta=0.2)
+        assert not active and x_new.tobytes() == x.tobytes()
 
     def test_trial_159_tail_matches_reference(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
@@ -658,7 +572,7 @@ class TestFloatPath:
         x, iterations, converged = reference_run(start, asg, max_iters=50_000)
         assert res.limit.x.tobytes() == x.tobytes()
         assert (res.iterations, res.converged) == (iterations, converged) == (50_000, False)
-        assert 5e-324 in res.limit.x                # subnormal masses on the float path
+        assert 5e-324 in res.limit.x                # the tail reaches subnormal masses
 
     def test_settle_matches_ndarray_loop(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
@@ -674,13 +588,14 @@ class TestFloatPath:
 
 @st.composite
 def batch_advance_cases(draw):
-    """A kernel, whether it has a float plan, and a batch of 1, 2 or 5 rows,
-    some of them corners, which stop at their first step under any tol > 0.
-    Without a plan: a cubic edge, or more than FLOAT_MAX_EDGES edges."""
-    kind = draw(st.sampled_from(["plan", "cubic", "edges"]))
+    """A kernel and a batch of 1, 2 or 5 rows, some of them corners, which
+    stop at their first step under any tol > 0. The kernel mixes linear and
+    soft edges on a connected graph of 2..7 types, adds a cubic edge to such
+    a graph, or spans a complete graph on 9 or 10 types."""
+    kind = draw(st.sampled_from(["mixed", "cubic", "complete"]))
     family = st.sampled_from([linear, soft])
     coef = st.floats(0.01, 0.99)
-    if kind == "edges":
+    if kind == "complete":
         n = draw(st.integers(9, 10))
         graph = InfluenceGraph.complete(n)
     else:
@@ -698,7 +613,7 @@ def batch_advance_cases(draw):
         else:
             w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
             rows.append(w / w.sum())
-    return _EdgeKernel(graph, asg), kind == "plan", np.array(rows)
+    return _EdgeKernel(graph, asg), np.array(rows)
 
 
 class TestBatchAdvance:
@@ -708,8 +623,7 @@ class TestBatchAdvance:
     @given(batch_advance_cases(), st.sampled_from([1, 3, 40]), st.sampled_from([0.0, 1e-3]),
            st.sampled_from([0.0, 0.05]))
     def test_rows_step_as_alone(self, case, steps, tol, delta):
-        kernel, planned, xs = case
-        assert (kernel._plan is not None) == planned
+        kernel, xs = case
         x, applied, residual, active, stopped = kernel.advance(xs, steps, tol, delta)
         alone = [kernel.advance(row, steps, tol, delta) for row in xs]
         assert applied == min(a[1] for a in alone)
@@ -722,10 +636,9 @@ class TestBatchAdvance:
 
     def test_one_state_returns_a_bool(self):
         x = np.array([1.0, 0.0, 0.0])
-        for kernel in TestFloatPath.both(InfluenceGraph.triangle(),
-                                         InfluenceAssignment(linear(0.5))):
-            assert kernel.advance(x, 3, 1e-3)[4] is True
-            assert kernel.advance(x[None], 3, 1e-3)[4].tolist() == [True]
+        kernel = _EdgeKernel(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)))
+        assert kernel.advance(x, 3, 1e-3)[4] is True
+        assert kernel.advance(x[None], 3, 1e-3)[4].tolist() == [True]
 
 
 class TestActiveSet:
@@ -777,13 +690,11 @@ def nan_influence(x):
 class TestNaNDrift:
     """A NaN mass or flow fails the drift check on every stepping path."""
 
-    def test_nan_state_raises_on_the_float_path(self):
+    def test_nan_state_raises_on_one_state(self):
         g = InfluenceGraph.triangle()
-        kernel = _EdgeKernel(g, InfluenceAssignment(linear(0.4)))
-        assert kernel._plan is not None
         with pytest.raises(ArithmeticError, match="drifted by nan"):
             migrate_step(PopulationState(g, (0, 1, 2), np.array([np.nan, 0.5, 0.5])),
-                         kernel.assignment, kernel=kernel)
+                         InfluenceAssignment(linear(0.4)))
 
     def test_nan_influence_raises_on_one_state_and_a_batch(self):
         asg = InfluenceAssignment(InfluenceFunction("custom", fn=nan_influence))

@@ -488,7 +488,7 @@ class TestIncrementalStep:
         cfg = make_config(p=0.01, epsilon=0.05, delta=0.3, seed=7, horizon=2000)
         tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
         assert tl.birth_count() > 0 and tl.death_count() > 0
-        assert tl.max_type_count() >= 8             # past the old n < 8 float path
+        assert tl.max_type_count() >= 8
 
 
 QUIET = dict(p=0.001, epsilon=0.05, delta=0.3)     # the evolve-quiet config

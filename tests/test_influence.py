@@ -114,8 +114,7 @@ class TestAlphaBounds:
 
 class TestAssignment:
     def test_symmetric_storage(self):
-        asg = InfluenceAssignment(linear(0.5))
-        asg.set_function(3, 1, cubic(0.2))
+        asg = InfluenceAssignment(linear(0.5), {(3, 1): cubic(0.2)})
         assert asg.function_for(1, 3) is asg.function_for(3, 1)
 
     def test_default_covers_new_edges(self):
