@@ -107,19 +107,18 @@ class PopulationState:
 class _EdgeKernel:
     """Vectorized edge evaluation for one (graph, assignment) snapshot.
 
-    Edges are grouped by influence family so that the per-step work is a
-    handful of array operations regardless of how many edges share a family.
+    Edges are grouped by influence function so that the per-step work is a
+    handful of array operations regardless of how many edges share a function.
     ``flows``, ``net`` and ``step`` take one state or a batch ``(B, n)`` and
     compute each row as alone. ``advance`` steps both through ``step``.
 
     Edges are ordered by (larger endpoint, smaller endpoint). ``np.bincount``
     sums each vertex's bin in array order, and this order hands every vertex
     its edges in ascending neighbor order, as the canonical ``graph.edges()``
-    order does, so the sums keep their bits. It also makes a newborn's edges
-    (the newborn has the largest id) an append, which lets ``add_type`` and
-    ``remove_type`` edit the graph and follow the edit in place: a followed
-    kernel equals a fresh build, array for array. A kernel that was already
-    stale stays stale, and ``kernel_for`` rebuilds it.
+    order does, so the sums keep their bits. An evolution run (``evolution._Run``)
+    edits its kernel's arrays at each birth (``_append``: a newborn's edges sort
+    last) and death (``_remove``), so they equal a fresh build of its graph.
+    Edge function codes are kept only if the assignment has per-edge overrides.
     """
 
     def __init__(self, graph: InfluenceGraph, assignment: InfluenceAssignment):
@@ -128,30 +127,62 @@ class _EdgeKernel:
         self.version = graph.version
         self.ids = tuple(graph.vertex_list())
         self.n = len(self.ids)
-        self.iu = self.iv = self._code = np.empty(0, dtype=np.intp)
+        self.iu = self.iv = np.empty(0, dtype=np.intp)
+        self._code = np.empty(0, dtype=np.intp) if assignment.overrides else None
         self._fns: list = []            # influence function of each edge code
-        self._insert(graph.edges())
+        pairs = graph.edges()
+        ends = [bisect_left(self.ids, w) for e in pairs for w in e]
+        self._insert(pairs, ends[0::2], ends[1::2])
 
-    def _insert(self, pairs, last: bool = False) -> None:
-        """Add edges (u, v) of ids, u < v, at their (v, u) place, then regroup.
-
-        ``last`` says the pairs, as given, sort after every edge held (a
-        newborn's edges), so they are appended without a sort.
-        """
-        if pairs:
-            ends = np.array([bisect_left(self.ids, w) for e in pairs for w in e],
-                            dtype=np.intp).reshape(-1, 2)
-            code = [self._code_of(self.assignment.function_for(u, v)) for u, v in pairs]
-            self.iu = np.concatenate([self.iu, ends[:, 0]])
-            self.iv = np.concatenate([self.iv, ends[:, 1]])
-            self._code = np.concatenate([self._code, np.array(code, dtype=np.intp)])
+    def _insert(self, pairs, iu: list[int], iv: list[int], last: bool = False) -> None:
+        """Add the edges ``pairs`` (u, v) of ids, u < v, at indices ``iu`` < ``iv``,
+        at their (v, u) place, then regroup. With ``last`` they sort, as given,
+        after every edge held, and are appended without a sort."""
+        if len(pairs):
+            self.iu = np.concatenate((self.iu, iu))
+            self.iv = np.concatenate((self.iv, iv))
+            if self._code is not None:
+                code = [self._code_of(self.assignment.function_for(u, v)) for u, v in pairs]
+                self._code = np.concatenate((self._code, np.array(code, dtype=np.intp)))
             if not last:
-                order = np.argsort(self.iv * self.n + self.iu, kind="stable")
-                self.iu, self.iv, self._code = self.iu[order], self.iv[order], self._code[order]
+                order = (self.iv * self.n + self.iu).argsort(kind="stable")
+                self.iu, self.iv = self.iu[order], self.iv[order]
+                if self._code is not None:
+                    self._code = self._code[order]
         self.m = len(self.iu)
-        groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
-        self._groups = [(f, idx) for f, idx in groups if len(idx)]
+        if self._code is None:
+            self._groups = [(self.assignment.default, None)] if self.m else []
+        else:
+            groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
+            self._groups = [(f, idx) for f, idx in groups if len(idx)]
         self._cert = None               # built by the first ``certificate`` call
+
+    def _append(self, new_id: int, neighbors: list[int]) -> None:
+        """Add vertex ``new_id``, whose id sorts last, joined to ``neighbors``, ascending."""
+        near = [bisect_left(self.ids, u) for u in neighbors]
+        self._insert([(u, new_id) for u in neighbors], near, [self.n] * len(near), last=True)
+        self.ids += (new_id,)
+        self.n += 1
+
+    def _remove(self, i: int, repairs: list[tuple[int, int]]) -> np.ndarray:
+        """Drop the vertex at index ``i`` and its edges, shift the indices above it
+        down, and insert ``repairs``, the edges ``graph.remove_type`` added among
+        its former neighbors. Returns those neighbors' new indices, ascending."""
+        lo, hi = self.iv.searchsorted((i, i + 1))     # the edges (u, i), u < i
+        dropped = self.iu == i                          # and the edges (i, w), w > i
+        near = np.concatenate((self.iu[lo:hi], self.iv[dropped] - 1))
+        dropped[lo:hi] = True
+        keep = ~dropped
+        self.iu, self.iv = self.iu[keep], self.iv[keep]
+        if self._code is not None:
+            self._code = self._code[keep]
+        self.iu -= self.iu > i
+        self.iv[lo:] -= 1                               # every kept edge from lo on
+        self.ids = self.ids[:i] + self.ids[i + 1:]
+        self.n -= 1
+        at = {self.ids[j]: j for j in near.tolist()}
+        self._insert(repairs, [at[a] for a, _ in repairs], [at[b] for _, b in repairs])
+        return near
 
     def _code_of(self, f) -> int:
         for k, g in enumerate(self._fns):
@@ -160,49 +191,20 @@ class _EdgeKernel:
         self._fns.append(f)
         return len(self._fns) - 1
 
-    def add_type(self, neighbors) -> int:
-        """``graph.add_type``, followed in place if this kernel was current."""
-        current = self.version == self.graph.version
-        new_id = self.graph.add_type(neighbors)
-        if current:                     # ids never come back, so new_id sorts last
-            self.ids += (new_id,)
-            self.n += 1
-            self._insert([(u, new_id) for u in sorted(self.graph.neighbors(new_id))], last=True)
-            self.version = self.graph.version
-        return new_id
-
-    def remove_type(self, v: int, rewiring: str = "neighbor-path") -> list[tuple[int, int]]:
-        """``graph.remove_type``, followed in place if this kernel was current."""
-        current = self.version == self.graph.version
-        repairs = self.graph.remove_type(v, rewiring)
-        if current:
-            i = self.ids.index(v)
-            keep = (self.iu != i) & (self.iv != i)
-            self.iu, self.iv, self._code = self.iu[keep], self.iv[keep], self._code[keep]
-            self.iu -= self.iu > i
-            self.iv -= self.iv > i
-            self.ids = self.ids[:i] + self.ids[i + 1:]
-            self.n -= 1
-            self._insert(repairs)
-            self.version = self.graph.version
-        return repairs
-
     def values(self, d: np.ndarray) -> np.ndarray:
         """F_uv(d) per edge."""
-        if len(self._groups) == 1:
-            return np.asarray(self._groups[0][0]._eval_unchecked(d), dtype=float)
-        out = np.empty_like(d)
-        for f, idx in self._groups:
-            out[..., idx] = f._eval_unchecked(d[..., idx])
-        return out
+        return self._per_edge(d, "_eval_unchecked")
 
     def derivs(self, d: np.ndarray) -> np.ndarray:
         """F'_uv(d) per edge."""
+        return self._per_edge(d, "_deriv_unchecked")
+
+    def _per_edge(self, d: np.ndarray, method: str) -> np.ndarray:
         if len(self._groups) == 1:
-            return np.asarray(self._groups[0][0]._deriv_unchecked(d), dtype=float)
+            return np.asarray(getattr(self._groups[0][0], method)(d), dtype=float)
         out = np.empty_like(d)
         for f, idx in self._groups:
-            out[idx] = f._deriv_unchecked(d[idx])
+            out[..., idx] = getattr(f, method)(d[..., idx])
         return out
 
     def flows(self, x: np.ndarray, delta: float = 0.0) -> np.ndarray:
@@ -360,8 +362,7 @@ class _EdgeKernel:
 
 def kernel_for(state: PopulationState, assignment: InfluenceAssignment,
                kernel: _EdgeKernel | None = None) -> _EdgeKernel:
-    if (kernel is None or kernel.graph is not state.graph
-            or kernel.version != state.graph.version
+    if (kernel is None or kernel.graph is not state.graph or kernel.version != state.graph.version
             or kernel.assignment is not assignment):
         return _EdgeKernel(state.graph, assignment)
     return kernel
@@ -387,17 +388,16 @@ class StepOutcome(NamedTuple):
 
 
 def migrate_step(state: PopulationState, assignment: InfluenceAssignment,
-                 delta: float = 0.0, kernel: _EdgeKernel | None = None) -> StepOutcome:
+                 delta: float = 0.0) -> StepOutcome:
     """Apply one synchronous migration step (see ``_EdgeKernel.advance``)."""
-    kernel = kernel_for(state, assignment, kernel)
-    x_new, _, residual, active, _ = kernel.advance(state.x, 1, delta=delta)
+    x_new, _, residual, active, _ = kernel_for(state, assignment).advance(state.x, 1, delta=delta)
     return StepOutcome(PopulationState(state.graph, state.ids, x_new, state.t + 1),
                        active, residual)
 
 
 def potential_phi(state: PopulationState) -> float:
     """Sum of squared masses; ranges over [1/n, 1] on the simplex."""
-    return float(np.dot(state.x, state.x))
+    return float(state.x.dot(state.x))
 
 
 def local_potential_psi(state: PopulationState, p: PopulationState) -> float:

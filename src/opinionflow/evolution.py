@@ -16,7 +16,6 @@ run a pure function of (config, seed).
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
@@ -24,10 +23,9 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .dynamics import (_RENORM_TOL, PopulationState, _EdgeKernel, kernel_for, migrate_step,
-                       potential_phi)
+from .dynamics import _RENORM_TOL, PopulationState, _EdgeKernel, potential_phi
 from .errors import ConfigurationError, coerce
-from .graph import choose_attachment, REWIRING_POLICIES
+from .graph import REWIRING_POLICIES, choose_attachment
 from .influence import InfluenceAssignment, InfluenceFunction
 from .seeding import COIN_WINDOW, PHASE_ATTACH, PHASE_BIRTH, RunStreams, run_coins
 
@@ -347,15 +345,6 @@ class Timeline:
         return "".join(parts) if fh is None else None
 
 
-def _rebuild(kernel: _EdgeKernel, x: np.ndarray, t: int) -> PopulationState:
-    """The state after a phase's edits: the kernel's graph and vertex order,
-    the masses ``x`` in that order, renormalized."""
-    total = x.sum()
-    if not abs(total - 1.0) <= _RENORM_TOL:
-        raise ArithmeticError(f"mass drifted by {abs(total - 1.0):g} within a phase")
-    return PopulationState(kernel.graph, kernel.ids, x / total, t)
-
-
 def has_birth(config: EvolutionConfig, streams: RunStreams, step: int) -> bool:
     """The birth rule: step ``step`` of the run that owns ``streams`` has a
     birth exactly when its (step, PHASE_BIRTH) coin falls below p, and never
@@ -398,101 +387,113 @@ def _next_birth(config: EvolutionConfig, streams: RunStreams, start: int) -> int
     return config.horizon
 
 
+class _Run(_EdgeKernel):
+    """One evolution run's state, edited in place by its phases: the edge kernel
+    of its graph (the one adjacency), the masses ``x`` in ``ids`` order and
+    the step ``t``. Migration is the kernel's ``step`` itself."""
+
+    @classmethod
+    def of(cls, state: PopulationState, config: EvolutionConfig) -> "_Run":
+        """``state`` if it is a run, else a run on its graph (not a copy) and masses."""
+        if isinstance(state, cls):
+            return state
+        run = cls(state.graph, config.assignment)
+        run.x, run.t = state.x, state.t
+        return run
+
+    def settle(self, x: np.ndarray, state):
+        """Take a phase's masses ``x``, renormalized, and return ``result(state)``."""
+        total = x.sum()
+        if not abs(total - 1.0) <= _RENORM_TOL:
+            raise ArithmeticError(f"mass drifted by {abs(total - 1.0):g} within a phase")
+        self.x = x / total
+        return self.result(state)
+
+    def result(self, state):
+        """What a phase on ``state`` returns: the run itself, or a new state."""
+        return self if state is self else PopulationState(self.graph, self.ids, self.x, self.t)
+
+
 def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
-                step: int, kernel: _EdgeKernel | None = None
-                ) -> tuple[PopulationState, BirthEvent | None]:
+                step: int) -> tuple[PopulationState, BirthEvent | None]:
     """With probability p, create a type funded by every existing one.
 
     The stream of (step, PHASE_BIRTH) drives the Bernoulli coin and then the
     Z draws (in sorted-id order). The coin comes from ``streams.coin``, which
     draws it with its window; the stream itself, and the attach stream that
     drives neighbor selection, are made only on an actual birth, so no other
-    draw shifts when a birth appears or vanishes. ``kernel`` adds the
-    newborn, after ``kernel_for`` has rebuilt it if it was stale, and
-    follows it.
+    draw shifts when a birth appears or vanishes. ``state`` is a
+    ``PopulationState``, whose graph gains the newborn and whose next state
+    is new, or the run of ``run_evolution``, which is edited in place.
     """
     if not has_birth(config, streams, step):
         return state, None
+    run = _Run.of(state, config)
     rng = streams.stream(step, PHASE_BIRTH)
     rng.random()                        # the coin: the Z draws follow it
-    kernel = kernel_for(state, config.assignment, kernel)
-    z = config.distribution.sample(rng, len(state.ids), config.beta_min, config.beta_max)
-    newborn_mass = float(np.dot(z, state.x))
-    neighbors = choose_attachment(state.graph, config.attachment,
-                                  streams.stream(step, PHASE_ATTACH))
-    new_id = kernel.add_type(neighbors)
-    event = BirthEvent(new_id, newborn_mass, dict(zip(state.ids, map(float, z))),
-                       sorted(neighbors))
-    x = np.append(state.x * (1.0 - z), newborn_mass)   # the newborn's id sorts last
-    return _rebuild(kernel, x, state.t), event
+    z = config.distribution.sample(rng, run.n, config.beta_min, config.beta_max)
+    newborn_mass = float(np.dot(z, run.x))
+    neighbors = sorted(choose_attachment(run.ids, config.attachment,
+                                         streams.stream(step, PHASE_ATTACH)))
+    new_id = run.graph.add_type(neighbors)
+    event = BirthEvent(new_id, newborn_mass, dict(zip(run.ids, z.tolist())), neighbors)
+    run._append(new_id, neighbors)
+    return run.settle(np.concatenate((run.x * (1.0 - z), [newborn_mass])), state), event
 
 
-def death_phase(state: PopulationState, config: EvolutionConfig,
-                kernel: _EdgeKernel | None = None) -> tuple[PopulationState, list[DeathEvent]]:
+def death_phase(state: PopulationState, config: EvolutionConfig
+                ) -> tuple[PopulationState, list[DeathEvent]]:
     """Remove every type at or below epsilon, lowest mass first.
 
     Each dying type's mass is split equally among its neighbors at the
     instant of death (degree taken after earlier removals in the same
     phase). Redistribution only raises survivors, so the cascade
     terminates; a sole survivor always ends it. Among equal masses the
-    lowest id dies first. ``kernel`` makes the removals, after ``kernel_for``
-    has rebuilt it if it was stale, and follows them. A dying type without
-    neighbors (only on a disconnected graph) raises ``ValueError`` before
-    it is removed.
+    lowest id dies first. ``state`` is edited as ``birth_phase`` says. A
+    dying type without neighbors (only on a disconnected graph) raises
+    ``ValueError`` before anything is removed.
     """
-    x, events = state.x, []
+    run = _Run.of(state, config)
+    x, events = run.x, []
     while len(x) >= 2:
         i = int(x.argmin())             # first index: the lowest id among equal masses
         if x[i] > config.epsilon:
             break
-        if not events:
-            kernel = kernel_for(state, config.assignment, kernel)
-        v, m = kernel.ids[i], float(x[i])
-        recipients = sorted(kernel.graph.neighbors(v))
+        v, m = run.ids[i], float(x[i])
+        recipients = sorted(run.graph.neighbors(v))
         if not recipients:
             raise ValueError(f"type {v} dies with no neighbors to take its mass")
-        kernel.remove_type(v, config.rewiring)
+        near = run._remove(i, run.graph.remove_type(v, config.rewiring))
         x = np.concatenate((x[:i], x[i + 1:]))
-        x[[bisect_left(kernel.ids, u) for u in recipients]] += m / len(recipients)
+        x[near] += m / len(near)
         events.append(DeathEvent(v, m, recipients))
-    if not events:
-        return state, []
-    return _rebuild(kernel, x, state.t), events
+    return (run.settle(x, state) if events else state), events
 
 
-def evolution_step(state: PopulationState, config: EvolutionConfig,
-                   streams: RunStreams, kernel: _EdgeKernel | None = None,
+def evolution_step(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
                    phi_before: float | None = None) -> tuple[PopulationState, StepRecord]:
     """Step ``state.t``: migration, then birth, then death, in that order.
 
-    ``kernel``, if current for the state's graph, does the migration and
-    makes and follows the birth and the deaths, so the next step can use it
-    as is. ``phi_before``, if given, is ``potential_phi(state)``: the last
-    step's ``phi_after``, which ``run_evolution`` hands on.
+    ``state`` is edited as ``birth_phase`` says. ``phi_before``, if given, is
+    ``potential_phi(state)``: the last step's ``phi_after``, as ``run_evolution`` hands it on.
     """
-    step = state.t
+    run = _Run.of(state, config)
+    step = run.t
     if phi_before is None:
-        phi_before = potential_phi(state)
-    min_mass_before = float(state.x.min())
-
-    state, active, _residual = migrate_step(state, config.assignment, config.delta, kernel)
-    phi_mig = phi_birth = phi_after = potential_phi(state)
-
-    state, birth = birth_phase(state, config, streams, step, kernel)
+        phi_before = potential_phi(run)
+    min_mass_before = float(run.x[run.x.argmin()])     # x.min(), at a fraction of its cost
+    run.x, flows, _residual = run.step(run.x, config.delta)    # as migrate_step does
+    run.t += 1
+    phi_mig = phi_birth = phi_after = potential_phi(run)
+    _, birth = birth_phase(run, config, streams, step)
     if birth is not None:
-        phi_birth = phi_after = potential_phi(state)
-
-    state, deaths = death_phase(state, config, kernel)
+        phi_birth = phi_after = potential_phi(run)
+    _, deaths = death_phase(run, config)
     if deaths:
-        phi_after = potential_phi(state)
-
-    record = StepRecord(
-        step=step, phi_before=phi_before, phi_after_migration=phi_mig,
-        phi_after_birth=phi_birth, phi_after=phi_after,
-        migration_active=active, min_mass_before=min_mass_before,
-        birth=birth, deaths=deaths, type_count=len(state.graph),
-    )
-    return state, record
+        phi_after = potential_phi(run)
+    return run.result(state), StepRecord(step, phi_before, phi_mig, phi_birth, phi_after,
+                                         bool(np.count_nonzero(flows)), min_mass_before,
+                                         birth, deaths, run.n)
 
 
 def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
@@ -500,7 +501,7 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
 
     The initial graph is copied, so the caller's objects are untouched.
     The graph must be connected: the birth/death rules assume (and then
-    maintain) connectivity.
+    maintain) connectivity. Every step edits one ``_Run`` in place.
 
     A quiet step has no flow, no birth and no death. Since the last event
     the run keeps the input masses of each quiet step, as bytes. When a
@@ -516,17 +517,16 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     graph = x0.graph.copy()
     if not graph.is_connected():
         raise ConfigurationError("birth/death mode needs a connected starting graph")
-    state = PopulationState(graph, x0.ids, x0.x.copy(), 0)
+    run = _Run.of(PopulationState(graph, x0.ids, x0.x.copy(), 0), config)
     streams = RunStreams(config.seed)
     records: list[StepRecord] = []
-    kernel = kernel_for(state, config.assignment)     # followed through every event
     phi = key = None                  # key: the input masses of the next step, as bytes
     stretch: dict[bytes, int] = {}    # the input masses of each quiet step since the last event
     inputs: list[np.ndarray] = []     # the same, in step order, as arrays
     stepped, cascade, periods = 0, 0, Counter()
-    while state.t < config.horizon:
-        x = state.x
-        state, record = evolution_step(state, config, streams, kernel, phi)
+    while run.t < config.horizon:
+        x = run.x
+        run, record = evolution_step(run, config, streams, phi)
         records.append(record)
         phi, stepped = record.phi_after, stepped + 1
         cascade = max(cascade, len(record.deaths))
@@ -537,24 +537,24 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
             continue
         stretch[x.tobytes() if key is None else key] = len(inputs)
         inputs.append(x)
-        key = state.x.tobytes()
+        key = run.x.tobytes()
         first = stretch.get(key)
         if first is None:
             continue
         cycle = records[first - len(inputs):]
-        stop = _next_birth(config, streams, state.t)
-        if stop > state.t:
-            span = stop - state.t
+        stop = _next_birth(config, streams, run.t)
+        if stop > run.t:
+            span = stop - run.t
             periods[len(cycle)] += 1
-            records.append(replace(cycle[0], step=state.t, repeat=span, cycle=tuple(
-                replace(log, step=state.t + i) for i, log in enumerate(cycle[1:span], 1))))
+            records.append(replace(cycle[0], step=run.t, repeat=span, cycle=tuple(
+                replace(log, step=run.t + i) for i, log in enumerate(cycle[1:span], 1))))
             at_stop = span % len(cycle)
             phi = cycle[at_stop].phi_before
-            state = PopulationState(state.graph, state.ids, inputs[first + at_stop], stop)
+            run.x, run.t = inputs[first + at_stop], stop
             key = None
         stretch.clear()
         inputs.clear()
     diagnostics = {"stepped_steps": stepped, "jumped_steps": config.horizon - stepped,
                    "runs_per_period": {str(k): n for k, n in sorted(periods.items())},
                    "coin_draws": streams.coin_draws, "max_cascade": cascade}
-    return Timeline(records, state, config.seed, diagnostics)
+    return Timeline(records, run.result(x0), config.seed, diagnostics)

@@ -9,7 +9,7 @@ disconnected graphs.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -205,7 +205,8 @@ class InfluenceGraph:
             pairs = ((a, b) for i, a in enumerate(former) for b in former[i + 1:])
         added = [(a, b) for a, b in pairs if b not in self._adj[a]]
         for a, b in added:
-            self.add_edge(a, b)
+            self._adj[a].add(b)
+            self._adj[b].add(a)
         return added
 
     # -- internals ---------------------------------------------------------------
@@ -225,16 +226,15 @@ class InfluenceGraph:
         return f"InfluenceGraph(vertices={self.vertex_list()}, edges={self.edges()})"
 
 
-def choose_attachment(graph: InfluenceGraph, policy: str,
+def choose_attachment(ids: Sequence[int], policy: str,
                       rng: np.random.Generator) -> set[int]:
-    """Pick the neighbor set for a newborn type.
+    """Pick the neighbor set for a newborn type among the sorted vertex ids ``ids``.
 
     "random-subset" (default policy): k uniform in 1..min(3, |V|), then k
     distinct uniform vertices; keeps degrees bounded in long runs while
     staying reproducible from the run streams. "connect-to-all" attaches to
     every existing type.
     """
-    ids = graph.vertex_list()
     if not ids:
         raise ValueError("cannot attach to an empty graph")
     if policy == "connect-to-all":

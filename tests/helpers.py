@@ -109,14 +109,14 @@ def connected_graph_atlas(n_max):
 def _edge_functions(kernel):
     fns = [None] * kernel.m
     for f, idx in kernel._groups:
-        for e in idx:
+        for e in range(kernel.m) if idx is None else idx:
             fns[e] = f
     return fns
 
 
 def assert_same_kernel(a, b):
     """Two edge kernels hold the same vertex order, edges and functions."""
-    assert a.ids == b.ids and (a.n, a.m) == (b.n, b.m)
+    assert tuple(a.ids) == tuple(b.ids) and (a.n, a.m) == (b.n, b.m)
     for got, want in ((a.iu, b.iu), (a.iv, b.iv)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -246,7 +246,7 @@ def reference_evolution(x0, config):
             if rng.random() < config.p:
                 z = config.distribution.sample(rng, len(ids), config.beta_min, config.beta_max)
                 newborn = float(np.dot(z, x))
-                neighbors = choose_attachment(graph, config.attachment,
+                neighbors = choose_attachment(graph.vertex_list(), config.attachment,
                                               streams.stream(step, PHASE_ATTACH))
                 new_id = graph.add_type(neighbors)
                 masses = {v: float(m * (1.0 - zv)) for v, m, zv in zip(ids, x, z)}

@@ -4,16 +4,17 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the criterion lines.
 Randomized sweeps use fixed seeds, so the whole gate is reproducible.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from opinionflow import (EvolutionConfig, InfluenceAssignment, InfluenceGraph,
-                         PopulationState, basin_map, check_diagonal_dominance,
+                         PopulationState, basin_map, check_diagonal_dominance, cubic,
                          eigenvalues, jacobian, jacobian_fd, linear,
                          monte_carlo_convergence, projected_jacobian,
-                         run_evolution, sample_state, verify_birth_counts,
+                         run_evolution, sample_state, soft, verify_birth_counts,
                          verify_phi_bounds, verify_stability_theorem,
                          verify_type_bound)
 from opinionflow.cli import main
@@ -41,8 +42,33 @@ def migration_sweep():
     so with alpha_max <= 3 across the shipped families that flow level
     forces dPhi >= 2.6e-12; at smaller flows the stated 1e-12 margin is
     not mathematically implied.
+
+    The setups step together as one batch: row s holds setup s's masses,
+    zero-padded to WIDTH columns, and its edges, in its kernel's order, are
+    flat indices s * WIDTH + i, padded with edges joining the last column,
+    which holds no mass, to itself. Each edge's F is a * g(d), g the
+    family's shape at a = 1, and one ``np.bincount`` per endpoint sums
+    every setup's flows. A padded row sums its total in another order
+    than its unpadded masses would, so the extremes may move in the last bit.
     """
+    setups, width, steps = 500, 17, 1000            # 16 types and the empty column
     rng = np.random.default_rng(20260808)
+    x, real = np.zeros((setups, width)), np.zeros((setups, width), dtype=bool)
+    edges = []                                      # per setup: (iu, iv, family, a)
+    for s in range(setups):
+        state, assignment, family, a = random_setup(rng, n_max=16)
+        kernel = kernel_for(state, assignment)
+        x[s, :len(state.x)], real[s, :len(state.x)] = state.x, True
+        edges.append((kernel.iu + s * width, kernel.iv + s * width, family, a))
+    most = max(len(iu) for iu, _, _, _ in edges)
+    iu = np.full((setups, most), width - 1) + np.arange(setups)[:, None] * width
+    iv, a = iu.copy(), np.zeros((setups, most))
+    shapes = {"linear": linear(1.0), "cubic": cubic(1.0), "soft": soft(1.0)}
+    family_rows = {f: [] for f in shapes}
+    for s, (u, v, family, coef) in enumerate(edges):
+        iu[s, :len(u)], iv[s, :len(v)], a[s, :len(u)] = u, v, coef
+        family_rows[family].append(s)
+    iu, iv = iu.ravel(), iv.ravel()
     stats = {
         "dphi_min": np.inf,          # over every step
         "dphi_active_min": np.inf,   # over steps with max|flow| >= 1e-6
@@ -50,30 +76,34 @@ def migration_sweep():
         "residual_max": 0.0,
         "coord_min": np.inf,
         "coord_max": -np.inf,
-        "steps": 0,
+        "steps": setups * steps,
     }
-    for _ in range(500):
-        state, assignment, _family, _a = random_setup(rng, n_max=16)
-        kernel = kernel_for(state, assignment)
-        x = state.x
-        phi = float(x @ x)
-        for _step in range(1000):
-            flows = kernel.flows(x, 0.0)
-            f_max = float(np.max(np.abs(flows))) if flows.size else 0.0
-            x2 = x + kernel.net(flows)
-            total = x2.sum()
-            stats["residual_max"] = max(stats["residual_max"], abs(total - 1.0))
-            stats["coord_min"] = min(stats["coord_min"], float(x2.min()))
-            stats["coord_max"] = max(stats["coord_max"], float(x2.max()))
-            x = x2 / total
-            phi_next = float(x @ x)
-            dphi = phi_next - phi
-            stats["dphi_min"] = min(stats["dphi_min"], dphi)
-            if f_max >= 1e-6:
-                stats["dphi_active_min"] = min(stats["dphi_active_min"], dphi)
-                stats["active_steps"] += 1
-            phi = phi_next
-            stats["steps"] += 1
+    phi = np.einsum("ij,ij->i", x, x)
+    for _step in range(steps):
+        flat = x.ravel()
+        xu, xv = flat[iu].reshape(setups, most), flat[iv].reshape(setups, most)
+        d = xu - xv
+        g = np.empty_like(d)
+        for family, rows in family_rows.items():
+            g[rows] = shapes[family]._eval_unchecked(d[rows])
+        flows = xu * xv * (a * g)
+        f_max = np.abs(flows).max(axis=1)
+        flows = flows.ravel()
+        net = np.bincount(iu, flows, x.size) - np.bincount(iv, flows, x.size)
+        x2 = x + net.reshape(setups, width)
+        total = x2.sum(axis=1)
+        stats["residual_max"] = max(stats["residual_max"], float(np.abs(total - 1.0).max()))
+        stats["coord_min"] = min(stats["coord_min"], float(x2[real].min()))
+        stats["coord_max"] = max(stats["coord_max"], float(x2[real].max()))
+        x = x2 / total[:, None]
+        phi_next = np.einsum("ij,ij->i", x, x)
+        dphi = phi_next - phi
+        stats["dphi_min"] = min(stats["dphi_min"], float(dphi.min()))
+        active = f_max >= 1e-6
+        stats["dphi_active_min"] = min(stats["dphi_active_min"],
+                                       float(dphi[active].min(initial=np.inf)))
+        stats["active_steps"] += int(active.sum())
+        phi = phi_next
     return stats
 
 
@@ -328,5 +358,16 @@ def test_criterion_13_determinism_across_jobs(tmp_path):
     phi_ok = ((tmp_path / "p1" / "stats.json").read_bytes()
               == (tmp_path / "p2" / "stats.json").read_bytes())
 
-    report(13, "byte-identical outputs across --jobs", evolve_ok and verify_ok and phi_ok,
-           "evolve timeline, verify convergence and phi-bounds stats compared")
+    churn = tmp_path / "churn.json"         # criterion 12's config, as evolve-churn runs it
+    churn.write_text(json.dumps({"p": 0.5, "epsilon": 1e-4, "delta": 0.01, "beta_min": 0.1,
+                                 "beta_max": 0.3, "horizon": 2715, "influence": "linear:9e-4"}))
+    types_args = ["verify", "types", "--config", str(churn), "--start", "adversarial",
+                  "--graph", "path:50", "--trials", "2", "--seed", "131"]
+    assert main([*types_args, "--jobs", "1", "--out", str(tmp_path / "t1")]) == 0
+    assert main([*types_args, "--jobs", "2", "--out", str(tmp_path / "t2")]) == 0
+    types_ok = all((tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+                   for name in ("stats.json", "manifest.json"))
+
+    report(13, "byte-identical outputs across --jobs",
+           evolve_ok and verify_ok and phi_ok and types_ok,
+           "evolve timeline, verify convergence, phi-bounds and types outputs compared")

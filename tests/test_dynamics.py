@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from opinionflow import (InfluenceAssignment, InfluenceFunction, InfluenceGraph,
-                         PopulationState, active_set, classify_fixed_point, cubic, flow,
-                         is_fixed_point, linear, local_potential_psi,
+from opinionflow import (EvolutionConfig, InfluenceAssignment, InfluenceFunction, InfluenceGraph,
+                         PopulationState, active_set, birth_phase, classify_fixed_point, cubic,
+                         death_phase, flow, is_fixed_point, linear, local_potential_psi,
                          migrate_step, potential_phi, run_to_convergence, soft)
-from opinionflow.dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel,
-                                  kernel_for)
-from opinionflow.graph import REWIRING_POLICIES, choose_attachment
+from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel
+from opinionflow.graph import REWIRING_POLICIES
 from opinionflow.errors import NotAFixedPointError
+from opinionflow.evolution import _Run
 from opinionflow.harness import _settled_limit, sample_simplex
-from opinionflow.seeding import generator, trial_seed
+from opinionflow.seeding import RunStreams, generator, trial_seed
 
 from .helpers import (assert_same_kernel, certificate_oracle, edge_state, flow_oracle,
                       path_acb, random_setup, reference_run)
@@ -707,41 +707,36 @@ class TestNaNDrift:
 
 
 class TestKernelFollowsEdits:
+    """An evolution run edits its own edge kernel at every birth and death;
+    the edited arrays equal a fresh build of the run's graph."""
+
     ASSIGNMENT = InfluenceAssignment(linear(0.4), {(0, 2): soft(0.9), (1, 3): cubic(0.3),
                                                    (2, 7): cubic(0.2), (5, 9): linear(0.1)})
 
     @pytest.mark.parametrize("policy", REWIRING_POLICIES)
     def test_followed_kernel_equals_fresh_build(self, policy):
         rng = np.random.default_rng(11)
+        births = EvolutionConfig(p=1.0, assignment=self.ASSIGNMENT)
+        deaths = EvolutionConfig(epsilon=1e-6, rewiring=policy, assignment=self.ASSIGNMENT)
         most_groups = 0
         for start in (InfluenceGraph.path(4), InfluenceGraph.star(5), InfluenceGraph.complete(4)):
             g = start.copy()
-            kernel = _EdgeKernel(g, self.ASSIGNMENT)
-            for _ in range(120):
+            run = _Run.of(PopulationState.uniform(g), births)
+            for step in range(120):
                 if len(g) >= 2 and rng.random() < 0.45:
-                    ids = g.vertex_list()
-                    kernel.remove_type(ids[rng.integers(len(ids))], policy)
+                    dying = int(rng.integers(len(g)))     # the one type at or below epsilon
+                    run.x = np.full(run.n, (1.0 - 1e-9) / (run.n - 1))
+                    run.x[dying] = 1e-9
+                    want = run.ids[dying]
+                    assert [d.type_id for d in death_phase(run, deaths)[1]] == [want]
                 else:
-                    kernel.add_type(choose_attachment(g, "random-subset", rng))
+                    assert birth_phase(run, births, RunStreams(step), step)[1] is not None
                 fresh = _EdgeKernel(g, self.ASSIGNMENT)
-                assert_same_kernel(kernel, fresh)
-                state = PopulationState(g, kernel.ids, rng.dirichlet(np.ones(len(g))))
-                assert kernel_for(state, self.ASSIGNMENT, kernel) is kernel
-                np.testing.assert_array_equal(kernel.step(state.x)[0], fresh.step(state.x)[0])
-                most_groups = max(most_groups, len(kernel._groups))
+                assert_same_kernel(run, fresh)
+                x = rng.dirichlet(np.ones(len(g)))
+                np.testing.assert_array_equal(run.step(x)[0], fresh.step(x)[0])
+                most_groups = max(most_groups, len(run._groups))
         assert most_groups >= 3             # the per-edge overrides were in play
-
-    def test_stale_kernel_is_not_followed(self):
-        g = InfluenceGraph.path(4)
-        kernel = _EdgeKernel(g, self.ASSIGNMENT)
-        g.add_edge(0, 3)                    # an edit the kernel did not see
-        kernel.add_type({1})
-        kernel.remove_type(2)
-        assert kernel.n == 4 and kernel.m == 3
-        state = PopulationState.uniform(g)
-        rebuilt = kernel_for(state, self.ASSIGNMENT, kernel)
-        assert rebuilt is not kernel
-        assert_same_kernel(rebuilt, _EdgeKernel(g, self.ASSIGNMENT))
 
     def test_edge_order_keeps_canonical_sums(self):
         # bincount over (larger, smaller) order equals it over canonical order

@@ -11,7 +11,7 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
                          death_phase, evolution_step, linear, potential_phi, run_evolution,
                          run_to_convergence, sample_state, soft)
 from opinionflow import evolution
-from opinionflow.dynamics import _EdgeKernel, kernel_for
+from opinionflow.dynamics import _EdgeKernel
 from opinionflow.errors import ConfigurationError
 from opinionflow.evolution import birth_steps, has_birth
 from opinionflow.graph import choose_attachment
@@ -188,10 +188,11 @@ class _CountingStreams(RunStreams):
 
 
 class TestPhasesThroughTheKernel:
-    """Both phases edit the graph through the run's kernel and take the vertex
-    order from it; a stale kernel is rebuilt first, so it changes nothing."""
+    """The public phases are the run's in-place phases: on a ``PopulationState``
+    they edit its graph and return a new state; on the run of ``run_evolution``
+    they edit it in place and return it."""
 
-    ASSIGNMENT = InfluenceAssignment(linear(0.4), {(1, 2): soft(0.8)})
+    ASSIGNMENT = InfluenceAssignment(linear(0.4), {(1, 2): soft(0.8), (4, 5): cubic(0.3)})
 
     def start(self):
         # type 1 is at or below epsilon, before and after the birth takes its Z share
@@ -209,39 +210,27 @@ class TestPhasesThroughTheKernel:
                         streams, 7)
             assert streams.made == want
 
-    def test_current_kernel_makes_and_follows_both_phases(self):
-        s, cfg = self.start(), self.config()
-        kernel = _EdgeKernel(s.graph, cfg.assignment)
-        out, birth = birth_phase(s, cfg, RunStreams(4), 0, kernel)
-        assert birth.new_id == 5 and out.ids is kernel.ids
-        assert kernel_for(out, cfg.assignment, kernel) is kernel
-        out, deaths = death_phase(out, cfg, kernel)
-        assert deaths[0].type_id == 1 and out.ids is kernel.ids
-        assert kernel_for(out, cfg.assignment, kernel) is kernel
-        assert_same_kernel(kernel, _EdgeKernel(out.graph, cfg.assignment))
-
-    @pytest.mark.parametrize("stale", ["missed-edit", "other-graph", "other-assignment"])
-    def test_stale_kernel_gives_the_state_of_no_kernel(self, stale):
-        cfg = self.config()
-        want = self.start()
-        got = PopulationState(want.graph.copy(), want.ids, want.x.copy())
-        if stale == "missed-edit":
-            g = InfluenceGraph.path(4)
-            kernel = _EdgeKernel(g, cfg.assignment)
-            assert g.add_type([3]) == 4     # an edit the kernel did not see: g is path:5
-            got = PopulationState(g, want.ids, want.x.copy())
-        elif stale == "other-graph":
-            kernel = _EdgeKernel(got.graph.copy(), cfg.assignment)
-        else:
-            kernel = _EdgeKernel(got.graph, InfluenceAssignment(linear(0.4)))
-        graph = got.graph
+    def test_phases_on_a_state_equal_the_runs_phases(self):
+        cfg, want = self.config(), self.start()
+        graph = want.graph.copy()
+        run = evolution._Run.of(PopulationState(graph, want.ids, want.x.copy(), want.t), cfg)
         want, want_birth = birth_phase(want, cfg, RunStreams(4), 0)
-        got, got_birth = birth_phase(got, cfg, RunStreams(4), 0, kernel)
+        assert birth_phase(run, cfg, RunStreams(4), 0) == (run, want_birth)
         want, want_deaths = death_phase(want, cfg)
-        got, got_deaths = death_phase(got, cfg, kernel)
-        assert want_deaths and got_deaths == want_deaths and got_birth == want_birth
-        assert got.ids == want.ids and got.x.tobytes() == want.x.tobytes()
-        assert got.graph is graph and graph.edges() == want.graph.edges()
+        assert death_phase(run, cfg) == (run, want_deaths)
+        assert want_birth.new_id == 5 and [d.type_id for d in want_deaths] == [1]
+        assert tuple(run.ids) == want.ids and run.x.tobytes() == want.x.tobytes()
+        assert run.graph is graph and graph.edges() == want.graph.edges()
+        assert_same_kernel(run, _EdgeKernel(graph, cfg.assignment))
+
+    def test_phases_edit_the_states_graph(self):
+        cfg, s = self.config(), self.start()
+        graph, x = s.graph, s.x.copy()
+        out, birth = birth_phase(s, cfg, RunStreams(4), 0)
+        assert out is not s and out.graph is graph and 5 in graph
+        assert s.x.tobytes() == x.tobytes()
+        out, deaths = death_phase(out, cfg)
+        assert out.graph is graph and 1 not in graph and deaths[0].recipients == [0, 2]
 
 
 class TestDeathPhase:
@@ -363,7 +352,7 @@ class TestEvolutionStep:
         z = cfg.distribution.sample(rng, 3, cfg.beta_min, cfg.beta_max)
         assert event.z == dict(zip((0, 1, 2), map(float, z)))
         assert event.neighbors == sorted(choose_attachment(
-            InfluenceGraph.path(3), cfg.attachment, streams.stream(5, PHASE_ATTACH)))
+            [0, 1, 2], cfg.attachment, streams.stream(5, PHASE_ATTACH)))
 
 
 class TestRunEvolution:
@@ -489,6 +478,35 @@ class TestIncrementalStep:
         tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
         assert tl.birth_count() > 0 and tl.death_count() > 0
         assert tl.max_type_count() >= 8
+
+    STARTS = {"path": InfluenceGraph.path, "star": lambda n: InfluenceGraph.star(n - 1),
+              "cycle": InfluenceGraph.cycle, "complete": InfluenceGraph.complete}
+    DISTRIBUTIONS = {"uniform": BirthDistribution(), "point": BirthDistribution("point", 0.12),
+                     "triangular": BirthDistribution("triangular", mode=0.08)}
+    # (5, 9) joins two types that are not born yet; (0, 2) is no edge of a path or a star
+    OVERRIDES = {(0, 2): soft(0.9), (1, 2): cubic(0.45), (5, 9): linear(0.1)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), start=st.sampled_from(list(STARTS)),
+           n=st.integers(3, 6), attachment=st.sampled_from(["random-subset", "connect-to-all"]),
+           rewiring=st.sampled_from(["neighbor-path", "neighbor-clique"]),
+           distribution=st.sampled_from(list(DISTRIBUTIONS)),
+           delta=st.sampled_from([0.0, 0.02, 0.2]), p=st.sampled_from([0.05, 0.3, 1.0]),
+           overrides=st.booleans(), random_start=st.booleans())
+    def test_matches_the_oracle_on_any_start_and_policy(self, seed, start, n, attachment,
+                                                        rewiring, distribution, delta, p,
+                                                        overrides, random_start):
+        graph = self.STARTS[start](n)
+        x0 = (sample_state(graph, generator(seed)) if random_start
+              else PopulationState.uniform(graph))
+        cfg = make_config(p=p, epsilon=0.05, delta=delta, beta_min=0.05, beta_max=0.2,
+                          distribution=self.DISTRIBUTIONS[distribution], attachment=attachment,
+                          rewiring=rewiring, seed=seed, horizon=200, assignment=InfluenceAssignment(
+                              linear(0.4), self.OVERRIDES if overrides else None))
+        ours, want = run_evolution(x0, cfg), reference_evolution(x0, cfg)
+        assert_same_text(ours.to_jsonl(), want.to_jsonl())
+        assert_same_text(ours.summary_csv(), want.summary_csv())
+        assert ours.terminal.x.tobytes() == want.terminal.x.tobytes()
 
 
 QUIET = dict(p=0.001, epsilon=0.05, delta=0.3)     # the evolve-quiet config

@@ -129,7 +129,7 @@ class TestRemoveType:
                     ids = g.vertex_list()
                     g.remove_type(ids[rng.integers(len(ids))], rewiring=policy)
                 else:
-                    g.add_type(choose_attachment(g, "random-subset", rng))
+                    g.add_type(choose_attachment(g.vertex_list(), "random-subset", rng))
                 assert len(g.connected_components()) == 1
 
     @pytest.mark.parametrize("policy", ["neighbor-path", "neighbor-clique"])
@@ -186,17 +186,17 @@ class TestSerialization:
 
 class TestAttachment:
     def test_connect_to_all(self):
-        g = InfluenceGraph.path(4)
-        assert choose_attachment(g, "connect-to-all", np.random.default_rng(0)) == {0, 1, 2, 3}
+        ids = InfluenceGraph.path(4).vertex_list()
+        assert choose_attachment(ids, "connect-to-all", np.random.default_rng(0)) == {0, 1, 2, 3}
 
     def test_random_subset_bounds(self):
         g = InfluenceGraph.path(6)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            picked = choose_attachment(g, "random-subset", rng)
+            picked = choose_attachment(g.vertex_list(), "random-subset", rng)
             assert 1 <= len(picked) <= 3
             assert picked <= set(g.vertex_list())
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            choose_attachment(InfluenceGraph.path(2), "bogus", np.random.default_rng(0))
+            choose_attachment([0, 1], "bogus", np.random.default_rng(0))
