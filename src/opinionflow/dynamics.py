@@ -118,7 +118,6 @@ class _EdgeKernel:
     order does, so the sums keep their bits. An evolution run (``evolution._Run``)
     edits its kernel's arrays at each birth (``_append``: a newborn's edges sort
     last) and death (``_remove``), so they equal a fresh build of its graph.
-    Edge function codes are kept only if the assignment has per-edge overrides.
     """
 
     def __init__(self, graph: InfluenceGraph, assignment: InfluenceAssignment):
@@ -128,7 +127,8 @@ class _EdgeKernel:
         self.ids = tuple(graph.vertex_list())
         self.n = len(self.ids)
         self.iu = self.iv = np.empty(0, dtype=np.intp)
-        self._code = np.empty(0, dtype=np.intp) if assignment.overrides else None
+        # each edge's function code, kept only if some edge has a function of its own
+        self._code = np.empty(0, dtype=np.intp) if assignment._per_edge else None
         self._fns: list = []            # influence function of each edge code
         pairs = graph.edges()
         ends = [bisect_left(self.ids, w) for e in pairs for w in e]
@@ -137,7 +137,8 @@ class _EdgeKernel:
     def _insert(self, pairs, iu: list[int], iv: list[int], last: bool = False) -> None:
         """Add the edges ``pairs`` (u, v) of ids, u < v, at indices ``iu`` < ``iv``,
         at their (v, u) place, then regroup. With ``last`` they sort, as given,
-        after every edge held, and are appended without a sort."""
+        after every edge held, and are appended without a sort. Without codes
+        every edge has the default function: one group, indexed by ``slice(None)``."""
         if len(pairs):
             self.iu = np.concatenate((self.iu, iu))
             self.iv = np.concatenate((self.iv, iv))
@@ -145,13 +146,13 @@ class _EdgeKernel:
                 code = [self._code_of(self.assignment.function_for(u, v)) for u, v in pairs]
                 self._code = np.concatenate((self._code, np.array(code, dtype=np.intp)))
             if not last:
-                order = (self.iv * self.n + self.iu).argsort(kind="stable")
+                order = np.argsort(self.iv * self.n + self.iu, kind="stable")
                 self.iu, self.iv = self.iu[order], self.iv[order]
                 if self._code is not None:
                     self._code = self._code[order]
         self.m = len(self.iu)
         if self._code is None:
-            self._groups = [(self.assignment.default, None)] if self.m else []
+            self._groups = [(self.assignment.default, slice(None))] if self.m else []
         else:
             groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
             self._groups = [(f, idx) for f, idx in groups if len(idx)]
@@ -193,18 +194,20 @@ class _EdgeKernel:
 
     def values(self, d: np.ndarray) -> np.ndarray:
         """F_uv(d) per edge."""
-        return self._per_edge(d, "_eval_unchecked")
+        if len(self._groups) == 1:
+            return np.asarray(self._groups[0][0]._eval_unchecked(d), dtype=float)
+        out = np.empty_like(d)
+        for f, idx in self._groups:
+            out[..., idx] = f._eval_unchecked(d[..., idx])
+        return out
 
     def derivs(self, d: np.ndarray) -> np.ndarray:
         """F'_uv(d) per edge."""
-        return self._per_edge(d, "_deriv_unchecked")
-
-    def _per_edge(self, d: np.ndarray, method: str) -> np.ndarray:
         if len(self._groups) == 1:
-            return np.asarray(getattr(self._groups[0][0], method)(d), dtype=float)
+            return np.asarray(self._groups[0][0]._deriv_unchecked(d), dtype=float)
         out = np.empty_like(d)
         for f, idx in self._groups:
-            out[..., idx] = getattr(f, method)(d[..., idx])
+            out[idx] = f._deriv_unchecked(d[idx])
         return out
 
     def flows(self, x: np.ndarray, delta: float = 0.0) -> np.ndarray:
@@ -362,7 +365,8 @@ class _EdgeKernel:
 
 def kernel_for(state: PopulationState, assignment: InfluenceAssignment,
                kernel: _EdgeKernel | None = None) -> _EdgeKernel:
-    if (kernel is None or kernel.graph is not state.graph or kernel.version != state.graph.version
+    if (kernel is None or kernel.graph is not state.graph
+            or kernel.version != state.graph.version
             or kernel.assignment is not assignment):
         return _EdgeKernel(state.graph, assignment)
     return kernel
@@ -397,7 +401,7 @@ def migrate_step(state: PopulationState, assignment: InfluenceAssignment,
 
 def potential_phi(state: PopulationState) -> float:
     """Sum of squared masses; ranges over [1/n, 1] on the simplex."""
-    return float(state.x.dot(state.x))
+    return float(np.dot(state.x, state.x))
 
 
 def local_potential_psi(state: PopulationState, p: PopulationState) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import _RENORM_TOL, PopulationState, _EdgeKernel, potential_phi
 from .errors import ConfigurationError, coerce
-from .graph import REWIRING_POLICIES, choose_attachment
+from .graph import choose_attachment, REWIRING_POLICIES
 from .influence import InfluenceAssignment, InfluenceFunction
 from .seeding import COIN_WINDOW, PHASE_ATTACH, PHASE_BIRTH, RunStreams, run_coins
 
@@ -491,9 +491,13 @@ def evolution_step(state: PopulationState, config: EvolutionConfig, streams: Run
     _, deaths = death_phase(run, config)
     if deaths:
         phi_after = potential_phi(run)
-    return run.result(state), StepRecord(step, phi_before, phi_mig, phi_birth, phi_after,
-                                         bool(np.count_nonzero(flows)), min_mass_before,
-                                         birth, deaths, run.n)
+    record = StepRecord(
+        step=step, phi_before=phi_before, phi_after_migration=phi_mig,
+        phi_after_birth=phi_birth, phi_after=phi_after,
+        migration_active=bool(np.count_nonzero(flows)), min_mass_before=min_mass_before,
+        birth=birth, deaths=deaths, type_count=run.n,
+    )
+    return run.result(state), record
 
 
 def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:

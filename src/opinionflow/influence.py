@@ -229,11 +229,6 @@ class InfluenceAssignment:
     def _key(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
 
-    @property
-    def overrides(self) -> bool:
-        """Whether some edge has a function of its own, not the default."""
-        return bool(self._per_edge)
-
     def function_for(self, u: int, v: int) -> InfluenceFunction:
         return self._per_edge.get(self._key(u, v), self.default)
 

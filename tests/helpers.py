@@ -109,7 +109,7 @@ def connected_graph_atlas(n_max):
 def _edge_functions(kernel):
     fns = [None] * kernel.m
     for f, idx in kernel._groups:
-        for e in range(kernel.m) if idx is None else idx:
+        for e in np.arange(kernel.m)[idx]:
             fns[e] = f
     return fns
 

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from opinionflow import (EvolutionConfig, InfluenceAssignment, InfluenceGraph,
-                         PopulationState, basin_map, check_diagonal_dominance, cubic,
+                         PopulationState, basin_map, check_diagonal_dominance,
                          eigenvalues, jacobian, jacobian_fd, linear,
                          monte_carlo_convergence, projected_jacobian,
-                         run_evolution, sample_state, soft, verify_birth_counts,
+                         run_evolution, sample_state, verify_birth_counts,
                          verify_phi_bounds, verify_stability_theorem,
                          verify_type_bound)
 from opinionflow.cli import main
@@ -43,32 +43,28 @@ def migration_sweep():
     forces dPhi >= 2.6e-12; at smaller flows the stated 1e-12 margin is
     not mathematically implied.
 
-    The setups step together as one batch: row s holds setup s's masses,
-    zero-padded to WIDTH columns, and its edges, in its kernel's order, are
-    flat indices s * WIDTH + i, padded with edges joining the last column,
-    which holds no mass, to itself. Each edge's F is a * g(d), g the
-    family's shape at a = 1, and one ``np.bincount`` per endpoint sums
-    every setup's flows. A padded row sums its total in another order
-    than its unpadded masses would, so the extremes may move in the last bit.
+    The setups step together as one batch through the package's own edge
+    kernel: one ``_EdgeKernel`` on the disjoint union of the setups, setup s
+    holding the ids s * width + i, with isolated, massless ids padding every
+    setup to width. Each setup's edges keep its own F as per-edge overrides,
+    and sort as in its own kernel, so ``flows`` and ``net`` give each setup's
+    values bit for bit. Row s of the (setups, width) view is setup s, and is
+    renormalized alone. A padded row sums its total in another order than
+    its unpadded masses would, so the extremes may move in the last bit.
     """
-    setups, width, steps = 500, 17, 1000            # 16 types and the empty column
+    setups, width, steps = 500, 16, 1000
     rng = np.random.default_rng(20260808)
     x, real = np.zeros((setups, width)), np.zeros((setups, width), dtype=bool)
-    edges = []                                      # per setup: (iu, iv, family, a)
+    edges = {}
     for s in range(setups):
-        state, assignment, family, a = random_setup(rng, n_max=16)
-        kernel = kernel_for(state, assignment)
+        state, assignment, _family, _a = random_setup(rng, n_max=16)
         x[s, :len(state.x)], real[s, :len(state.x)] = state.x, True
-        edges.append((kernel.iu + s * width, kernel.iv + s * width, family, a))
-    most = max(len(iu) for iu, _, _, _ in edges)
-    iu = np.full((setups, most), width - 1) + np.arange(setups)[:, None] * width
-    iv, a = iu.copy(), np.zeros((setups, most))
-    shapes = {"linear": linear(1.0), "cubic": cubic(1.0), "soft": soft(1.0)}
-    family_rows = {f: [] for f in shapes}
-    for s, (u, v, family, coef) in enumerate(edges):
-        iu[s, :len(u)], iv[s, :len(v)], a[s, :len(u)] = u, v, coef
-        family_rows[family].append(s)
-    iu, iv = iu.ravel(), iv.ravel()
+        edges.update({(s * width + u, s * width + v): assignment.default
+                      for u, v in state.graph.edges()})
+    union = InfluenceGraph(range(setups * width), edges)
+    kernel = kernel_for(PopulationState(union, tuple(range(setups * width)), x.ravel()),
+                        InfluenceAssignment(linear(1.0), edges))
+    owner = kernel.iv // width                      # the setup of each edge
     stats = {
         "dphi_min": np.inf,          # over every step
         "dphi_active_min": np.inf,   # over steps with max|flow| >= 1e-6
@@ -80,17 +76,9 @@ def migration_sweep():
     }
     phi = np.einsum("ij,ij->i", x, x)
     for _step in range(steps):
-        flat = x.ravel()
-        xu, xv = flat[iu].reshape(setups, most), flat[iv].reshape(setups, most)
-        d = xu - xv
-        g = np.empty_like(d)
-        for family, rows in family_rows.items():
-            g[rows] = shapes[family]._eval_unchecked(d[rows])
-        flows = xu * xv * (a * g)
-        f_max = np.abs(flows).max(axis=1)
-        flows = flows.ravel()
-        net = np.bincount(iu, flows, x.size) - np.bincount(iv, flows, x.size)
-        x2 = x + net.reshape(setups, width)
+        flows = kernel.flows(x.ravel(), 0.0)
+        active = np.bincount(owner, np.abs(flows) >= 1e-6, setups) > 0
+        x2 = x + kernel.net(flows).reshape(setups, width)
         total = x2.sum(axis=1)
         stats["residual_max"] = max(stats["residual_max"], float(np.abs(total - 1.0).max()))
         stats["coord_min"] = min(stats["coord_min"], float(x2[real].min()))
@@ -99,7 +87,6 @@ def migration_sweep():
         phi_next = np.einsum("ij,ij->i", x, x)
         dphi = phi_next - phi
         stats["dphi_min"] = min(stats["dphi_min"], float(dphi.min()))
-        active = f_max >= 1e-6
         stats["dphi_active_min"] = min(stats["dphi_active_min"],
                                        float(dphi[active].min(initial=np.inf)))
         stats["active_steps"] += int(active.sum())

@@ -8,7 +8,8 @@ from opinionflow import (EvolutionConfig, InfluenceAssignment, InfluenceFunction
                          PopulationState, active_set, birth_phase, classify_fixed_point, cubic,
                          death_phase, flow, is_fixed_point, linear, local_potential_psi,
                          migrate_step, potential_phi, run_to_convergence, soft)
-from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel
+from opinionflow.dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel,
+                                  kernel_for)
 from opinionflow.graph import REWIRING_POLICIES
 from opinionflow.errors import NotAFixedPointError
 from opinionflow.evolution import _Run
@@ -737,6 +738,22 @@ class TestKernelFollowsEdits:
                 np.testing.assert_array_equal(run.step(x)[0], fresh.step(x)[0])
                 most_groups = max(most_groups, len(run._groups))
         assert most_groups >= 3             # the per-edge overrides were in play
+
+    def test_stale_kernel_is_rebuilt(self):
+        g = InfluenceGraph.path(4)
+        kernel = _EdgeKernel(g, self.ASSIGNMENT)
+        assert kernel_for(PopulationState.uniform(g), self.ASSIGNMENT, kernel) is kernel
+        twin, other = g.copy(), InfluenceAssignment(linear(0.4))    # same version, same edges
+        edited = g.copy()
+        edited.add_edge(0, 3)
+        for graph, assignment in ((twin, self.ASSIGNMENT), (g, other), (edited, self.ASSIGNMENT)):
+            rebuilt = kernel_for(PopulationState.uniform(graph), assignment, kernel)
+            assert rebuilt is not kernel and rebuilt.graph is graph
+            assert_same_kernel(rebuilt, _EdgeKernel(graph, assignment))
+        g.add_edge(0, 3)                    # an edit the kernel did not see
+        rebuilt = kernel_for(PopulationState.uniform(g), self.ASSIGNMENT, kernel)
+        assert rebuilt is not kernel and rebuilt.m == 4
+        assert_same_kernel(rebuilt, _EdgeKernel(g, self.ASSIGNMENT))
 
     def test_edge_order_keeps_canonical_sums(self):
         # bincount over (larger, smaller) order equals it over canonical order
