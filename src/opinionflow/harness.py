@@ -111,7 +111,8 @@ def _finish(successes: int, trials: int, bound: float | None,
                       bound, slack, verdict, artifacts, extras)
 
 
-CHUNK = 1024     # most rows in one batch, i.e. in one run_to_convergence call
+BATCH_BUDGET = 1 << 17   # most row x (n + m) cells in one run_to_convergence batch:
+                         # a row holds n masses and m edge flows
 
 
 def _workers(jobs: int) -> int:
@@ -137,11 +138,15 @@ def _pmap(fn, items, jobs: int) -> list:
 
 
 def _map_rows(fn, rows, args: tuple, jobs: int) -> list:
-    """fn((chunk, *args)) over chunks of at most CHUNK rows, at least one per
-    worker (``_workers(jobs)``) where rows allow; a row's result does not
-    depend on its chunk.
+    """fn((batch, *args)) over batches of rows, where args[0] is the graph of
+    n types and m edges. A batch holds at most max(1, BATCH_BUDGET // (n + m))
+    rows, and there is at least one batch per worker (``_workers(jobs)``) where
+    rows allow; a row's result does not depend on its batch.
     """
-    size = min(CHUNK, max(1, -(-len(rows) // _workers(jobs))))
+    workers = _workers(jobs)
+    graph = args[0]
+    cap = max(1, BATCH_BUDGET // (len(graph) + len(graph.edges())))
+    size = min(cap, max(1, -(-len(rows) // workers)))
     items = [(rows[lo:lo + size], *args) for lo in range(0, len(rows), size)]
     return [out for part in _pmap(fn, items, jobs) for out in part]
 
@@ -181,7 +186,7 @@ def _settled_limit(state: PopulationState, used: int, assignment, theta: float,
             used += applied
 
 
-def _convergence_chunk(args) -> list[dict]:
+def _convergence_batch(args) -> list[dict]:
     seeds, graph, assignment, tol, max_iters, theta = args
     ids = tuple(graph.vertex_list())
     starts = np.array([sample_simplex(generator(s), len(ids)) for s in seeds])
@@ -227,7 +232,7 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
     seeds = [trial_seed(root_seed, i) for i in range(trials)]
-    artifacts = _map_rows(_convergence_chunk, seeds,
+    artifacts = _map_rows(_convergence_batch, seeds,
                           (graph, assignment, tol, max_iters, theta_active), jobs)
     successes = sum(1 for a in artifacts if a["converged"] and a["independent"])
     census = Counter(a["label"] for a in artifacts if a["converged"])
@@ -297,7 +302,7 @@ class BasinMap:
         return "\n".join(lines) + "\n"
 
 
-def _basin_chunk(args) -> list[str]:
+def _basin_batch(args) -> list[str]:
     starts, graph, assignment, tol, max_iters, theta = args
     ids = tuple(graph.vertex_list())
     res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
@@ -318,12 +323,12 @@ def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
 
     Boundary cells are included: the simplex boundary is invariant under
     the dynamics, so they are legitimate starts. Cells run in raster order
-    as batches of at most CHUNK rows (see ``run_to_convergence``), split
-    among ``jobs`` workers; each cell's limit is the one it reaches alone,
-    so the raster does not depend on ``jobs``. A cell is labelled by its
-    certified support (see ``monte_carlo_convergence``) or else by its
-    active types at the L1 stop; a cell whose stop index reaches
-    ``max_iters`` is labelled "unresolved".
+    as batches of at most ``BATCH_BUDGET // (3 + m)`` cells on m edges (see
+    ``_map_rows`` and ``run_to_convergence``), split among ``jobs`` workers;
+    each cell's limit is the one it reaches alone, so the raster does not
+    depend on ``jobs``. A cell is labelled by its certified support (see
+    ``monte_carlo_convergence``) or else by its active types at the L1 stop;
+    a cell whose stop index reaches ``max_iters`` is labelled "unresolved".
     """
     if len(graph) != 3:
         raise ConfigurationError("basin_map needs a graph of exactly 3 types")
@@ -335,7 +340,7 @@ def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
     # so tie cells legitimately converge to split limits
     i, i_plus_j = np.triu_indices(resolution + 1)
     starts = np.stack([i, i_plus_j - i, resolution - i_plus_j], axis=1) / resolution
-    labels = _map_rows(_basin_chunk, starts,
+    labels = _map_rows(_basin_batch, starts,
                        (graph, assignment, tol, max_iters, theta_active), jobs)
     ends = np.cumsum(np.arange(resolution + 1, 0, -1)).tolist()
     rows = [labels[lo:hi] for lo, hi in zip([0] + ends, ends)]

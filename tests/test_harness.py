@@ -276,7 +276,7 @@ class TestMonteCarloConvergence:
     def test_chunks_and_jobs_do_not_change_results(self, monkeypatch):
         g, asg = path_acb(), InfluenceAssignment(linear(0.49))
         whole = monte_carlo_convergence(g, asg, trials=30, root_seed=4, jobs=1)
-        monkeypatch.setattr(harness, "CHUNK", 7)      # 30 trials: 4 full chunks + 2
+        monkeypatch.setattr(harness, "BATCH_BUDGET", 35)   # n + m = 5: 4 batches of 7 + 2
         for jobs in (1, 3):
             chunked = monte_carlo_convergence(g, asg, trials=30, root_seed=4, jobs=jobs)
             assert chunked.artifacts == whole.artifacts
@@ -329,7 +329,7 @@ class TestCertifiedSweep:
         whole = monte_carlo_convergence(g, self.asg, trials=40, root_seed=8, max_iters=20)
         assert {a["iterations"] for a in whole.artifacts} == {0, 16, 20}
         assert whole.extras["stops"]["budget"] > 0
-        monkeypatch.setattr(harness, "CHUNK", 7)      # 40 trials: 5 full chunks + 5
+        monkeypatch.setattr(harness, "BATCH_BUDGET", 70)   # n + m = 10: 5 batches of 7 + 5
         for jobs in (1, 3):
             chunked = monte_carlo_convergence(g, self.asg, trials=40, root_seed=8,
                                               max_iters=20, jobs=jobs)
@@ -454,7 +454,7 @@ class TestBasinMap:
     def test_chunks_and_jobs_do_not_change_raster(self, monkeypatch):
         asg = InfluenceAssignment(linear(0.5))
         whole = basin_map(path_acb(), asg, resolution=12)
-        monkeypatch.setattr(harness, "CHUNK", 8)      # 91 cells: 11 full chunks + 3
+        monkeypatch.setattr(harness, "BATCH_BUDGET", 40)   # n + m = 5: 11 batches of 8 + 3
         for jobs in (1, 3):
             chunked = basin_map(path_acb(), asg, resolution=12, jobs=jobs)
             assert chunked.rows == whole.rows
@@ -465,7 +465,10 @@ class TestBasinMap:
             basin_map(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)), 4,
                       theta_active=0.0)
 
-    def test_jobs_split_rows_below_chunk(self, monkeypatch):
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The row count of each item that ``_map_rows`` hands to ``_pmap``, per call,
+        on a 4-CPU machine: up to 4 jobs, each job is a worker."""
         seen = []
 
         def record(fn, items, jobs):
@@ -473,11 +476,29 @@ class TestBasinMap:
             return [fn(item) for item in items]
 
         monkeypatch.setattr(harness, "_pmap", record)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)   # no cap below 3 jobs
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        return seen
+
+    def test_jobs_split_rows_below_batch_budget(self, seen):
         basin_map(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)), 12, jobs=2)
         monte_carlo_convergence(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.49)),
                                 trials=5, jobs=3)
         assert seen == [[46, 45], [2, 2, 1]]      # 91 cells; 5 trials
+
+    def test_batches_sized_by_working_set(self, seen, monkeypatch):
+        triangle, asg = InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5))
+        whole = basin_map(triangle, asg, 100, jobs=1)
+        assert basin_map(triangle, asg, 100, jobs=2).rows == whole.rows
+        assert seen == [[5151], [2576, 2575]]     # n + m = 6: up to 21845 rows a batch
+        seen.clear()
+        complete = InfluenceGraph.complete(24)    # n + m = 300: up to 436 rows a batch
+        monte_carlo_convergence(complete, InfluenceAssignment(linear(0.49)), trials=900)
+        assert seen == [[436, 436, 28]] and harness.BATCH_BUDGET // 300 == 436
+        small = basin_map(triangle, asg, 12)
+        monkeypatch.setattr(harness, "BATCH_BUDGET", 5)   # below n + m: one-row batches
+        seen.clear()
+        assert basin_map(triangle, asg, 12).rows == small.rows
+        assert seen == [[1] * 91]
 
     def test_unresolved_cells(self):
         raster = basin_map(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)),
