@@ -172,17 +172,18 @@ def _config(args, *keys: str, **defaults) -> dict:
 
 # -- output -----------------------------------------------------------------------
 
-def _json_bytes(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _json_bytes(data) -> bytes:
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _write_outputs(out_dir: str, subcommand: str, config: dict, seed,
                    files: dict, diagnostics: dict | None = None) -> None:
-    """Write each of ``files``: its text, or what its writer, called with the
-    open file, writes there. Then the manifest, with ``diagnostics`` if given."""
+    """Write each of ``files``: its bytes, or what its writer, called with the
+    file open in binary mode, writes there. Then the manifest, with
+    ``diagnostics`` if given."""
     os.makedirs(out_dir, exist_ok=True)
     for name, content in files.items():
-        with open(os.path.join(out_dir, name), "w") as fh:
+        with open(os.path.join(out_dir, name), "wb") as fh:
             if callable(content):
                 content(fh)
             else:
@@ -196,7 +197,7 @@ def _write_outputs(out_dir: str, subcommand: str, config: dict, seed,
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "wb") as fh:
         fh.write(_json_bytes(manifest))
 
 
@@ -230,7 +231,7 @@ def _cmd_simulate(args) -> int:
             "x0": {str(v): m for v, m in sorted(state.as_dict().items())},
             "tol": cfg["tol"], "max_iters": cfg["max_iters"], "seed": cfg["seed"]}
     _write_outputs(args.out, "simulate", echo, cfg["seed"], {
-        "trajectory.csv": "\n".join(rows) + "\n",
+        "trajectory.csv": ("\n".join(rows) + "\n").encode(),
         "summary.json": _json_bytes(summary),
     })
     return EXIT_OK if res.converged else EXIT_MAX_ITERS
@@ -301,8 +302,8 @@ def _cmd_basin(args) -> int:
             "resolution": cfg["resolution"], "tol": cfg["tol"],
             "max_iters": cfg["max_iters"]}
     _write_outputs(args.out, "basin", echo, None, {
-        "basin.csv": raster.to_csv(),
-        "basin.pgm": raster.to_pgm(),
+        "basin.csv": raster.to_csv().encode(),
+        "basin.pgm": raster.to_pgm().encode(),
         "legend.json": _json_bytes({"legend": raster.legend,
                                     "fractions": raster.label_fractions()}),
     })

@@ -15,11 +15,11 @@ run a pure function of (config, seed).
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, repeat
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -233,37 +233,82 @@ class StepRecord:
 
 WRITE_BLOCK = 4096    # most periods of a run that a writer renders into one block
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _write_lines(write, records: list[StepRecord], render, key: str) -> None:
-    """``render(log)`` and a newline for every step of ``records``, handed to
-    ``write`` a record or a block at a time.
+    """``render(log)`` and a newline for every step of ``records``, as ASCII
+    bytes handed to ``write`` a record or a block at a time.
 
     A run renders each log of its period once and splits it around the step
-    number that follows ``key``; its full periods are then joined from the
-    split logs and strided ranges of step numbers, at C speed, and the
-    period that the run's end cuts short is written line by line.
+    number that follows ``key``. Its full periods go out through
+    ``_write_periods`` in stretches whose step numbers have one digit count;
+    a period that straddles a power of ten, and the period that the run's
+    end cuts short, are written line by line.
     """
     for r in records:
         if r.repeat == 1:
-            write(render(r) + "\n")
+            write((render(r) + "\n").encode())
             continue
         parts = []
         for log in (r, *r.cycle):
             line, number = render(log), str(log.step)
             cut = line.index(key + number) + len(key)
-            parts.append((line[:cut], line[cut + len(number):] + "\n"))
+            parts.append((line[:cut].encode(), (line[cut + len(number):] + "\n").encode()))
         k, end = len(parts), r.step + r.repeat
         full = end - r.repeat % k
-        for lo in range(r.step, full, k * WRITE_BLOCK):
-            hi = min(lo + k * WRITE_BLOCK, full)
-            columns = [column for i, (head, tail) in enumerate(parts)
-                       for column in (repeat(head), map(str, range(lo + i, hi, k)), repeat(tail))]
-            write("".join(chain.from_iterable(zip(*columns))))
-        write("".join(head + str(s) + tail for (head, tail), s in zip(parts, range(full, end))))
+        lo = r.step
+        while lo < full:
+            digits = len(str(lo))
+            periods = (min(full, 10 ** digits) - lo) // k
+            if periods:
+                _write_periods(write, parts, lo, periods, digits)
+                lo += periods * k
+            else:                       # the period straddles 10 ** digits
+                write(_lines(parts, lo, lo + k))
+                lo += k
+        write(_lines(parts, full, end))
+
+
+def _lines(parts: list[tuple[bytes, bytes]], start: int, stop: int) -> bytes:
+    """The lines of steps ``start`` .. ``stop``-1, one by one, from the split
+    logs of a period that starts at ``start``."""
+    return b"".join(head + str(s).encode() + tail
+                    for (head, tail), s in zip(parts, range(start, stop)))
+
+
+def _write_periods(write, parts: list[tuple[bytes, bytes]], first: int, periods: int,
+                   digits: int) -> None:
+    """The lines of ``periods`` full periods from step ``first``, whose step
+    numbers all have ``digits`` digits, handed to ``write`` a block at a time.
+
+    One period is one byte row with a ``digits``-wide slot for each step
+    number. A buffer of up to WRITE_BLOCK rows is filled with that row once;
+    each block then overwrites only the slots, one decimal place at a time
+    by integer divmod on its strided step numbers, and is written as it is.
+    """
+    k = len(parts)
+    row = b"".join(head + bytes(digits) + tail for head, tail in parts)
+    slots, at = [], 0                   # where each step number starts in the row
+    for head, tail in parts:
+        slots.append(at + len(head))
+        at += len(head) + digits + len(tail)
+    rows = min(periods, WRITE_BLOCK)
+    buf = np.frombuffer(bytearray(row) * rows, dtype=np.uint8).reshape(rows, len(row))
+    stop = first + periods * k
+    for lo in range(first, stop, rows * k):
+        q = np.arange(lo, min(lo + rows * k, stop), dtype=np.int64).reshape(-1, k)
+        d, count = np.empty_like(q), len(q)
+        for column in range(digits - 1, -1, -1):
+            np.divmod(q, 10, out=(q, d))
+            d += ord("0")
+            for i, at in enumerate(slots):
+                buf[:count, at + column] = d[:, i]
+        write(buf[:count])
 
 
 def _json_line(record: StepRecord) -> str:
-    return json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(record.to_json_dict())
 
 
 def _csv_line(record: StepRecord) -> str:
@@ -316,15 +361,14 @@ class Timeline:
     def max_type_count(self) -> int:
         return max(r.type_count for r in self.records)
 
-    def to_jsonl(self, fh: TextIO | None = None) -> str | None:
+    def to_jsonl(self, fh: BinaryIO | None = None) -> str | None:
         """One canonical JSON object per step; final line is the terminal state.
 
-        Written to ``fh`` a block at a time, or returned as one string when
-        no file is given.
+        Written to the buffered binary file ``fh`` a block at a time, or
+        returned as one string when no file is given.
         """
-        parts: list[str] = []
-        write = parts.append if fh is None else fh.write
-        _write_lines(write, self.records, _json_line, '"step":')
+        out = io.BytesIO() if fh is None else fh
+        _write_lines(out.write, self.records, _json_line, '"step":')
         terminal = {
             "terminal": {
                 "graph": self.terminal.graph.to_json_dict(),
@@ -333,16 +377,15 @@ class Timeline:
             },
             "seed": self.seed,
         }
-        write(json.dumps(terminal, sort_keys=True, separators=(",", ":")) + "\n")
-        return "".join(parts) if fh is None else None
+        out.write((_JSON.encode(terminal) + "\n").encode())
+        return out.getvalue().decode() if fh is None else None
 
-    def summary_csv(self, fh: TextIO | None = None) -> str | None:
+    def summary_csv(self, fh: BinaryIO | None = None) -> str | None:
         """One row per step under a header, written or returned as ``to_jsonl``."""
-        parts: list[str] = []
-        write = parts.append if fh is None else fh.write
-        write("step,phi,type_count,migration_active,births,deaths\n")
-        _write_lines(write, self.records, _csv_line, "")
-        return "".join(parts) if fh is None else None
+        out = io.BytesIO() if fh is None else fh
+        out.write(b"step,phi,type_count,migration_active,births,deaths\n")
+        _write_lines(out.write, self.records, _csv_line, "")
+        return out.getvalue().decode() if fh is None else None
 
 
 def has_birth(config: EvolutionConfig, streams: RunStreams, step: int) -> bool:

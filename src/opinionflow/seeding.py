@@ -29,13 +29,27 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low words of the 128-bit products m * b, from 32-bit halves."""
+def _mulhilo(m: int, b: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+             t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """The high and low words of the 128-bit products m * b, from 32-bit
+    halves, into ``hi`` and ``lo``; ``t``, ``u`` and ``v`` are scratch. All
+    are arrays of b's shape, and none of them is ``b``."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    b_lo, b_hi = b & _LOW32, b >> _32
-    lo_lo, hi_lo = b_lo * m_lo, b_hi * m_lo
-    cross = (lo_lo >> _32) + (hi_lo & _LOW32) + b_lo * m_hi    # < 2^64
-    return b_hi * m_hi + (hi_lo >> _32) + (cross >> _32), b * np.uint64(m)
+    np.multiply(b, np.uint64(m), out=lo)
+    np.bitwise_and(b, _LOW32, out=t)                 # b_lo
+    np.right_shift(b, _32, out=u)                    # b_hi
+    np.multiply(u, m_hi, out=hi)
+    np.multiply(u, m_lo, out=u)                      # hi_lo
+    np.multiply(t, m_lo, out=v)                      # lo_lo
+    np.right_shift(v, _32, out=v)
+    np.multiply(t, m_hi, out=t)
+    v += t
+    np.bitwise_and(u, _LOW32, out=t)
+    v += t                                           # cross, < 2^64
+    np.right_shift(u, _32, out=u)
+    hi += u
+    np.right_shift(v, _32, out=v)
+    hi += v
 
 
 def _philox_first_words(keys: np.ndarray, steps: np.ndarray, phase: int) -> np.ndarray:
@@ -43,17 +57,26 @@ def _philox_first_words(keys: np.ndarray, steps: np.ndarray, phase: int) -> np.n
     under each key: ``keys`` of shape (rows, 2), uint64, give (rows, len(steps)).
 
     That is the first uint64 a ``Philox(counter=[0, 0, step, phase])``
-    returns: it bumps the counter before its first block.
+    returns: it bumps the counter before its first block. The rounds run in
+    place on buffers allocated once.
     """
-    c0, c1 = np.ones_like(steps), np.zeros_like(steps)
-    c2, c3 = steps, np.full_like(steps, phase)
-    k0, k1 = keys[:, :1], keys[:, 1:]
+    shape = (len(keys), len(steps))
+    c0, c1 = np.ones(shape, np.uint64), np.zeros(shape, np.uint64)
+    c2, c3 = np.broadcast_to(steps, shape).copy(), np.full(shape, phase, np.uint64)
+    hi0, lo0, hi1, lo1, t, u, v = (np.empty(shape, np.uint64) for _ in range(7))
+    k0, k1 = keys[:, :1].copy(), keys[:, 1:].copy()
     for r in range(10):
         if r:
-            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0 += np.uint64(_PHILOX_W[0])
+            k1 += np.uint64(_PHILOX_W[1])
+        _mulhilo(_PHILOX_M[0], c0, hi0, lo0, t, u, v)
+        _mulhilo(_PHILOX_M[1], c2, hi1, lo1, t, u, v)
+        np.bitwise_xor(hi1, c1, out=c0)
+        c0 ^= k0
+        np.bitwise_xor(hi0, c3, out=c2)
+        c2 ^= k1
+        c1, lo1 = lo1, c1
+        c3, lo0 = lo0, c3
     return c0
 
 

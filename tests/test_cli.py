@@ -11,7 +11,8 @@ from functools import partial
 import pytest
 
 import opinionflow
-from opinionflow import EvolutionConfig, InfluenceGraph, cli, evolution, harness
+from opinionflow import (EvolutionConfig, InfluenceGraph, PopulationState, cli, evolution,
+                         harness, run_evolution)
 from opinionflow.cli import main
 from opinionflow.harness import sample_simplex, sample_state
 from opinionflow.seeding import COIN_WINDOW, generator
@@ -173,6 +174,20 @@ class TestEvolve:
         assert (tmp_path / "out" / "timeline.jsonl").stat().st_size > 25e6
         peak_mb = int(child.stdout.split()[-1]) / 1024      # VmHWM is in kB
         assert peak_mb < 80
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_quiet_run_files_are_the_returned_text(self, tmp_path, seed):
+        # the CLI hands the writers a binary file and they write it in blocks;
+        # called with no file they return the text: both give the same bytes
+        code, out = run(tmp_path, "evolve", "--graph", "path:4", "--x0", "uniform",
+                        "--p", "0.001", "--epsilon", "0.05", "--delta", "0.3",
+                        "--steps", "100000", "--seed", str(seed))
+        assert code == 0
+        config = EvolutionConfig(p=0.001, epsilon=0.05, delta=0.3, seed=seed, horizon=100_000)
+        timeline = run_evolution(PopulationState.uniform(InfluenceGraph.path(4)), config)
+        assert any(r.repeat > 1 for r in timeline.records)
+        assert (out / "timeline.jsonl").read_bytes() == timeline.to_jsonl().encode()
+        assert (out / "summary.csv").read_bytes() == timeline.summary_csv().encode()
 
     def test_influence_leaving_the_simplex_rejected(self, tmp_path, capsys):
         code, out = run(tmp_path, "evolve", "--graph", "path:2", "--x0", "0.6,0.4",

@@ -193,12 +193,14 @@ class TestTimelineRuns:
             [(3, "migration"), (4, "migration"), (5, "birth"), (6, "birth")]
         assert (got["phi"]["migration_checks"], got["phi"]["birth_checks"]) == (4, 2)
 
+    @staticmethod
+    def quiet(step, phi, low, **kw):
+        return StepRecord(step, phi, phi + 1e-17, phi + 1e-17, phi + 1e-17, False, low,
+                          None, [], 2, **kw)
+
     def cycle_runs(self):
         """Runs of period 2 and 3 around a birth; the last one ends inside its period."""
-        def quiet(step, phi, low, **kw):
-            return StepRecord(step, phi, phi + 1e-17, phi + 1e-17, phi + 1e-17, False, low,
-                              None, [], 2, **kw)
-
+        quiet = self.quiet
         birth = BirthEvent(2, 0.1, {0: 0.1, 1: 0.1}, [0])
         records = [
             quiet(0, 0.5, 0.25),
@@ -206,6 +208,24 @@ class TestTimelineRuns:
             StepRecord(6, 0.5, 0.6, 0.3, 0.3, True, 0.25, birth, [], 3),
             quiet(7, 0.3, 0.1, repeat=8, cycle=(quiet(8, 0.31, 0.11), quiet(9, 0.32, 0.12))),
             quiet(15, 0.3, 0.1, repeat=2, cycle=(quiet(16, 0.33, 0.13),)),
+        ]
+        terminal = PopulationState.from_masses(InfluenceGraph.complete(2), [0.5, 0.5])
+        return Timeline(records, terminal, seed=0)
+
+    def decade_runs(self):
+        """Runs of period 2, 1 and 3 across 10, 100, 1000 and 10^4, with periods
+        that straddle 10, 1000 and 10^4, then a run of 4100 periods (more than
+        the default WRITE_BLOCK)."""
+        quiet = self.quiet
+        birth = BirthEvent(2, 0.1, {0: 0.1, 1: 0.1}, [0])
+        records = [
+            quiet(0, 0.5, 0.25),
+            quiet(1, 0.5, 0.25, repeat=12, cycle=(quiet(2, 0.6, 0.26),)),
+            StepRecord(13, 0.5, 0.6, 0.3, 0.3, True, 0.25, birth, [], 3),
+            quiet(14, 0.3, 0.1, repeat=90),
+            quiet(104, 0.3, 0.1, repeat=9901,
+                  cycle=(quiet(105, 0.31, 0.11), quiet(106, 0.32, 0.12))),
+            quiet(10005, 0.3, 0.1, repeat=4100),
         ]
         terminal = PopulationState.from_masses(InfluenceGraph.complete(2), [0.5, 0.5])
         return Timeline(records, terminal, seed=0)
@@ -220,11 +240,15 @@ class TestTimelineRuns:
              0.3, 0.33]
         assert self.readings(tl, self.CFG) == self.readings(twin, self.CFG)
         assert tl.last_step() == twin.records[-1]
-        for write in (Timeline.to_jsonl, Timeline.summary_csv):
-            text = write(tl)
-            assert text == write(twin)
-            fh = io.StringIO()
-            assert write(tl, fh) is None and fh.getvalue() == text
+        decades = self.decade_runs()
+        assert len(decades) == 14105
+        for runs in (tl, decades):
+            twin = per_step(runs)
+            for write in (Timeline.to_jsonl, Timeline.summary_csv):
+                text = write(runs)
+                assert text == write(twin)
+                fh = io.BytesIO()
+                assert write(runs, fh) is None and fh.getvalue() == text.encode()
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_jumped_runs_read_as_their_per_step_twins(self, seed):
