@@ -222,13 +222,13 @@ def _cmd_simulate(args) -> int:
                     + ",".join(repr(float(m)) for m in x))
     active = sorted(res.limit.active_set())
     summary = {
-        "limit": {str(v): m for v, m in sorted(res.limit.as_dict().items())},
+        "limit": res.limit.masses_json(),
         "iterations": res.iterations,
         "converged": res.converged,
         "independent": graph.is_independent_set(active),
     }
     echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
-            "x0": {str(v): m for v, m in sorted(state.as_dict().items())},
+            "x0": state.masses_json(),
             "tol": cfg["tol"], "max_iters": cfg["max_iters"], "seed": cfg["seed"]}
     _write_outputs(args.out, "simulate", echo, cfg["seed"], {
         "trajectory.csv": ("\n".join(rows) + "\n").encode(),
@@ -260,7 +260,7 @@ def _cmd_evolve(args) -> int:
         "births": timeline.birth_count(),
         "deaths": timeline.death_count(),
         "final_types": len(timeline.terminal.graph),
-        "terminal": {str(v): m for v, m in sorted(timeline.terminal.as_dict().items())},
+        "terminal": timeline.terminal.masses_json(),
         "phi_final": timeline.last_step().phi_after,
         "diffeo_admissible": config.diffeo_admissible,
     }
@@ -284,7 +284,7 @@ def _cmd_analyze(args) -> int:
     except (NotAFixedPointError, ValueError) as exc:
         raise ConfigurationError(f"analyze: {exc}")
     echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
-            "x0": {str(v): m for v, m in sorted(state.as_dict().items())},
+            "x0": state.masses_json(),
             "eliminate": cfg["eliminate"], "seed": cfg["seed"]}
     _write_outputs(args.out, "analyze", echo, cfg["seed"], {
         "analysis.json": _json_bytes(report.to_json_dict(state)),

@@ -41,6 +41,10 @@ def _drift_error(residual: float) -> ArithmeticError:
     return ArithmeticError(f"mass drifted by {residual:g} in one step; check that sup|F| <= 1")
 
 
+def _simplex_error(sup: float) -> ConfigurationError:
+    return ConfigurationError(f"sup|F| = {sup:g} > 1: the update map would leave the simplex")
+
+
 @dataclass
 class PopulationState:
     """Masses on the simplex, tied to a graph snapshot.
@@ -98,6 +102,10 @@ class PopulationState:
     def as_dict(self) -> dict[int, float]:
         return {v: float(m) for v, m in zip(self.ids, self.x)}
 
+    def masses_json(self) -> dict[str, float]:
+        """The masses as the JSON outputs write them: {"<id>": mass}, ids ascending."""
+        return {str(v): m for v, m in sorted(self.as_dict().items())}
+
     def active_set(self, theta_active: float = THETA_ACTIVE) -> set[int]:
         if theta_active <= 0:
             raise ValueError("theta_active must be positive")
@@ -123,7 +131,6 @@ class _EdgeKernel:
     def __init__(self, graph: InfluenceGraph, assignment: InfluenceAssignment):
         self.graph = graph
         self.assignment = assignment
-        self.version = graph.version
         self.ids = tuple(graph.vertex_list())
         self.n = len(self.ids)
         self.iu = self.iv = np.empty(0, dtype=np.intp)
@@ -363,13 +370,9 @@ class _EdgeKernel:
         return (rank < ok.argmax(axis=1)[:, None] + 1) & hit[:, None]
 
 
-def kernel_for(state: PopulationState, assignment: InfluenceAssignment,
-               kernel: _EdgeKernel | None = None) -> _EdgeKernel:
-    if (kernel is None or kernel.graph is not state.graph
-            or kernel.version != state.graph.version
-            or kernel.assignment is not assignment):
-        return _EdgeKernel(state.graph, assignment)
-    return kernel
+def kernel_for(state: PopulationState, assignment: InfluenceAssignment) -> _EdgeKernel:
+    """A kernel for the state's graph: the one build point the benchmark tracer counts."""
+    return _EdgeKernel(state.graph, assignment)
 
 
 def flow(state: PopulationState, u: int, v: int,
@@ -418,12 +421,11 @@ def local_potential_psi(state: PopulationState, p: PopulationState) -> float:
 
 
 def is_fixed_point(state: PopulationState, assignment: InfluenceAssignment,
-                   tol_flow: float = TOL_FLOW, kernel: _EdgeKernel | None = None) -> bool:
+                   tol_flow: float = TOL_FLOW) -> bool:
     """True iff every edge flow (dead-zone off) is below tol_flow in magnitude."""
     if tol_flow <= 0:
         raise ValueError("tol_flow must be positive")
-    kernel = kernel_for(state, assignment, kernel)
-    flows = kernel.flows(state.x, 0.0)
+    flows = kernel_for(state, assignment).flows(state.x, 0.0)
     return bool(flows.size == 0 or np.max(np.abs(flows)) < tol_flow)
 
 
@@ -483,6 +485,9 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     if certify is not None and not batch:
         raise ValueError("certified stops need a batch")
     kernel = kernel_for(x0, assignment)
+    sup = max((f.sup_abs() for f, _ in kernel._groups), default=0.0)
+    if sup > 1.0:       # a NaN sup passes, and its first step's drift check raises
+        raise _simplex_error(sup)
     x = x0.x.reshape(-1, len(x0.ids))
     out, stops, live = x.copy(), np.full(len(x), max_iters), np.arange(len(x))
     support = np.zeros(x.shape, dtype=bool)
@@ -536,16 +541,14 @@ class FixedPointClassification:
 def classify_fixed_point(state: PopulationState, assignment: InfluenceAssignment,
                          theta_active: float = THETA_ACTIVE,
                          tol_mass: float = 1e-6,
-                         tol_flow: float = TOL_FLOW,
-                         kernel: _EdgeKernel | None = None) -> FixedPointClassification:
+                         tol_flow: float = TOL_FLOW) -> FixedPointClassification:
     """Group the active types of a fixed point into equal-mass components.
 
     At any fixed point the active types split into connected components of
     the induced subgraph, each internally at a common mass. A spread above
     tol_mass inside a component means the state is not actually fixed.
-    ``kernel``, if current for the state's graph, spares a kernel build.
     """
-    if not is_fixed_point(state, assignment, tol_flow, kernel):
+    if not is_fixed_point(state, assignment, tol_flow):
         raise NotAFixedPointError("state is not a fixed point at tol_flow")
     active = state.active_set(theta_active)
     components = []

@@ -23,7 +23,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .dynamics import _RENORM_TOL, PopulationState, _EdgeKernel, potential_phi
+from .dynamics import _RENORM_TOL, PopulationState, _EdgeKernel, _simplex_error, potential_phi
 from .errors import ConfigurationError, coerce
 from .graph import choose_attachment, REWIRING_POLICIES
 from .influence import InfluenceAssignment, InfluenceFunction
@@ -120,8 +120,7 @@ class EvolutionConfig:
         self.distribution.validate(self.beta_min, self.beta_max)
         sup = self.assignment.sup_abs()
         if not sup <= 1.0:             # a NaN sup (a custom F) fails too
-            raise ConfigurationError(
-                f"sup|F| = {sup:g} > 1: the update map would leave the simplex")
+            raise _simplex_error(sup)
 
     @property
     def diffeo_admissible(self) -> bool:
@@ -372,7 +371,7 @@ class Timeline:
         terminal = {
             "terminal": {
                 "graph": self.terminal.graph.to_json_dict(),
-                "masses": {str(v): m for v, m in sorted(self.terminal.as_dict().items())},
+                "masses": self.terminal.masses_json(),
                 "step": self.terminal.t,
             },
             "seed": self.seed,

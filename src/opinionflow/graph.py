@@ -21,13 +21,11 @@ class InfluenceGraph:
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self._adj: dict[int, set[int]] = {}
-        self._version = 0
         for v in vertices:
             self._add_vertex(int(v))
         for u, v in edges:
             self.add_edge(u, v)
         self._next_id = max(self._adj, default=-1) + 1
-        self._version = 0
 
     # -- construction helpers -------------------------------------------------
 
@@ -70,15 +68,9 @@ class InfluenceGraph:
         g = InfluenceGraph.__new__(InfluenceGraph)
         g._adj = {v: set(adj) for v, adj in self._adj.items()}
         g._next_id = self._next_id
-        g._version = self._version
         return g
 
     # -- basic queries ---------------------------------------------------------
-
-    @property
-    def version(self) -> int:
-        """Bumped on every mutation; lets callers cache derived structure."""
-        return self._version
 
     def vertex_list(self) -> list[int]:
         return sorted(self._adj)
@@ -154,7 +146,6 @@ class InfluenceGraph:
         self._require(v)
         self._adj[u].add(v)
         self._adj[v].add(u)
-        self._version += 1
 
     def add_type(self, neighbors: Iterable[int]) -> int:
         """Add a fresh vertex attached to ``neighbors`` (must be nonempty).
@@ -173,7 +164,6 @@ class InfluenceGraph:
         for v in neighbors:
             self._adj[new_id].add(v)
             self._adj[v].add(new_id)
-        self._version += 1
         return new_id
 
     def remove_type(self, v: int, rewiring: str = "neighbor-path") -> list[tuple[int, int]]:
@@ -197,7 +187,6 @@ class InfluenceGraph:
         for u in former:
             self._adj[u].discard(v)
         del self._adj[v]
-        self._version += 1
 
         if rewiring == "neighbor-path":
             pairs = zip(former, former[1:])

@@ -176,8 +176,7 @@ def _settled_limit(state: PopulationState, used: int, assignment, theta: float,
     while True:
         state = PopulationState(state.graph, state.ids, x, state.t)
         try:
-            classify_fixed_point(state, assignment, theta, tol_mass=1e-6, tol_flow=tol,
-                                 kernel=kernel)
+            classify_fixed_point(state, assignment, theta, tol_mass=1e-6, tol_flow=tol)
             return state, used, True
         except NotAFixedPointError:
             if used >= max_iters:

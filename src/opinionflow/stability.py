@@ -137,7 +137,7 @@ class StabilityReport:
 
     def to_json_dict(self, state: PopulationState) -> dict:
         return {
-            "fixed_point": {str(v): m for v, m in sorted(state.as_dict().items())},
+            "fixed_point": state.masses_json(),
             "spectrum": [[float(z.real), float(z.imag)]
                          for z in self.spectrum_projected.values],
             "spectral_radius_projected": self.spectral_radius_projected,

@@ -125,7 +125,7 @@ class TestEvolve:
         want = reference_evolution(sample_state(InfluenceGraph.path(4), generator(18)), config)
         summary = read_json(out / "summary.json")
         assert summary["phi_final"] == want.records[-1].phi_after
-        assert summary["terminal"] == {str(v): m for v, m in want.terminal.as_dict().items()}
+        assert summary["terminal"] == want.terminal.masses_json()
         assert (summary["steps"], summary["final_types"]) == (steps, 4)
         assert read_json(out / "manifest.json")["diagnostics"] == \
             {"stepped_steps": 2, "jumped_steps": steps - 2, "runs_per_period": {"2": 1},
@@ -526,6 +526,10 @@ class TestConfigValues:
         (["simulate", "--graph", "triangle", "--x0", "random", "--seed", "-1"],
          "seed must be at least 0, got -1"),
         (["verify", "convergence", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (["simulate", "--graph", "star:2", "--x0", "0.01,0.495,0.495", "--f", "linear:2.5"],
+         "sup|F| = 2.5 > 1: the update map would leave the simplex"),
+        *((["basin", "--f", "linear:3", "--resolution", "10", "--jobs", jobs],
+           "sup|F| = 3 > 1: the update map would leave the simplex") for jobs in ("1", "2")),
     ])
     def test_malformed_flag_value_exits_64(self, tmp_path, capsys, argv, message):
         code, out = run(tmp_path, *argv)

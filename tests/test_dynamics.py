@@ -8,10 +8,9 @@ from opinionflow import (EvolutionConfig, InfluenceAssignment, InfluenceFunction
                          PopulationState, active_set, birth_phase, classify_fixed_point, cubic,
                          death_phase, flow, is_fixed_point, linear, local_potential_psi,
                          migrate_step, potential_phi, run_to_convergence, soft)
-from opinionflow.dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel,
-                                  kernel_for)
+from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel
 from opinionflow.graph import REWIRING_POLICIES
-from opinionflow.errors import NotAFixedPointError
+from opinionflow.errors import ConfigurationError, NotAFixedPointError
 from opinionflow.evolution import _Run
 from opinionflow.harness import _settled_limit, sample_simplex
 from opinionflow.seeding import RunStreams, generator, trial_seed
@@ -198,6 +197,14 @@ class TestFixedPoints:
         with pytest.raises(NotAFixedPointError):
             classify_fixed_point(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.5)))
 
+    def test_classify_sees_an_edge_added_to_the_same_graph(self):
+        g, asg = InfluenceGraph.path(3), InfluenceAssignment(linear(0.5))
+        s = PopulationState.from_masses(g, [0.5, 0.0, 0.5])
+        assert classify_fixed_point(s, asg).independent
+        g.add_edge(0, 2)
+        assert is_fixed_point(s, asg)
+        assert not classify_fixed_point(s, asg).independent
+
 
 class TestConvergence:
     def test_edge_absorbs_to_larger(self):
@@ -229,6 +236,23 @@ class TestConvergence:
         phi = [float(x @ x) for x in res.trajectory]
         assert len(phi) == res.iterations + 2
         assert np.all(np.diff(phi) >= -1e-14)
+
+    def test_sup_above_one_is_rejected_before_a_step(self):
+        # one edge's F above 1 is enough: linear(2.5) everywhere takes mass 0 to -0.002
+        x = np.array([0.01, 0.495, 0.495])
+        asg = InfluenceAssignment(linear(0.5), {(0, 2): linear(2.5)})
+        message = r"sup\|F\| = 2.5 > 1: the update map would leave the simplex"
+        for x0, certify in ((x, None), (np.stack([x, x]), None), (np.stack([x, x]), THETA_ACTIVE)):
+            with pytest.raises(ConfigurationError, match=message):
+                run_to_convergence(PopulationState(InfluenceGraph.star(2), (0, 1, 2), x0), asg,
+                                   certify=certify)
+
+    def test_sup_is_read_from_the_graph_edges(self):
+        # an override off the graph's edges, and a graph with no edges, step as before
+        asg = InfluenceAssignment(linear(0.5), {(0, 2): linear(2.5)})
+        assert run_to_convergence(edge_state(0.6, 0.4), asg).converged
+        lone = PopulationState.uniform(InfluenceGraph([0]))
+        assert run_to_convergence(lone, InfluenceAssignment(linear(3.0))).iterations == 0
 
     def test_max_iters_flags_unconverged(self):
         res = run_to_convergence(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.5)),
@@ -447,6 +471,11 @@ class TestCertificate:
             kernel = _EdgeKernel(g, asg)
             assert not kernel.certifiable and kernel.certificate(starts, THETA_ACTIVE) is None
             batch = PopulationState(g, (0, 1, 2), starts)
+            if asg.sup_abs() > 1.0:         # off the simplex: neither run takes a step
+                for certify in (THETA_ACTIVE, None):
+                    with pytest.raises(ConfigurationError, match="leave the simplex"):
+                        run_to_convergence(batch, asg, max_iters=5000, certify=certify)
+                continue
             got = run_to_convergence(batch, asg, max_iters=5000, certify=THETA_ACTIVE)
             want = run_to_convergence(batch, asg, max_iters=5000)
             assert got.limit.x.tobytes() == want.limit.x.tobytes()
@@ -738,22 +767,6 @@ class TestKernelFollowsEdits:
                 np.testing.assert_array_equal(run.step(x)[0], fresh.step(x)[0])
                 most_groups = max(most_groups, len(run._groups))
         assert most_groups >= 3             # the per-edge overrides were in play
-
-    def test_stale_kernel_is_rebuilt(self):
-        g = InfluenceGraph.path(4)
-        kernel = _EdgeKernel(g, self.ASSIGNMENT)
-        assert kernel_for(PopulationState.uniform(g), self.ASSIGNMENT, kernel) is kernel
-        twin, other = g.copy(), InfluenceAssignment(linear(0.4))    # same version, same edges
-        edited = g.copy()
-        edited.add_edge(0, 3)
-        for graph, assignment in ((twin, self.ASSIGNMENT), (g, other), (edited, self.ASSIGNMENT)):
-            rebuilt = kernel_for(PopulationState.uniform(graph), assignment, kernel)
-            assert rebuilt is not kernel and rebuilt.graph is graph
-            assert_same_kernel(rebuilt, _EdgeKernel(graph, assignment))
-        g.add_edge(0, 3)                    # an edit the kernel did not see
-        rebuilt = kernel_for(PopulationState.uniform(g), self.ASSIGNMENT, kernel)
-        assert rebuilt is not kernel and rebuilt.m == 4
-        assert_same_kernel(rebuilt, _EdgeKernel(g, self.ASSIGNMENT))
 
     def test_edge_order_keeps_canonical_sums(self):
         # bincount over (larger, smaller) order equals it over canonical order
