@@ -137,23 +137,23 @@ class _EdgeKernel:
         # each edge's function code, kept only if some edge has a function of its own
         self._code = np.empty(0, dtype=np.intp) if assignment._per_edge else None
         self._fns: list = []            # influence function of each edge code
-        pairs = graph.edges()
-        ends = [bisect_left(self.ids, w) for e in pairs for w in e]
-        self._insert(pairs, ends[0::2], ends[1::2])
+        ends = [bisect_left(self.ids, w) for e in graph.edges() for w in e]
+        self._insert(ends[0::2], ends[1::2])
 
-    def _insert(self, pairs, iu: list[int], iv: list[int], last: bool = False) -> None:
-        """Add the edges ``pairs`` (u, v) of ids, u < v, at indices ``iu`` < ``iv``,
-        at their (v, u) place, then regroup. With ``last`` they sort, as given,
-        after every edge held, and are appended without a sort. Without codes
-        every edge has the default function: one group, indexed by ``slice(None)``."""
-        if len(pairs):
+    def _insert(self, iu: list[int], iv: list[int], last: bool = False) -> None:
+        """Add the edges at indices ``iu`` < ``iv`` of ``ids`` at their (v, u)
+        place, then regroup. With ``last`` they sort, as given, after every edge
+        held, and are appended without a sort. Without codes every edge has the
+        default function: one group, indexed by ``slice(None)``."""
+        if len(iu):
             self.iu = np.concatenate((self.iu, iu))
             self.iv = np.concatenate((self.iv, iv))
             if self._code is not None:
-                code = [self._code_of(self.assignment.function_for(u, v)) for u, v in pairs]
+                ids, function_for = self.ids, self.assignment.function_for
+                code = [self._code_of(function_for(ids[a], ids[b])) for a, b in zip(iu, iv)]
                 self._code = np.concatenate((self._code, np.array(code, dtype=np.intp)))
             if not last:
-                order = np.argsort(self.iv * self.n + self.iu, kind="stable")
+                order = (self.iv * self.n + self.iu).argsort(kind="stable")
                 self.iu, self.iv = self.iu[order], self.iv[order]
                 if self._code is not None:
                     self._code = self._code[order]
@@ -165,31 +165,33 @@ class _EdgeKernel:
             self._groups = [(f, idx) for f, idx in groups if len(idx)]
         self._cert = None               # built by the first ``certificate`` call
 
-    def _append(self, new_id: int, neighbors: list[int]) -> None:
-        """Add vertex ``new_id``, whose id sorts last, joined to ``neighbors``, ascending."""
-        near = [bisect_left(self.ids, u) for u in neighbors]
-        self._insert([(u, new_id) for u in neighbors], near, [self.n] * len(near), last=True)
+    def _append(self, new_id: int, near: list[int]) -> None:
+        """Add vertex ``new_id``, whose id sorts last, joined to the vertices at
+        the indices ``near``, ascending."""
         self.ids += (new_id,)
         self.n += 1
+        self._insert(near, [self.n - 1] * len(near), last=True)
 
     def _remove(self, i: int, repairs: list[tuple[int, int]]) -> np.ndarray:
         """Drop the vertex at index ``i`` and its edges, shift the indices above it
         down, and insert ``repairs``, the edges ``graph.remove_type`` added among
         its former neighbors. Returns those neighbors' new indices, ascending."""
-        lo, hi = self.iv.searchsorted((i, i + 1))     # the edges (u, i), u < i
-        dropped = self.iu == i                          # and the edges (i, w), w > i
-        near = np.concatenate((self.iu[lo:hi], self.iv[dropped] - 1))
+        iu, iv = self.iu, self.iv
+        lo, hi = iv.searchsorted((i, i + 1))            # the edges (u, i), u < i
+        dropped = iu == i                               # and the edges (i, w), w > i
+        near = np.concatenate((iu[lo:hi], iv[dropped] - 1))
         dropped[lo:hi] = True
-        keep = ~dropped
-        self.iu, self.iv = self.iu[keep], self.iv[keep]
+        keep = (~dropped).nonzero()[0]                  # a take costs less than a mask
+        iu, iv = iu[keep], iv[keep]
         if self._code is not None:
             self._code = self._code[keep]
-        self.iu -= self.iu > i
-        self.iv[lo:] -= 1                               # every kept edge from lo on
+        iu -= iu > i
+        iv[lo:] -= 1                                    # every kept edge from lo on
+        self.iu, self.iv = iu, iv
         self.ids = self.ids[:i] + self.ids[i + 1:]
         self.n -= 1
         at = {self.ids[j]: j for j in near.tolist()}
-        self._insert(repairs, [at[a] for a, _ in repairs], [at[b] for _, b in repairs])
+        self._insert([at[a] for a, _ in repairs], [at[b] for _, b in repairs])
         return near
 
     def _code_of(self, f) -> int:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import io
 import json
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from typing import BinaryIO, Iterator
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .dynamics import _RENORM_TOL, PopulationState, _EdgeKernel, _simplex_error, potential_phi
 from .errors import ConfigurationError, coerce
-from .graph import choose_attachment, REWIRING_POLICIES
+from .graph import REWIRING_POLICIES, attachment_indices
 from .influence import InfluenceAssignment, InfluenceFunction
 from .seeding import COIN_WINDOW, PHASE_ATTACH, PHASE_BIRTH, RunStreams, run_coins
 
@@ -163,11 +165,38 @@ class EvolutionConfig:
         return cls(**kwargs)
 
 
-@dataclass
+class ZMap(Mapping):
+    """The absorbed fraction of each pre-existing type of one birth, read-only:
+    a view of the run's sorted ids at the birth and the Z array drawn for them,
+    in that order, in place of a dict per birth. It equals the dict of the
+    same items, from either side."""
+
+    __slots__ = ("ids", "z")
+
+    def __init__(self, ids: tuple[int, ...], z: np.ndarray):
+        self.ids, self.z = ids, z
+
+    def __getitem__(self, key: int) -> float:
+        i = bisect_left(self.ids, key)
+        if i == len(self.ids) or self.ids[i] != key:
+            raise KeyError(key)
+        return float(self.z[i])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"ZMap({dict(self)!r})"
+
+
+@dataclass(slots=True)
 class BirthEvent:
     new_id: int
     mass: float
-    z: dict[int, float]           # absorbed fraction per pre-existing type
+    z: Mapping[int, float]        # absorbed fraction per pre-existing type
     neighbors: list[int]
 
     def to_json_dict(self) -> dict:
@@ -176,7 +205,7 @@ class BirthEvent:
                 "neighbors": sorted(self.neighbors)}
 
 
-@dataclass
+@dataclass(slots=True)
 class DeathEvent:
     type_id: int
     mass: float                   # mass at the instant of death
@@ -187,7 +216,7 @@ class DeathEvent:
                 "recipients": sorted(self.recipients)}
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """The log of step ``step``; with ``repeat`` > 1, of a run of steps
     ``step`` .. ``step + repeat - 1`` that cycles through the logs of one
@@ -432,28 +461,30 @@ def _next_birth(config: EvolutionConfig, streams: RunStreams, start: int) -> int
 class _Run(_EdgeKernel):
     """One evolution run's state, edited in place by its phases: the edge kernel
     of its graph (the one adjacency), the masses ``x`` in ``ids`` order and
-    the step ``t``. Migration is the kernel's ``step`` itself."""
+    the step ``t``. Migration is the kernel's ``step`` itself.
+
+    Each phase takes a run or a ``PopulationState``. A run is edited in place
+    and returned; a state gets a run on its graph, whose edits show in that
+    graph, and a new state of the result."""
 
     @classmethod
     def of(cls, state: PopulationState, config: EvolutionConfig) -> "_Run":
-        """``state`` if it is a run, else a run on its graph (not a copy) and masses."""
-        if isinstance(state, cls):
-            return state
+        """A run on ``state``'s graph (not a copy) and masses."""
         run = cls(state.graph, config.assignment)
         run.x, run.t = state.x, state.t
         return run
 
-    def settle(self, x: np.ndarray, state):
-        """Take a phase's masses ``x``, renormalized, and return ``result(state)``."""
+    def renormalize(self, x: np.ndarray) -> None:
+        """Take a phase's new masses ``x``, renormalized in place."""
         total = x.sum()
         if not abs(total - 1.0) <= _RENORM_TOL:
             raise ArithmeticError(f"mass drifted by {abs(total - 1.0):g} within a phase")
-        self.x = x / total
-        return self.result(state)
+        x /= total
+        self.x = x
 
-    def result(self, state):
-        """What a phase on ``state`` returns: the run itself, or a new state."""
-        return self if state is self else PopulationState(self.graph, self.ids, self.x, self.t)
+    def state(self) -> PopulationState:
+        """The run as a new state on its graph and masses (not copies)."""
+        return PopulationState(self.graph, self.ids, self.x, self.t)
 
 
 def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
@@ -464,23 +495,26 @@ def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStr
     Z draws (in sorted-id order). The coin comes from ``streams.coin``, which
     draws it with its window; the stream itself, and the attach stream that
     drives neighbor selection, are made only on an actual birth, so no other
-    draw shifts when a birth appears or vanishes. ``state`` is a
-    ``PopulationState``, whose graph gains the newborn and whose next state
-    is new, or the run of ``run_evolution``, which is edited in place.
+    draw shifts when a birth appears or vanishes. ``state`` is edited as
+    ``_Run`` says.
     """
     if not has_birth(config, streams, step):
         return state, None
-    run = _Run.of(state, config)
+    run = state if isinstance(state, _Run) else _Run.of(state, config)
     rng = streams.stream(step, PHASE_BIRTH)
     rng.random()                        # the coin: the Z draws follow it
+    x, ids = run.x, run.ids
     z = config.distribution.sample(rng, run.n, config.beta_min, config.beta_max)
-    newborn_mass = float(np.dot(z, run.x))
-    neighbors = sorted(choose_attachment(run.ids, config.attachment,
-                                         streams.stream(step, PHASE_ATTACH)))
-    new_id = run.graph.add_type(neighbors)
-    event = BirthEvent(new_id, newborn_mass, dict(zip(run.ids, z.tolist())), neighbors)
-    run._append(new_id, neighbors)
-    return run.settle(np.concatenate((run.x * (1.0 - z), [newborn_mass])), state), event
+    mass = float(np.dot(z, x))
+    near = attachment_indices(run.n, config.attachment, streams.stream(step, PHASE_ATTACH))
+    neighbors = [ids[j] for j in near]
+    event = BirthEvent(run.graph.add_type(neighbors), mass, ZMap(ids, z), neighbors)
+    run._append(event.new_id, near)
+    out = np.empty(run.n)
+    np.multiply(x, 1.0 - z, out=out[:-1])
+    out[-1] = mass
+    run.renormalize(out)
+    return (run if run is state else run.state()), event
 
 
 def death_phase(state: PopulationState, config: EvolutionConfig
@@ -491,40 +525,43 @@ def death_phase(state: PopulationState, config: EvolutionConfig
     instant of death (degree taken after earlier removals in the same
     phase). Redistribution only raises survivors, so the cascade
     terminates; a sole survivor always ends it. Among equal masses the
-    lowest id dies first. ``state`` is edited as ``birth_phase`` says. A
-    dying type without neighbors (only on a disconnected graph) raises
+    lowest id dies first. ``state`` is edited as ``_Run`` says. A dying
+    type without neighbors (only on a disconnected graph) raises
     ``ValueError`` before anything is removed.
     """
-    run = _Run.of(state, config)
+    run = state if isinstance(state, _Run) else _Run.of(state, config)
     x, events = run.x, []
     while len(x) >= 2:
         i = int(x.argmin())             # first index: the lowest id among equal masses
-        if x[i] > config.epsilon:
+        m = float(x[i])
+        if m > config.epsilon:
             break
-        v, m = run.ids[i], float(x[i])
-        recipients = sorted(run.graph.neighbors(v))
-        if not recipients:
+        v = run.ids[i]
+        if not run.graph.neighbors(v):
             raise ValueError(f"type {v} dies with no neighbors to take its mass")
         near = run._remove(i, run.graph.remove_type(v, config.rewiring))
         x = np.concatenate((x[:i], x[i + 1:]))
         x[near] += m / len(near)
-        events.append(DeathEvent(v, m, recipients))
-    return (run.settle(x, state) if events else state), events
+        events.append(DeathEvent(v, m, [run.ids[j] for j in near.tolist()]))
+    if not events:
+        return state, events
+    run.renormalize(x)
+    return (run if run is state else run.state()), events
 
 
 def evolution_step(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
                    phi_before: float | None = None) -> tuple[PopulationState, StepRecord]:
     """Step ``state.t``: migration, then birth, then death, in that order.
 
-    ``state`` is edited as ``birth_phase`` says. ``phi_before``, if given, is
+    ``state`` is edited as ``_Run`` says. ``phi_before``, if given, is
     ``potential_phi(state)``: the last step's ``phi_after``, as ``run_evolution`` hands it on.
     """
-    run = _Run.of(state, config)
-    step = run.t
+    run = state if isinstance(state, _Run) else _Run.of(state, config)
+    step, x = run.t, run.x
     if phi_before is None:
         phi_before = potential_phi(run)
-    min_mass_before = float(run.x[run.x.argmin()])     # x.min(), at a fraction of its cost
-    run.x, flows, _residual = run.step(run.x, config.delta)    # as migrate_step does
+    min_mass_before = float(x[x.argmin()])     # x.min(), at a fraction of its cost
+    run.x, flows, _residual = run.step(x, config.delta)    # as migrate_step does
     run.t += 1
     phi_mig = phi_birth = phi_after = potential_phi(run)
     _, birth = birth_phase(run, config, streams, step)
@@ -539,7 +576,7 @@ def evolution_step(state: PopulationState, config: EvolutionConfig, streams: Run
         migration_active=bool(np.count_nonzero(flows)), min_mass_before=min_mass_before,
         birth=birth, deaths=deaths, type_count=run.n,
     )
-    return run.result(state), record
+    return (run if run is state else run.state()), record
 
 
 def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
@@ -603,4 +640,4 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     diagnostics = {"stepped_steps": stepped, "jumped_steps": config.horizon - stepped,
                    "runs_per_period": {str(k): n for k, n in sorted(periods.items())},
                    "coin_draws": streams.coin_draws, "max_cascade": cascade}
-    return Timeline(records, run.result(x0), config.seed, diagnostics)
+    return Timeline(records, run.state(), config.seed, diagnostics)

@@ -215,21 +215,26 @@ class InfluenceGraph:
         return f"InfluenceGraph(vertices={self.vertex_list()}, edges={self.edges()})"
 
 
-def choose_attachment(ids: Sequence[int], policy: str,
-                      rng: np.random.Generator) -> set[int]:
-    """Pick the neighbor set for a newborn type among the sorted vertex ids ``ids``.
+def attachment_indices(n: int, policy: str, rng: np.random.Generator) -> list[int]:
+    """Pick the neighbor set for a newborn type among ``n`` existing types, as
+    ascending indices into their sorted ids: the attachment rule itself.
 
-    "random-subset" (default policy): k uniform in 1..min(3, |V|), then k
-    distinct uniform vertices; keeps degrees bounded in long runs while
+    "random-subset" (default policy): k uniform in 1..min(3, n), then k
+    distinct uniform indices; keeps degrees bounded in long runs while
     staying reproducible from the run streams. "connect-to-all" attaches to
-    every existing type.
+    every existing type and draws nothing.
     """
-    if not ids:
+    if n < 1:
         raise ValueError("cannot attach to an empty graph")
     if policy == "connect-to-all":
-        return set(ids)
+        return list(range(n))
     if policy != "random-subset":
         raise ValueError(f"unknown attachment policy {policy!r}")
-    k = int(rng.integers(1, min(3, len(ids)) + 1))
-    picks = rng.choice(len(ids), size=k, replace=False)
-    return {ids[i] for i in picks}
+    k = int(rng.integers(1, min(3, n) + 1))
+    return sorted(rng.choice(n, size=k, replace=False).tolist())
+
+
+def choose_attachment(ids: Sequence[int], policy: str,
+                      rng: np.random.Generator) -> set[int]:
+    """``attachment_indices`` as a set of the sorted vertex ids ``ids``."""
+    return {ids[i] for i in attachment_indices(len(ids), policy, rng)}

@@ -30,7 +30,7 @@ from .dynamics import (MAX_ITERS, STOP_REASONS, THETA_ACTIVE, TOL_STEP, Populati
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
 from .evolution import EvolutionConfig, Timeline, birth_counts, run_evolution
 from .graph import InfluenceGraph
-from .influence import InfluenceAssignment
+from .influence import InfluenceAssignment, validate
 from .seeding import generator, trial_seed
 
 CONVERGENCE_SUCCESS_BAR = 0.995   # empirical stand-in for "probability one"
@@ -217,7 +217,10 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     """Estimate how often uniform starts reach an independent active set.
 
     Requires sup|F| < 1/2 on the graph's edges (the regime in which the
-    almost-sure claim holds). A trial stops when the invariant of
+    almost-sure claim holds), and F strictly increasing on every edge
+    (``validate``'s grid check): across an edge with a flat F, such as
+    linear with a = 0, no mass moves, and its two ends may keep unequal
+    masses forever. A trial stops when the invariant of
     ``_EdgeKernel.certificate`` proves its limit support, or else at its
     L1 stop and a settle past it (``_settled_limit``), or at the budget.
     Unconverged trials count as failures. The extras carry a basin census
@@ -228,6 +231,13 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     sup = assignment.sup_abs(graph)
     if not sup < 0.5:
         raise HypothesisError("sup|F| < 1/2", f"sup|F| = {sup:g} >= 1/2")
+    flat = {id(f) for f in assignment.functions(graph) if not validate(f).strictly_increasing}
+    for u, v in graph.edges():
+        f = assignment.function_for(u, v)
+        if id(f) in flat:
+            name = "custom" if f.family == "custom" else f"{f.family}:{f.a:g}"
+            raise HypothesisError("F strictly increasing on every edge",
+                                  f"F = {name} on edge {u}-{v} is not strictly increasing")
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
     seeds = [trial_seed(root_seed, i) for i in range(trials)]

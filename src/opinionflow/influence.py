@@ -158,6 +158,7 @@ class AdmissibilityReport:
     zero_at_origin: bool
     odd: bool
     monotone: bool
+    strictly_increasing: bool           # every grid step raises F: mass crosses every gap
     deriv_nonnegative: bool
     sup_abs: float
     diffeomorphism_admissible: bool     # sup|F| < 1/2 and all structure checks
@@ -189,19 +190,24 @@ def validate(f: InfluenceFunction, grid_size: int = 101) -> AdmissibilityReport:
     odd = bool(np.all(np.abs(vals + vals[::-1]) <= 1e-12))
     if not odd:
         failures.append("F is not odd")
-    monotone = bool(np.all(np.diff(vals) >= -1e-12))
+    steps = np.diff(vals)
+    monotone = bool(np.all(steps >= -1e-12))
     if not monotone:
         failures.append("F is not non-decreasing")
+    strictly_increasing = bool(np.all(steps > 0.0))
+    if monotone and not strictly_increasing:
+        failures.append("F is not strictly increasing")
     deriv_nonnegative = bool(np.all(derivs >= -1e-12))
     if not deriv_nonnegative:
         failures.append("F' < 0 somewhere")
     sup = float(np.max(np.abs(vals)))
 
-    structural = zero_at_origin and odd and monotone and deriv_nonnegative
+    structural = zero_at_origin and odd and strictly_increasing and deriv_nonnegative
     return AdmissibilityReport(
         zero_at_origin=zero_at_origin,
         odd=odd,
         monotone=monotone,
+        strictly_increasing=strictly_increasing,
         deriv_nonnegative=deriv_nonnegative,
         sup_abs=sup,
         diffeomorphism_admissible=structural and sup < 0.5,

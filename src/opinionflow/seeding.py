@@ -102,7 +102,7 @@ def _philox_key_type() -> type:
             self._key = self._seq.generate_state(2, np.uint64)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words == 2 and np.dtype(dtype) == np.uint64:
+            if n_words == 2 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
                 return self._key.copy()
             return self._seq.generate_state(n_words, dtype)
 
@@ -124,9 +124,7 @@ class RunStreams:
 
     def stream(self, step: int, phase: int) -> np.random.Generator:
         """Fresh generator for (step, phase); identical on every call."""
-        counter = np.zeros(4, dtype=np.uint64)
-        counter[2] = np.uint64(step)
-        counter[3] = np.uint64(phase)
+        counter = np.array((0, 0, step, phase), dtype=np.uint64)
         return np.random.Generator(np.random.Philox(seed=self._key, counter=counter))
 
     def coin(self, step: int, phase: int) -> float:

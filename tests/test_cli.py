@@ -317,6 +317,22 @@ class TestVerify:
                       "--f", "linear:0.5", "--trials", "5")
         assert code == 4
 
+    def test_convergence_rejects_a_zero_f_edge(self, tmp_path, capsys):
+        # no mass crosses the 1-2 edge, so its ends may keep unequal masses forever
+        f = json.dumps({"default": {"family": "linear", "a": 0.4},
+                        "per_edge": [{"u": 1, "v": 2, "family": "linear", "a": 0}]})
+        code, out = run(tmp_path, "verify", "convergence", "--graph", "path:3", "--f", f,
+                        "--trials", "3", "--seed", "1", "--jobs", "1")
+        assert code == 4 and not out.exists()
+        assert "F = linear:0 on edge 1-2 is not strictly increasing" in capsys.readouterr().err
+        # simulate and basin check no theorem and keep running such an F
+        code, out = run(tmp_path / "s", "simulate", "--graph", "path:3", "--f", f,
+                        "--x0", "0.5,0.3,0.2")
+        assert code == 0 and read_json(out / "summary.json")["converged"]
+        code, out = run(tmp_path / "b", "basin", "--graph", "path:3", "--f", f,
+                        "--resolution", "4", "--max-iters", "1000", "--jobs", "1")
+        assert code == 0 and (out / "basin.csv").exists()
+
     def test_stability_small(self, tmp_path):
         cfg = {"graph": "path:4", "x0": "uniform", "p": 0.001, "epsilon": 0.05,
                "delta": 0.3, "beta_min": 0.05, "beta_max": 0.1, "horizon": 3000,

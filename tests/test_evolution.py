@@ -1,6 +1,8 @@
 """Birth/death phases, the composite step, and full stochastic runs."""
 
 import json
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
 from opinionflow import evolution
 from opinionflow.dynamics import _EdgeKernel
 from opinionflow.errors import ConfigurationError
-from opinionflow.evolution import birth_steps, has_birth
+from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord, ZMap, birth_steps, has_birth
 from opinionflow.graph import choose_attachment
 from opinionflow.seeding import (COIN_WINDOW, PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator,
                                  run_coins)
@@ -473,6 +475,18 @@ class TestIncrementalStep:
         assert [(d.type_id, d.recipients) for d in tl.records[0].deaths] == [(1, [0, 2])]
         assert tl.birth_count() > 50 and tl.death_count() > 50
 
+    @pytest.mark.parametrize("rewiring", ["neighbor-path", "neighbor-clique"])
+    def test_churn_scale_matches_the_oracle(self, rewiring):
+        # criterion 12's regime: a birth or a death on almost every step, 40-70 types
+        cfg = make_config(**BIRTH_RULE_RUNS["churn"][0], rewiring=rewiring, seed=2)
+        x0 = PopulationState.uniform(InfluenceGraph.path(50))
+        ours, want = run_evolution(x0, cfg), reference_evolution(x0, cfg)
+        assert ours.records == want.records
+        assert_same_text(ours.to_jsonl(), want.to_jsonl())
+        assert ours.terminal.x.tobytes() == want.terminal.x.tobytes()
+        assert ours.birth_count() > 100 and ours.death_count() > 100
+        assert ours.diagnostics["max_cascade"] >= 2
+
     def test_quiet_path4(self):
         cfg = make_config(p=0.01, epsilon=0.05, delta=0.3, seed=7, horizon=2000)
         tl = self._check(PopulationState.uniform(InfluenceGraph.path(4)), cfg)
@@ -507,6 +521,67 @@ class TestIncrementalStep:
         assert_same_text(ours.to_jsonl(), want.to_jsonl())
         assert_same_text(ours.summary_csv(), want.summary_csv())
         assert ours.terminal.x.tobytes() == want.terminal.x.tobytes()
+
+
+class TestCompactRecords:
+    """Records hold slots, and a birth's Z is a read-only view of its arrays
+    that stands for the dict of the same items."""
+
+    def birth(self):
+        s = PopulationState(InfluenceGraph.path(4), (0, 1, 2, 3), np.array([0.4, 0.3, 0.2, 0.1]))
+        cfg = make_config(p=1.0)
+        streams = RunStreams(8)
+        _, event = birth_phase(s, cfg, streams, 3)
+        rng = streams.stream(3, PHASE_BIRTH)
+        rng.random()
+        z = cfg.distribution.sample(rng, 4, cfg.beta_min, cfg.beta_max)
+        return event, dict(zip((0, 1, 2, 3), z.tolist()))
+
+    def test_z_equals_its_dict_from_either_side(self):
+        event, want = self.birth()
+        assert isinstance(event.z, ZMap)
+        assert event.z == want and want == event.z
+        assert event.z != {**want, 0: 0.0} and {**want, 0: 0.0} != event.z
+        assert event.z != {**want, 9: 0.1} and dict(event.z) == want
+        assert list(event.z) == [0, 1, 2, 3] and len(event.z) == 4
+        assert event.z[2] == want[2] and type(event.z[2]) is float
+        assert list(event.z.items()) == list(want.items()) and (1, want[1]) in event.z.items()
+        with pytest.raises(KeyError):
+            event.z[4]
+
+    def test_z_rejects_item_assignment(self):
+        event, _ = self.birth()
+        with pytest.raises(TypeError):
+            event.z[0] = 0.5
+        with pytest.raises(TypeError):
+            del event.z[0]
+
+    def test_z_serializes_as_its_dict(self):
+        event, want = self.birth()
+        as_dict = BirthEvent(event.new_id, event.mass, want, event.neighbors)
+        assert json.dumps(event.to_json_dict()) == json.dumps(as_dict.to_json_dict())
+        assert event == as_dict and as_dict == event
+
+    def test_records_hold_slots(self):
+        event, _ = self.birth()
+        for record in (event, event.z, DeathEvent(1, 0.01, [0, 2]),
+                       StepRecord(0, 0.3, 0.3, 0.3, 0.3, False, 0.1, None, [], 2)):
+            assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            event.extra = 1
+
+    def test_timeline_survives_pickle_and_replace(self):
+        cfg = make_config(p=0.5, epsilon=0.05, delta=0.01, beta_min=0.1, beta_max=0.3,
+                          seed=1, horizon=300)
+        tl = run_evolution(PopulationState.uniform(InfluenceGraph.path(8)), cfg)
+        back = pickle.loads(pickle.dumps(tl))
+        assert back.records == tl.records and back.to_jsonl() == tl.to_jsonl()
+        births = [r for r in back.records if r.birth is not None]
+        assert births and all(isinstance(r.birth.z, ZMap) for r in births)
+        r = births[0]
+        moved = replace(r, step=r.step + 1, birth=replace(r.birth, new_id=99))
+        assert (moved.step, moved.birth.new_id) == (r.step + 1, 99) != (r.step, r.birth.new_id)
+        assert moved.birth.z is r.birth.z and moved.deaths is r.deaths
 
 
 QUIET = dict(p=0.001, epsilon=0.05, delta=0.3)     # the evolve-quiet config

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opinionflow import InfluenceGraph, choose_attachment
+from opinionflow.graph import attachment_indices
 
 
 def brute_force_independent(edges, s):
@@ -200,3 +201,19 @@ class TestAttachment:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             choose_attachment([0, 1], "bogus", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("policy", ["random-subset", "connect-to-all"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_ids_are_the_index_forms_ids(self, policy, n):
+        ids = list(range(3, 3 * n + 3, 3))
+        for seed in range(20):
+            near = attachment_indices(n, policy, np.random.default_rng(seed))
+            assert near == sorted(set(near)) and 1 <= len(near) <= n
+            assert choose_attachment(ids, policy, np.random.default_rng(seed)) == \
+                {ids[i] for i in near}
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            attachment_indices(0, "connect-to-all", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty graph"):
+            choose_attachment([], "random-subset", np.random.default_rng(0))

@@ -285,6 +285,23 @@ class TestMonteCarloConvergence:
         with pytest.raises(HypothesisError, match="sup.F. = nan"):
             monte_carlo_convergence(InfluenceGraph.triangle(), InfluenceAssignment(nan_f), 10)
 
+    @pytest.mark.parametrize("assignment, edge", [
+        (InfluenceAssignment(linear(0.4), {(1, 2): linear(0.0)}), "linear:0 on edge 1-2"),
+        (InfluenceAssignment(linear(0.0)), "linear:0 on edge 0-1"),
+        # flat on |x| <= 0.2: equal masses that close never move
+        (InfluenceAssignment(linear(0.4), {(0, 1): InfluenceFunction(
+            "custom", fn=lambda x: 0.4 * np.sign(x) * np.maximum(np.abs(x) - 0.2, 0.0))}),
+         "custom on edge 0-1")])
+    def test_flat_f_edge_rejected(self, assignment, edge):
+        with pytest.raises(HypothesisError, match=f"F = {edge} is not strictly increasing"):
+            monte_carlo_convergence(InfluenceGraph.path(3), assignment, 10)
+
+    def test_flat_f_off_the_graph_is_no_edge(self):
+        # the zero-F override names a pair that is no edge of the path
+        asg = InfluenceAssignment(linear(0.4), {(0, 2): linear(0.0)})
+        stats = monte_carlo_convergence(InfluenceGraph.path(3), asg, trials=10, root_seed=2)
+        assert stats.trials == 10
+
     def test_limits_have_equal_mass_components(self):
         stats = monte_carlo_convergence(path_acb(), InfluenceAssignment(linear(0.4)),
                                         trials=60, root_seed=9)

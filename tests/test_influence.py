@@ -70,6 +70,19 @@ class TestValidate:
         assert not rep.simplex_admissible
         assert rep.failures
 
+    def test_zero_coefficient_is_not_strictly_increasing(self):
+        rep = validate(linear(0.0))
+        assert rep.monotone and not rep.strictly_increasing
+        assert not rep.simplex_admissible
+        assert rep.failures == ["F is not strictly increasing"]
+        for f in (linear(1e-3), cubic(0.2), soft(0.9)):
+            assert validate(f).strictly_increasing
+
+    def test_flat_custom_is_not_strictly_increasing(self):
+        f = InfluenceFunction("custom", fn=lambda x: 0.4 * np.clip(np.asarray(x), -0.5, 0.5))
+        rep = validate(f)
+        assert rep.monotone and not rep.strictly_increasing and not rep.admissible
+
     def test_too_strong_rejected(self):
         rep = validate(linear(1.5))
         assert not rep.simplex_admissible
