@@ -163,6 +163,7 @@ class _EdgeKernel:
         else:
             groups = [(f, (self._code == k).nonzero()[0]) for k, f in enumerate(self._fns)]
             self._groups = [(f, idx) for f, idx in groups if len(idx)]
+        self._bins = None               # built by the first batch ``net`` call
         self._cert = None               # built by the first ``certificate`` call
 
     def _append(self, new_id: int, near: list[int]) -> None:
@@ -239,11 +240,16 @@ class _EdgeKernel:
         """Net inflow per vertex from per-edge flows."""
         if flows.ndim == 1:
             return np.bincount(self.iu, flows, self.n) - np.bincount(self.iv, flows, self.n)
-        # one bincount over row*n + col bins: each bin sums its row's edges in edge order
-        rows, w = np.arange(len(flows))[:, None] * self.n, flows.ravel()
-        size = len(flows) * self.n
-        return (np.bincount((rows + self.iu).ravel(), w, size)
-                - np.bincount((rows + self.iv).ravel(), w, size)).reshape(-1, self.n)
+        # one bincount over row*n + col bins: each bin sums its row's edges in edge
+        # order. The bins of B rows are a prefix of those of any larger batch, so
+        # the bins of the largest batch yet are kept and sliced.
+        w, size = flows.ravel(), len(flows) * self.n
+        if self._bins is None or len(self._bins[0]) < w.size:
+            rows = np.arange(len(flows))[:, None] * self.n
+            self._bins = (rows + self.iu).ravel(), (rows + self.iv).ravel()
+        bu, bv = self._bins
+        return (np.bincount(bu[:w.size], w, size)
+                - np.bincount(bv[:w.size], w, size)).reshape(-1, self.n)
 
     def raw_update(self, x: np.ndarray, delta: float = 0.0) -> np.ndarray:
         """One application of the update map, no renormalization."""
@@ -300,11 +306,22 @@ class _EdgeKernel:
         if self._cert is None:
             fns = [f for f, _ in self._groups]
             if all(f.family in _CERT_FAMILIES and 0.0 < f.sup_abs() <= 1.0 for f in fns):
-                # closed neighbourhoods grouped by type: type k's run starts at starts[k]
+                # closed neighbourhoods as columns of padded tables, one table per
+                # size class [2^(c-1), 2^c); a short column repeats its own type
                 ends = np.concatenate([np.arange(self.n), self.iu, self.iv])
                 near = np.concatenate([np.arange(self.n), self.iv, self.iu])
-                order = np.argsort(ends, kind="stable")
-                self._cert = near[order], np.searchsorted(ends[order], np.arange(self.n))
+                order = ends.argsort(kind="stable")
+                ends, near = ends[order], near[order]
+                slot = np.arange(len(ends)) - ends.searchsorted(ends)
+                size = np.bincount(ends, minlength=self.n)
+                cls = np.frexp(size)[1]
+                self._cert = []
+                for c in np.flatnonzero(np.bincount(cls)):
+                    types = np.flatnonzero(cls == c)
+                    table = np.tile(types, (size[types].max(), 1))
+                    on = cls[ends] == c
+                    table[slot[on], types.searchsorted(ends[on])] = near[on]
+                    self._cert.append(table)
             else:
                 self._cert = False
         return self._cert is not False
@@ -343,33 +360,38 @@ class _EdgeKernel:
         a few ulps of a tie. A certified row whose masses sum to 1 only within
         more than 1e-12 raises, as its next step would.
 
-        One stable argsort ranks each row. The top k are independent while
-        k is at most the smallest, over edges, of the larger end's rank; they
-        dominate while every type ranked k or later has a closed neighbour
-        ranked below k (a suffix max over positions); suffix sums of the
-        sorted masses give m for every k.
+        The batch is worked on transposed, one row per place, so that every
+        reduction over types is an elementwise operation across rows. One
+        stable argsort ranks each row, in the smallest integer type that holds
+        n. A top-k set that dominates keeps dominating as k grows, and one
+        that is independent stays so as k shrinks; a dominating top-k set
+        also covers the type ranked k, so at most one k gives both: the
+        smallest that dominates. That k is one more than the largest, over
+        types, of the lowest rank in the type's closed neighbourhood, read as
+        column minima of the neighbourhood tables (``certifiable``), which
+        hold at most twice the n + 2m entries. The top k are independent
+        while k is at most the smallest, over edges, of the larger end's
+        rank, and suffix sums of the sorted masses, from the lightest up,
+        give m.
         """
         if not self.certifiable:
             return None
-        near, starts = self._cert
-        n, rows = self.n, np.arange(len(x))[:, None]
-        order = np.argsort(-x, axis=1, kind="stable")       # heaviest first, ties by index
-        xs = x[rows, order]
-        rank = np.empty_like(order)
-        rank[rows, order] = np.arange(n)
-        sizes = np.arange(1, n + 1)
-        independent = np.maximum(rank[:, self.iu], rank[:, self.iv]).min(axis=1, initial=n)
-        ok = (sizes <= independent[:, None]) & (xs > theta)
-        reach = np.minimum.reduceat(rank[:, near], starts, axis=1)[rows, order]
-        worst = np.maximum.accumulate(reach[:, ::-1], axis=1)[:, ::-1]  # over positions >= p
-        tail = np.cumsum(xs[:, ::-1], axis=1)[:, ::-1]                  # likewise, summed
-        ok[:, :-1] &= (worst[:, 1:] < sizes[:-1]) & (tail[:, 1:] < xs[:, :-1])
-        hit = ok.any(axis=1)
+        n, cols = self.n, np.arange(len(x))
+        order = np.argsort(-x.T, axis=0, kind="stable")     # heaviest first, ties by index
+        xs = x[cols, order]
+        rank = np.empty(order.shape, dtype=np.min_scalar_type(n))
+        rank[order, cols] = np.arange(n)[:, None]
+        independent = np.maximum(rank[self.iu], rank[self.iv]).min(axis=0, initial=n)
+        k = np.concatenate([rank[table].min(axis=0) for table in self._cert]).max(axis=0) + 1
+        tail = np.zeros((n + 1, len(x)))                    # tail[k]: the mass ranked k or later
+        np.cumsum(xs[::-1], axis=0, out=tail[n - 1::-1])
+        light = xs[k - 1, cols]
+        hit = (k <= independent) & (light > theta) & (tail[k, cols] < light)
         if hit.any():
-            residual = float(np.abs(tail[hit, 0] - 1.0).max())
+            residual = float(np.abs(tail[0, hit] - 1.0).max())
             if not residual <= _RENORM_TOL:
                 raise _drift_error(residual)
-        return (rank < ok.argmax(axis=1)[:, None] + 1) & hit[:, None]
+        return ((rank < k) & hit).T
 
 
 def kernel_for(state: PopulationState, assignment: InfluenceAssignment) -> _EdgeKernel:
@@ -492,7 +514,8 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
         raise _simplex_error(sup)
     x = x0.x.reshape(-1, len(x0.ids))
     out, stops, live = x.copy(), np.full(len(x), max_iters), np.arange(len(x))
-    support = np.zeros(x.shape, dtype=bool)
+    support = np.zeros(x.shape[::-1], dtype=bool).T     # column-major: each any(axis=1)
+                                                        # runs across columns, not per row
     check = certify is not None and kernel.certifiable
     trajectory = [x0.x.copy()] if record_trajectory else None
     residual_max, t = 0.0, 0

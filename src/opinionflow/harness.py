@@ -138,17 +138,17 @@ def _pmap(fn, items, jobs: int) -> list:
 
 
 def _map_rows(fn, rows, args: tuple, jobs: int) -> list:
-    """fn((batch, *args)) over batches of rows, where args[0] is the graph of
-    n types and m edges. A batch holds at most max(1, BATCH_BUDGET // (n + m))
-    rows, and there is at least one batch per worker (``_workers(jobs)``) where
-    rows allow; a row's result does not depend on its batch.
+    """fn((batch, *args)) of each batch of rows, in order, where args[0] is the
+    graph of n types and m edges. A batch holds at most max(1, BATCH_BUDGET //
+    (n + m)) rows, and there is at least one batch per worker (``_workers(jobs)``)
+    where rows allow; a row's result does not depend on its batch.
     """
     workers = _workers(jobs)
     graph = args[0]
     cap = max(1, BATCH_BUDGET // (len(graph) + len(graph.edges())))
     size = min(cap, max(1, -(-len(rows) // workers)))
     items = [(rows[lo:lo + size], *args) for lo in range(0, len(rows), size)]
-    return [out for part in _pmap(fn, items, jobs) for out in part]
+    return _pmap(fn, items, jobs)
 
 
 def _label(active) -> str:
@@ -240,9 +240,12 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
                                   f"F = {name} on edge {u}-{v} is not strictly increasing")
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
+    if not theta_active > 0:
+        raise ConfigurationError(f"theta_active must be positive, got {theta_active!r}")
     seeds = [trial_seed(root_seed, i) for i in range(trials)]
-    artifacts = _map_rows(_convergence_batch, seeds,
-                          (graph, assignment, tol, max_iters, theta_active), jobs)
+    artifacts = [a for part in _map_rows(_convergence_batch, seeds,
+                                         (graph, assignment, tol, max_iters, theta_active), jobs)
+                 for a in part]
     successes = sum(1 for a in artifacts if a["converged"] and a["independent"])
     census = Counter(a["label"] for a in artifacts if a["converged"])
     stops = Counter(a["stop"] for a in artifacts)
@@ -264,26 +267,26 @@ class BasinMap:
 
     Row i fixes the first coordinate at i/resolution; cell j within the row
     sets the second to j/resolution and the third to the remainder. Labels
-    are "+"-joined active ids of the limit, or "unresolved".
+    are "+"-joined active ids of the limit, or "unresolved". ``counts`` holds
+    the cells of each label, labels sorted; the legend numbers the labels in
+    that order.
     """
 
     ids: tuple[int, int, int]
     resolution: int
     rows: list[list[str]]
-    legend: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int]
 
-    def __post_init__(self):
-        if not self.legend:
-            labels = sorted({lab for row in self.rows for lab in row})
-            self.legend = {lab: k for k, lab in enumerate(labels)}
+    @property
+    def legend(self) -> dict[str, int]:
+        return {lab: k for k, lab in enumerate(self.counts)}
 
     def cell_count(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(self.counts.values())
 
     def label_fractions(self) -> dict[str, float]:
-        counts = Counter(lab for row in self.rows for lab in row)
         total = self.cell_count()
-        return {lab: counts[lab] / total for lab in sorted(counts)}
+        return {lab: count / total for lab, count in self.counts.items()}
 
     def label_at(self, weights) -> str:
         """Label of the cell nearest to barycentric ``weights`` over ``ids``."""
@@ -299,29 +302,27 @@ class BasinMap:
 
     def to_pgm(self) -> str:
         """Plain portable graymap; cells outside the simplex are 0."""
-        n_labels = max(len(self.legend), 1)
-        grays = {lab: int(round(40 + (255 - 40) * k / max(n_labels - 1, 1)))
-                 for lab, k in self.legend.items()}
+        levels = max(len(self.counts) - 1, 1)
+        grays = {lab: str(int(round(40 + (255 - 40) * k / levels)))
+                 for k, lab in enumerate(self.counts)}
         side = self.resolution + 1
         lines = ["P2", f"{side} {side}", "255"]
         for i in range(side):
             row = self.rows[i] if i < len(self.rows) else []
-            vals = [grays[lab] for lab in row] + [0] * (side - len(row))
-            lines.append(" ".join(map(str, vals)))
+            lines.append(" ".join([*map(grays.__getitem__, row), *["0"] * (side - len(row))]))
         return "\n".join(lines) + "\n"
 
 
-def _basin_batch(args) -> list[str]:
+def _basin_batch(args) -> np.ndarray:
+    """Each cell's code: the bits of its active types' places in the graph's
+    vertex order, or 8 if its stop reached max_iters."""
     starts, graph, assignment, tol, max_iters, theta = args
     ids = tuple(graph.vertex_list())
     res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
                              max_iters, certify=theta)
-    # one label per active pattern, indexed by the pattern's bits
-    names = [_label(v for k, v in enumerate(ids) if bits >> k & 1) for bits in range(8)]
-    active = np.where(res.support.any(axis=1, keepdims=True), res.support, res.limit.x > theta)
-    codes = active @ np.array([1, 2, 4])
-    return [names[c] if stop < max_iters else "unresolved"
-            for c, stop in zip(codes.tolist(), res.stops.tolist())]
+    bits = np.array([1, 2, 4])
+    certified, active = res.support @ bits, (res.limit.x > theta) @ bits    # S is never empty
+    return np.where(res.stops < max_iters, np.where(certified > 0, certified, active), 8)
 
 
 def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
@@ -343,17 +344,23 @@ def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
         raise ConfigurationError("basin_map needs a graph of exactly 3 types")
     if resolution < 1:
         raise ConfigurationError("resolution must be at least 1")
-    if theta_active <= 0:
-        raise ValueError("theta_active must be positive")
+    if not theta_active > 0:
+        raise ConfigurationError(f"theta_active must be positive, got {theta_active!r}")
     # integer numerators over one denominator keep diagonal ties exact,
     # so tie cells legitimately converge to split limits
     i, i_plus_j = np.triu_indices(resolution + 1)
     starts = np.stack([i, i_plus_j - i, resolution - i_plus_j], axis=1) / resolution
-    labels = _map_rows(_basin_batch, starts,
-                       (graph, assignment, tol, max_iters, theta_active), jobs)
+    codes = np.concatenate(_map_rows(_basin_batch, starts,
+                                     (graph, assignment, tol, max_iters, theta_active), jobs))
+    ids = tuple(graph.vertex_list())
+    names = [_label(v for k, v in enumerate(ids) if bits >> k & 1) for bits in range(8)]
+    names.append("unresolved")
+    counts = np.bincount(codes, minlength=len(names))
+    labels = np.array(names, dtype=object)[codes].tolist()
     ends = np.cumsum(np.arange(resolution + 1, 0, -1)).tolist()
     rows = [labels[lo:hi] for lo, hi in zip([0] + ends, ends)]
-    return BasinMap(tuple(graph.vertex_list()), resolution, rows)
+    return BasinMap(ids, resolution, rows,
+                    dict(sorted((names[c], counts[c].item()) for c in np.flatnonzero(counts))))
 
 
 # -- stability windows -----------------------------------------------------------

@@ -413,8 +413,8 @@ def certified_cases(draw):
 
 @st.composite
 def tied_states(draw):
-    """A connected graph on 1..7 types and a state drawn from few distinct masses."""
-    n = draw(st.integers(1, 7))
+    """A connected graph on 1..12 types and a state drawn from few distinct masses."""
+    n = draw(st.integers(1, 12))
     graph = connected_graphs(draw, n)
     levels = draw(st.lists(st.sampled_from([0.0, 1e-12, 0.01, 0.1, 0.25, 0.5, 1.0]),
                            min_size=n, max_size=n))
@@ -767,6 +767,35 @@ class TestKernelFollowsEdits:
                 np.testing.assert_array_equal(run.step(x)[0], fresh.step(x)[0])
                 most_groups = max(most_groups, len(run._groups))
         assert most_groups >= 3             # the per-edge overrides were in play
+
+    def test_batch_bins_step_as_a_fresh_kernel(self):
+        # ``net`` keeps the bins of its largest batch: a smaller batch slices
+        # them, a larger one rebuilds them, and a birth or a death drops them
+        rng = np.random.default_rng(3)
+        g = InfluenceGraph.complete(4)          # two of the overrides are edges
+
+        def assert_steps_as_fresh(kernel, rows):
+            x = rng.dirichlet(np.ones(kernel.n), rows)
+            got, want = kernel.step(x), _EdgeKernel(g, self.ASSIGNMENT).step(x)
+            assert [got[0].tobytes(), got[1].tobytes(), got[2]] == \
+                [want[0].tobytes(), want[1].tobytes(), want[2]]
+
+        kernel = _EdgeKernel(g, self.ASSIGNMENT)
+        for rows in (5, 2, 5, 9):
+            assert_steps_as_fresh(kernel, rows)
+        assert len(kernel._bins[0]) == 9 * kernel.m
+        births = EvolutionConfig(p=1.0, assignment=self.ASSIGNMENT)
+        run = _Run.of(PopulationState.uniform(g), births)
+        assert_steps_as_fresh(run, 9)
+        assert birth_phase(run, births, RunStreams(0), 0)[1] is not None     # _append
+        for rows in (4, 9):
+            assert_steps_as_fresh(run, rows)
+        run.x = np.full(run.n, (1.0 - 1e-9) / (run.n - 1))
+        run.x[2] = 1e-9
+        deaths = EvolutionConfig(epsilon=1e-6, assignment=self.ASSIGNMENT)
+        assert len(death_phase(run, deaths)[1]) == 1                         # _remove
+        for rows in (4, 9):
+            assert_steps_as_fresh(run, rows)
 
     def test_edge_order_keeps_canonical_sums(self):
         # bincount over (larger, smaller) order equals it over canonical order

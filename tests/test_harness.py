@@ -411,6 +411,17 @@ class TestCertifiedSweep:
         labels = ["+".join(str(v) for v in ids if x[v] > 1e-9) for x in at_l1]
         assert labels != [a["label"] for a in settled.artifacts]
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("f", [linear(0.49), InfluenceFunction("custom", fn=linear_049)],
+                             ids=["certificate", "l1-stop"])
+    def test_nonpositive_theta_rejected_before_a_trial(self, monkeypatch, f, theta):
+        # linear:0.49 would certify every row at any theta; the custom F takes the
+        # L1 stop, where active_set would raise partway through the sweep
+        monkeypatch.setattr(harness, "_map_rows", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ConfigurationError, match="theta_active must be positive"):
+            monte_carlo_convergence(self.graphs["cycle5"], InfluenceAssignment(f), trials=20,
+                                    root_seed=71, theta_active=theta)
+
     def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
         pools = []
 
