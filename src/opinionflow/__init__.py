@@ -14,8 +14,7 @@ from .dynamics import (ConvergenceResult, PopulationState, active_set,
                        run_to_convergence)
 from .errors import (ConfigurationError, EigenSolveError, HypothesisError,
                      NotAFixedPointError)
-from .evolution import (BirthDistribution, EvolutionConfig, Timeline,
-                        birth_phase, death_phase, evolution_step, run_evolution)
+from .evolution import BirthDistribution, EvolutionConfig, Timeline, run_evolution
 from .graph import InfluenceGraph, choose_attachment
 from .harness import (BasinMap, StableWindow, TrialStats, basin_map,
                       detect_stable_windows, monte_carlo_convergence,
@@ -39,8 +38,7 @@ __all__ = [
     "jacobian", "jacobian_fd", "projected_jacobian", "eigenvalues",
     "Spectrum", "StabilityReport", "classify_stability",
     "check_diagonal_dominance",
-    "BirthDistribution", "EvolutionConfig", "Timeline",
-    "birth_phase", "death_phase", "evolution_step", "run_evolution",
+    "BirthDistribution", "EvolutionConfig", "Timeline", "run_evolution",
     "sample_simplex", "sample_state", "wilson95", "TrialStats",
     "monte_carlo_convergence", "BasinMap", "basin_map",
     "StableWindow", "detect_stable_windows",

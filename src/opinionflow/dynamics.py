@@ -118,7 +118,7 @@ class _EdgeKernel:
     Edges are grouped by influence function so that the per-step work is a
     handful of array operations regardless of how many edges share a function.
     ``flows``, ``net`` and ``step`` take one state or a batch ``(B, n)`` and
-    compute each row as alone. ``advance`` steps both through ``step``.
+    compute each row as alone. ``advance`` steps both through ``step``, dead-zone off.
 
     Edges are ordered by (larger endpoint, smaller endpoint). ``np.bincount``
     sums each vertex's bin in array order, and this order hands every vertex
@@ -275,29 +275,27 @@ class _EdgeKernel:
         x_new /= total
         return x_new, flows, residual
 
-    def advance(self, x: np.ndarray, steps: int, tol: float = 0.0, delta: float = 0.0):
+    def advance(self, x: np.ndarray, steps: int, tol: float = 0.0):
         """Up to ``steps`` steps of one state or a batch, as ``step`` gives them, bit for bit.
 
         Stops after the first step at which some row's L1 size is below
-        ``tol``. Returns (x, applied, residual_max, active, stopped): the new
-        state, the number of steps applied, the largest residual, whether the
-        last step carried a nonzero flow, and whether the ``tol`` stop fired,
-        as a per-row mask for a batch.
+        ``tol``. Returns (x, applied, residual_max, stopped): the new state,
+        the number of steps applied, the largest residual, and whether the
+        ``tol`` stop fired, as a per-row mask for a batch.
         """
         if x.ndim == 2 and len(x) == 1:     # one state costs less per step than a batch of one
-            x1, applied, residual_max, active, stopped = self.advance(x[0], steps, tol, delta)
-            return x1[None], applied, residual_max, active, np.array([stopped])
+            x1, applied, residual_max, stopped = self.advance(x[0], steps, tol)
+            return x1[None], applied, residual_max, np.array([stopped])
         residual_max, stopped = 0.0, np.zeros(x.shape[:-1], dtype=bool)
         for applied in range(1, steps + 1):
-            x_new, flows, residual = self.step(x, delta)
+            x_new, _, residual = self.step(x)
             residual_max = max(residual_max, residual)
             if tol > 0.0:
                 stopped = np.abs(x_new - x).sum(axis=-1) < tol
             x = x_new
             if tol > 0.0 and stopped.any():
                 break
-        return x, applied, residual_max, bool(np.any(flows != 0.0)), \
-            stopped if x.ndim == 2 else bool(stopped)
+        return x, applied, residual_max, stopped if x.ndim == 2 else bool(stopped)
 
     @property
     def certifiable(self) -> bool:
@@ -420,10 +418,10 @@ class StepOutcome(NamedTuple):
 
 def migrate_step(state: PopulationState, assignment: InfluenceAssignment,
                  delta: float = 0.0) -> StepOutcome:
-    """Apply one synchronous migration step (see ``_EdgeKernel.advance``)."""
-    x_new, _, residual, active, _ = kernel_for(state, assignment).advance(state.x, 1, delta=delta)
+    """Apply one synchronous migration step (see ``_EdgeKernel.step``)."""
+    x_new, flows, residual = kernel_for(state, assignment).step(state.x, delta)
     return StepOutcome(PopulationState(state.graph, state.ids, x_new, state.t + 1),
-                       active, residual)
+                       bool(np.count_nonzero(flows)), residual)
 
 
 def potential_phi(state: PopulationState) -> float:
@@ -529,7 +527,7 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
                 break
         # one call per step when recording, else one per certificate test or to the budget
         chunk = 1 if record_trajectory else _cert_stride(t) if check else max_iters
-        x, applied, residual, _, stopped = kernel.advance(
+        x, applied, residual, stopped = kernel.advance(
             x, min(chunk - t % chunk, max_iters - t), tol)
         residual_max = max(residual_max, residual)
         t += applied
@@ -546,8 +544,8 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     converged = bool(np.all(stops < max_iters))
     applied = iterations + 1 if converged else max_iters
     limit = PopulationState(x0.graph, x0.ids, out if batch else out[0], x0.t + applied)
-    reasons = np.where(support.any(axis=1), "certified",
-                       np.where(stops < max_iters, "l1", "budget"))
+    code = np.where(support.any(axis=1), 0, np.where(stops < max_iters, 1, 2))
+    reasons = np.array(STOP_REASONS)[code]
     return ConvergenceResult(limit, iterations, converged, residual_max, trajectory,
                              stops, reasons, support)
 

@@ -461,11 +461,8 @@ def _next_birth(config: EvolutionConfig, streams: RunStreams, start: int) -> int
 class _Run(_EdgeKernel):
     """One evolution run's state, edited in place by its phases: the edge kernel
     of its graph (the one adjacency), the masses ``x`` in ``ids`` order and
-    the step ``t``. Migration is the kernel's ``step`` itself.
-
-    Each phase takes a run or a ``PopulationState``. A run is edited in place
-    and returned; a state gets a run on its graph, whose edits show in that
-    graph, and a new state of the result."""
+    the step ``t``. Migration is the kernel's ``step`` itself; ``birth_phase``,
+    ``death_phase`` and ``evolution_step`` edit the run and return it."""
 
     @classmethod
     def of(cls, state: PopulationState, config: EvolutionConfig) -> "_Run":
@@ -487,20 +484,18 @@ class _Run(_EdgeKernel):
         return PopulationState(self.graph, self.ids, self.x, self.t)
 
 
-def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
-                step: int) -> tuple[PopulationState, BirthEvent | None]:
+def birth_phase(run: _Run, config: EvolutionConfig, streams: RunStreams,
+                step: int) -> tuple[_Run, BirthEvent | None]:
     """With probability p, create a type funded by every existing one.
 
     The stream of (step, PHASE_BIRTH) drives the Bernoulli coin and then the
     Z draws (in sorted-id order). The coin comes from ``streams.coin``, which
     draws it with its window; the stream itself, and the attach stream that
     drives neighbor selection, are made only on an actual birth, so no other
-    draw shifts when a birth appears or vanishes. ``state`` is edited as
-    ``_Run`` says.
+    draw shifts when a birth appears or vanishes.
     """
     if not has_birth(config, streams, step):
-        return state, None
-    run = state if isinstance(state, _Run) else _Run.of(state, config)
+        return run, None
     rng = streams.stream(step, PHASE_BIRTH)
     rng.random()                        # the coin: the Z draws follow it
     x, ids = run.x, run.ids
@@ -514,22 +509,19 @@ def birth_phase(state: PopulationState, config: EvolutionConfig, streams: RunStr
     np.multiply(x, 1.0 - z, out=out[:-1])
     out[-1] = mass
     run.renormalize(out)
-    return (run if run is state else run.state()), event
+    return run, event
 
 
-def death_phase(state: PopulationState, config: EvolutionConfig
-                ) -> tuple[PopulationState, list[DeathEvent]]:
+def death_phase(run: _Run, config: EvolutionConfig) -> tuple[_Run, list[DeathEvent]]:
     """Remove every type at or below epsilon, lowest mass first.
 
     Each dying type's mass is split equally among its neighbors at the
     instant of death (degree taken after earlier removals in the same
     phase). Redistribution only raises survivors, so the cascade
     terminates; a sole survivor always ends it. Among equal masses the
-    lowest id dies first. ``state`` is edited as ``_Run`` says. A dying
-    type without neighbors (only on a disconnected graph) raises
-    ``ValueError`` before anything is removed.
+    lowest id dies first. A dying type without neighbors (only on a
+    disconnected graph) raises ``ValueError`` before anything is removed.
     """
-    run = state if isinstance(state, _Run) else _Run.of(state, config)
     x, events = run.x, []
     while len(x) >= 2:
         i = int(x.argmin())             # first index: the lowest id among equal masses
@@ -543,23 +535,19 @@ def death_phase(state: PopulationState, config: EvolutionConfig
         x = np.concatenate((x[:i], x[i + 1:]))
         x[near] += m / len(near)
         events.append(DeathEvent(v, m, [run.ids[j] for j in near.tolist()]))
-    if not events:
-        return state, events
-    run.renormalize(x)
-    return (run if run is state else run.state()), events
+    if events:
+        run.renormalize(x)
+    return run, events
 
 
-def evolution_step(state: PopulationState, config: EvolutionConfig, streams: RunStreams,
-                   phi_before: float | None = None) -> tuple[PopulationState, StepRecord]:
-    """Step ``state.t``: migration, then birth, then death, in that order.
+def evolution_step(run: _Run, config: EvolutionConfig, streams: RunStreams,
+                   phi_before: float) -> tuple[_Run, StepRecord]:
+    """Step ``run.t``: migration, then birth, then death, in that order.
 
-    ``state`` is edited as ``_Run`` says. ``phi_before``, if given, is
-    ``potential_phi(state)``: the last step's ``phi_after``, as ``run_evolution`` hands it on.
+    ``phi_before`` is ``potential_phi(run)``: the last step's ``phi_after``,
+    as ``run_evolution`` hands it on.
     """
-    run = state if isinstance(state, _Run) else _Run.of(state, config)
     step, x = run.t, run.x
-    if phi_before is None:
-        phi_before = potential_phi(run)
     min_mass_before = float(x[x.argmin()])     # x.min(), at a fraction of its cost
     run.x, flows, _residual = run.step(x, config.delta)    # as migrate_step does
     run.t += 1
@@ -576,7 +564,7 @@ def evolution_step(state: PopulationState, config: EvolutionConfig, streams: Run
         migration_active=bool(np.count_nonzero(flows)), min_mass_before=min_mass_before,
         birth=birth, deaths=deaths, type_count=run.n,
     )
-    return (run if run is state else run.state()), record
+    return run, record
 
 
 def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
@@ -603,13 +591,13 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     run = _Run.of(PopulationState(graph, x0.ids, x0.x.copy(), 0), config)
     streams = RunStreams(config.seed)
     records: list[StepRecord] = []
-    phi = key = None                  # key: the input masses of the next step, as bytes
+    phi, key = potential_phi(run), None   # key: the input masses of the next step, as bytes
     stretch: dict[bytes, int] = {}    # the input masses of each quiet step since the last event
     inputs: list[np.ndarray] = []     # the same, in step order, as arrays
     stepped, cascade, periods = 0, 0, Counter()
     while run.t < config.horizon:
         x = run.x
-        run, record = evolution_step(run, config, streams, phi)
+        _, record = evolution_step(run, config, streams, phi)
         records.append(record)
         phi, stepped = record.phi_after, stepped + 1
         cascade = max(cascade, len(record.deaths))

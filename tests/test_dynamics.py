@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from opinionflow import (EvolutionConfig, InfluenceAssignment, InfluenceFunction, InfluenceGraph,
-                         PopulationState, active_set, birth_phase, classify_fixed_point, cubic,
-                         death_phase, flow, is_fixed_point, linear, local_potential_psi,
-                         migrate_step, potential_phi, run_to_convergence, soft)
+                         PopulationState, active_set, classify_fixed_point, cubic, flow,
+                         is_fixed_point, linear, local_potential_psi, migrate_step, potential_phi,
+                         run_to_convergence, soft)
 from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel
 from opinionflow.graph import REWIRING_POLICIES
 from opinionflow.errors import ConfigurationError, NotAFixedPointError
-from opinionflow.evolution import _Run
+from opinionflow.evolution import _Run, birth_phase, death_phase
 from opinionflow.harness import _settled_limit, sample_simplex
 from opinionflow.seeding import RunStreams, generator, trial_seed
 
@@ -88,6 +88,15 @@ class TestMigrateStep:
     def test_step_counter(self):
         out = migrate_step(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.5)))
         assert out.state.t == 1
+
+    def test_dead_zone_edge_at_exactly_delta(self):
+        s = PopulationState(InfluenceGraph.path(3), (0, 1, 2), np.array([0.5, 0.3, 0.2]))
+        asg = InfluenceAssignment(soft(0.9))
+        out = migrate_step(s, asg, delta=s.x[1] - s.x[2])
+        assert out.active
+        assert out.state.x[2] == s.x[2]             # the 1-2 edge sat at |d| == delta
+        out = migrate_step(s, asg, delta=0.2)
+        assert not out.active and out.state.x.tobytes() == s.x.tobytes()
 
 
 class TestPotentials:
@@ -586,16 +595,6 @@ def trial_159_start():
 class TestAdvance:
     """``advance`` on one state: ``step`` in a loop, bit for bit."""
 
-    def test_dead_zone_edge_at_exactly_delta(self):
-        g = InfluenceGraph.path(3)
-        x = np.array([0.5, 0.3, 0.2])
-        kernel = _EdgeKernel(g, InfluenceAssignment(soft(0.9)))
-        x_new, applied, _, active, _ = kernel.advance(x, 1, delta=x[1] - x[2])
-        assert active and applied == 1
-        assert x_new[2] == x[2]                     # the 1-2 edge sat at |d| == delta
-        x_new, _, _, active, _ = kernel.advance(x, 1, delta=0.2)
-        assert not active and x_new.tobytes() == x.tobytes()
-
     def test_trial_159_tail_matches_reference(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
         res = run_to_convergence(start, asg, max_iters=50_000)
@@ -650,25 +649,23 @@ class TestBatchAdvance:
     """``advance`` on a batch steps every row as it steps alone, up to the first stop."""
 
     @settings(max_examples=200, deadline=None)
-    @given(batch_advance_cases(), st.sampled_from([1, 3, 40]), st.sampled_from([0.0, 1e-3]),
-           st.sampled_from([0.0, 0.05]))
-    def test_rows_step_as_alone(self, case, steps, tol, delta):
+    @given(batch_advance_cases(), st.sampled_from([1, 3, 40]), st.sampled_from([0.0, 1e-3]))
+    def test_rows_step_as_alone(self, case, steps, tol):
         kernel, xs = case
-        x, applied, residual, active, stopped = kernel.advance(xs, steps, tol, delta)
-        alone = [kernel.advance(row, steps, tol, delta) for row in xs]
+        x, applied, residual, stopped = kernel.advance(xs, steps, tol)
+        alone = [kernel.advance(row, steps, tol) for row in xs]
         assert applied == min(a[1] for a in alone)
         assert stopped.dtype == bool and stopped.tolist() == [
-            a[4] and a[1] == applied for a in alone]
-        upto = [kernel.advance(row, applied, tol, delta) for row in xs]
+            a[3] and a[1] == applied for a in alone]
+        upto = [kernel.advance(row, applied, tol) for row in xs]
         assert x.tobytes() == np.array([u[0] for u in upto]).tobytes()
         assert residual == max(u[2] for u in upto)
-        assert active == any(u[3] for u in upto)
 
     def test_one_state_returns_a_bool(self):
         x = np.array([1.0, 0.0, 0.0])
         kernel = _EdgeKernel(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)))
-        assert kernel.advance(x, 3, 1e-3)[4] is True
-        assert kernel.advance(x[None], 3, 1e-3)[4].tolist() == [True]
+        assert kernel.advance(x, 3, 1e-3)[3] is True
+        assert kernel.advance(x[None], 3, 1e-3)[3].tolist() == [True]
 
 
 class TestActiveSet:

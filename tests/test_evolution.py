@@ -9,18 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment,
-                         InfluenceFunction, InfluenceGraph, PopulationState, birth_phase, cubic,
-                         death_phase, evolution_step, linear, potential_phi, run_evolution,
-                         run_to_convergence, sample_state, soft)
+                         InfluenceFunction, InfluenceGraph, PopulationState, cubic, linear,
+                         potential_phi, run_evolution, run_to_convergence, sample_state, soft)
 from opinionflow import evolution
-from opinionflow.dynamics import _EdgeKernel
 from opinionflow.errors import ConfigurationError
-from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord, ZMap, birth_steps, has_birth
+from opinionflow.evolution import (BirthEvent, DeathEvent, StepRecord, ZMap, birth_phase,
+                                   birth_steps, death_phase, evolution_step, has_birth)
 from opinionflow.graph import choose_attachment
 from opinionflow.seeding import (COIN_WINDOW, PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator,
                                  run_coins)
 
-from .helpers import assert_same_kernel, assert_same_text, reference_evolution
+from .helpers import assert_same_text, reference_evolution
 
 
 class _FixedZ:
@@ -111,9 +110,11 @@ class TestBirthPhase:
         s = PopulationState.from_masses(g, [0.5, 0.5])
         cfg = make_config(p=1.0, attachment="connect-to-all")
         cfg.distribution = _FixedZ([0.2, 0.1])
-        out, event = birth_phase(s, cfg, RunStreams(0), 0)
-        assert event is not None
-        np.testing.assert_allclose(out.x, [0.4, 0.45, 0.15])
+        run = evolution._Run.of(s, cfg)
+        out, event = birth_phase(run, cfg, RunStreams(0), 0)
+        assert event is not None and out is run
+        np.testing.assert_allclose(run.x, [0.4, 0.45, 0.15])
+        assert run.ids == (0, 1, 2) and run.graph is g
         assert event.new_id == 2
         assert event.neighbors == [0, 1]
         assert event.mass == pytest.approx(0.15)
@@ -122,10 +123,11 @@ class TestBirthPhase:
         g = InfluenceGraph.complete(2)
         s = PopulationState.from_masses(g, [0.5, 0.5])
         cfg = make_config(p=0.0)
+        run = evolution._Run.of(s, cfg)
         for seed in range(20):
-            out, event = birth_phase(s, cfg, RunStreams(seed), 0)
+            out, event = birth_phase(run, cfg, RunStreams(seed), 0)
             assert event is None
-            assert out is s
+            assert out is run and run.x is s.x and run.ids == s.ids
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -137,7 +139,7 @@ class TestBirthPhase:
         draws = rng.exponential(size=n)
         s = PopulationState(g, tuple(range(n)), draws / draws.sum())
         cfg = make_config(p=1.0, beta_min=0.05, beta_max=0.2)
-        out, event = birth_phase(s, cfg, RunStreams(seed + 1), 0)
+        out, event = birth_phase(evolution._Run.of(s, cfg), cfg, RunStreams(seed + 1), 0)
         assert cfg.beta_min - 1e-12 <= event.mass <= cfg.beta_max + 1e-12
         assert abs(out.x.sum() - 1.0) < 1e-12
 
@@ -145,7 +147,7 @@ class TestBirthPhase:
         g = InfluenceGraph.path(4)
         s = PopulationState.uniform(g)
         cfg = make_config(p=1.0)
-        out, event = birth_phase(s, cfg, RunStreams(3), 0)
+        out, event = birth_phase(evolution._Run.of(s, cfg), cfg, RunStreams(3), 0)
         assert out.graph.is_connected()
         assert 1 <= len(event.neighbors) <= 3
 
@@ -190,49 +192,15 @@ class _CountingStreams(RunStreams):
 
 
 class TestPhasesThroughTheKernel:
-    """The public phases are the run's in-place phases: on a ``PopulationState``
-    they edit its graph and return a new state; on the run of ``run_evolution``
-    they edit it in place and return it."""
-
-    ASSIGNMENT = InfluenceAssignment(linear(0.4), {(1, 2): soft(0.8), (4, 5): cubic(0.3)})
-
-    def start(self):
-        # type 1 is at or below epsilon, before and after the birth takes its Z share
-        g = InfluenceGraph.path(5)
-        return PopulationState(g, tuple(range(5)), np.array([0.3, 0.02, 0.3, 0.28, 0.1]))
-
-    def config(self):
-        return make_config(p=1.0, epsilon=0.05, assignment=self.ASSIGNMENT)
+    """The phases draw from the run's streams only when an event needs them."""
 
     def test_attach_stream_only_on_a_birth(self):
         s = PopulationState.uniform(InfluenceGraph.path(3))
         for p, want in ((0.0, []), (1e-12, []), (1.0, [(7, PHASE_BIRTH), (7, PHASE_ATTACH)])):
-            streams = _CountingStreams(1)
-            birth_phase(PopulationState(s.graph.copy(), s.ids, s.x), make_config(p=p),
-                        streams, 7)
+            streams, cfg = _CountingStreams(1), make_config(p=p)
+            run = evolution._Run.of(PopulationState(s.graph.copy(), s.ids, s.x), cfg)
+            birth_phase(run, cfg, streams, 7)
             assert streams.made == want
-
-    def test_phases_on_a_state_equal_the_runs_phases(self):
-        cfg, want = self.config(), self.start()
-        graph = want.graph.copy()
-        run = evolution._Run.of(PopulationState(graph, want.ids, want.x.copy(), want.t), cfg)
-        want, want_birth = birth_phase(want, cfg, RunStreams(4), 0)
-        assert birth_phase(run, cfg, RunStreams(4), 0) == (run, want_birth)
-        want, want_deaths = death_phase(want, cfg)
-        assert death_phase(run, cfg) == (run, want_deaths)
-        assert want_birth.new_id == 5 and [d.type_id for d in want_deaths] == [1]
-        assert tuple(run.ids) == want.ids and run.x.tobytes() == want.x.tobytes()
-        assert run.graph is graph and graph.edges() == want.graph.edges()
-        assert_same_kernel(run, _EdgeKernel(graph, cfg.assignment))
-
-    def test_phases_edit_the_states_graph(self):
-        cfg, s = self.config(), self.start()
-        graph, x = s.graph, s.x.copy()
-        out, birth = birth_phase(s, cfg, RunStreams(4), 0)
-        assert out is not s and out.graph is graph and 5 in graph
-        assert s.x.tobytes() == x.tobytes()
-        out, deaths = death_phase(out, cfg)
-        assert out.graph is graph and 1 not in graph and deaths[0].recipients == [0, 2]
 
 
 class TestDeathPhase:
@@ -240,7 +208,7 @@ class TestDeathPhase:
         g = InfluenceGraph.path(3)  # 0-1-2
         s = PopulationState.from_masses(g, [0.005, 0.495, 0.5])
         cfg = make_config(epsilon=0.01)
-        out, events = death_phase(s, cfg)
+        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
         assert [e.type_id for e in events] == [0]
         assert out.graph.edges() == [[1, 2]]
         np.testing.assert_allclose(sorted(out.x), [0.5, 0.5])
@@ -249,9 +217,10 @@ class TestDeathPhase:
         g = InfluenceGraph.star(3)  # center 0, leaves 1..3
         s = PopulationState.from_masses(g, {0: 0.009, 1: 0.4, 2: 0.3, 3: 0.291})
         cfg = make_config(epsilon=0.01)
-        out, events = death_phase(s, cfg)
+        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
         assert [e.type_id for e in events] == [0]
         assert events[0].recipients == [1, 2, 3]
+        out = out.state()
         assert out.mass(1) == pytest.approx(0.403)
         assert out.mass(2) == pytest.approx(0.303)
         assert out.mass(3) == pytest.approx(0.294)
@@ -261,7 +230,7 @@ class TestDeathPhase:
         g = InfluenceGraph.path(3)
         s = PopulationState.from_masses(g, [0.009, 0.002, 0.989])
         cfg = make_config(epsilon=0.01)
-        out, events = death_phase(s, cfg)
+        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
         assert [e.type_id for e in events] == [1, 0]  # lowest mass first
         assert len(out.graph) == 1
         assert out.x[0] == pytest.approx(1.0)
@@ -271,15 +240,15 @@ class TestDeathPhase:
         g = InfluenceGraph.path(3)
         s = PopulationState.from_masses(g, [0.0099, 0.0005, 0.9896])
         cfg = make_config(epsilon=0.01)
-        out, events = death_phase(s, cfg)
+        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
         assert [e.type_id for e in events] == [1]
-        assert out.mass(0) == pytest.approx(0.01015)
+        assert out.state().mass(0) == pytest.approx(0.01015)
 
     def test_sole_survivor_terminates(self):
         g = InfluenceGraph([0])
         s = PopulationState(g, (0,), np.array([1.0]))
         cfg = make_config(epsilon=0.99)
-        out, events = death_phase(s, cfg)
+        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
         assert events == []
         assert len(out.graph) == 1
 
@@ -287,7 +256,8 @@ class TestDeathPhase:
         g = InfluenceGraph([0, 1, 2], [(1, 2)])
         s = PopulationState.from_masses(g, [0.001, 0.5, 0.499])
         with pytest.raises(ValueError, match="type 0 dies with no neighbors"):
-            death_phase(s, make_config(epsilon=0.01))
+            cfg = make_config(epsilon=0.01)
+            death_phase(evolution._Run.of(s, cfg), cfg)
         assert g.vertex_list() == [0, 1, 2] and g.edges() == [[1, 2]]
 
     def test_survivors_never_lose_mass(self):
@@ -299,7 +269,7 @@ class TestDeathPhase:
             draws = rng.exponential(size=n)
             s = PopulationState(g, tuple(range(n)), draws / draws.sum())
             before = s.as_dict()
-            out, _events = death_phase(s, cfg)
+            out = death_phase(evolution._Run.of(s, cfg), cfg)[0].state()
             for v in out.ids:
                 assert out.mass(v) >= before[v] - 1e-15
 
@@ -309,19 +279,14 @@ class TestEvolutionStep:
         g = InfluenceGraph.complete(2)
         s = PopulationState.from_masses(g, [0.55, 0.45])
         cfg = make_config(p=0.0, epsilon=0.01, delta=0.5)  # dead zone swallows the gap
-        state, record = evolution_step(s, cfg, RunStreams(0))
-        np.testing.assert_array_equal(state.x, s.x)
+        run = evolution._Run.of(s, cfg)
+        out, record = evolution_step(run, cfg, RunStreams(0), potential_phi(s))
+        assert out is run and run.t == 1
+        np.testing.assert_array_equal(run.x, s.x)
         assert not record.migration_active
         assert record.birth is None
         assert record.deaths == []
         assert record.phi_before == record.phi_after
-
-    def test_phi_before_is_computed_unless_handed_on(self):
-        s = PopulationState.from_masses(InfluenceGraph.path(4), [0.4, 0.3, 0.2, 0.1])
-        cfg = make_config(p=0.0)
-        _, own = evolution_step(s, cfg, RunStreams(0))
-        _, handed = evolution_step(s, cfg, RunStreams(0), phi_before=potential_phi(s))
-        assert own == handed and own.phi_before == potential_phi(s)
 
     def test_composite_step_by_hand(self):
         g = InfluenceGraph.complete(2)
@@ -329,9 +294,10 @@ class TestEvolutionStep:
         cfg = make_config(p=1.0, epsilon=0.01, beta_min=0.1, beta_max=0.2,
                           distribution=BirthDistribution("point", value=0.15),
                           attachment="connect-to-all")
-        state, record = evolution_step(s, cfg, RunStreams(1))
+        run, record = evolution_step(evolution._Run.of(s, cfg), cfg, RunStreams(1),
+                                     potential_phi(s))
         # migration: (0.624, 0.376); birth absorbs 15% of each
-        np.testing.assert_allclose(state.x, [0.624 * 0.85, 0.376 * 0.85, 0.15])
+        np.testing.assert_allclose(run.x, [0.624 * 0.85, 0.376 * 0.85, 0.15])
         assert record.migration_active
         assert record.birth.mass == pytest.approx(0.15)
         assert record.type_count == 3
@@ -343,9 +309,9 @@ class TestEvolutionStep:
         s = PopulationState(g, (0, 1, 2), np.array([0.5, 0.3, 0.2]), t=5)
         cfg = make_config(p=1.0, delta=1.0)  # no migration
         streams = RunStreams(42)
-        manual, event = birth_phase(
-            PopulationState(s.graph.copy(), s.ids, s.x.copy(), s.t), cfg, streams, s.t)
-        state, record = evolution_step(s, cfg, streams)
+        manual = evolution._Run.of(PopulationState(s.graph.copy(), s.ids, s.x.copy(), s.t), cfg)
+        _, event = birth_phase(manual, cfg, streams, s.t)
+        _, record = evolution_step(evolution._Run.of(s, cfg), cfg, streams, potential_phi(s))
         assert record.step == 5
         assert record.birth.z == event.z
         assert record.birth.neighbors == event.neighbors
@@ -531,7 +497,7 @@ class TestCompactRecords:
         s = PopulationState(InfluenceGraph.path(4), (0, 1, 2, 3), np.array([0.4, 0.3, 0.2, 0.1]))
         cfg = make_config(p=1.0)
         streams = RunStreams(8)
-        _, event = birth_phase(s, cfg, streams, 3)
+        _, event = birth_phase(evolution._Run.of(s, cfg), cfg, streams, 3)
         rng = streams.stream(3, PHASE_BIRTH)
         rng.random()
         z = cfg.distribution.sample(rng, 4, cfg.beta_min, cfg.beta_max)

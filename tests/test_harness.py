@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment,
                          InfluenceFunction, InfluenceGraph, PopulationState,
-                         Timeline, basin_map, birth_phase, detect_stable_windows,
+                         Timeline, basin_map, detect_stable_windows,
                          harness, linear, monte_carlo_convergence, potential_phi,
                          run_evolution, run_to_convergence, sample_simplex, sample_state,
                          verify_birth_counts,
@@ -20,7 +20,7 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
                          verify_stability_theorem, verify_type_bound, wilson95)
 from opinionflow.errors import ConfigurationError, HypothesisError
 from opinionflow import evolution
-from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord
+from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord, birth_phase
 from opinionflow.harness import required_window_length
 from opinionflow.seeding import RunStreams, generator, trial_seed
 
@@ -668,7 +668,7 @@ class TestVerifyPhiBounds:
         g = InfluenceGraph.path(4)
         s = PopulationState.uniform(g)
         phi0 = potential_phi(s)
-        out, _ = birth_phase(s, cfg, RunStreams(0), 0)
+        out, _ = birth_phase(evolution._Run.of(s, cfg), cfg, RunStreams(0), 0)
         drop = phi0 - potential_phi(out)
         assert drop == pytest.approx(phi0 * (2 * z - z * z) - z * z, abs=1e-14)
         assert drop <= 2 * cfg.beta_max
