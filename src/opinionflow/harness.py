@@ -18,7 +18,6 @@ import math
 import os
 import pickle
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import groupby
@@ -124,6 +123,13 @@ def _workers(jobs: int) -> int:
 
 
 def _pmap(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], in order, on ``_workers(jobs)`` processes.
+
+    Runs in-process for ``jobs == 1`` or at most one item. Otherwise rejects
+    items that cannot be pickled before any pool starts, and only then imports
+    and starts the pool: the process-pool stack (multiprocessing, socket,
+    subprocess, logging) loads only in a run that uses it.
+    """
     workers = _workers(jobs)
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -132,6 +138,7 @@ def _pmap(fn, items, jobs: int) -> list:
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         raise ConfigurationError(f"a trial's inputs cannot be sent to worker "
                                  f"processes ({exc}); run with jobs=1") from exc
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(items) // (4 * workers))
         return list(pool.map(fn, items, chunksize=chunk))

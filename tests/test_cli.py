@@ -271,15 +271,23 @@ class TestBasin:
         assert code == 64
 
     def test_never_loads_numpy_random(self, tmp_path):
-        # numpy.random costs about 6 MB of resident memory, and a raster draws nothing
+        # numpy.random costs about 6 MB of resident memory, and a raster draws nothing;
+        # a run that starts no pool loads no pool modules (evolve needs numpy.random)
         script = ("import sys\n"
                   "from opinionflow.cli import main\n"
-                  "assert main(['basin', '--resolution', '8', '--out', sys.argv[1]]) == 0\n"
-                  "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'\n")
+                  "argv, absent = sys.argv[1:-1], sys.argv[-1].split(',')\n"
+                  "assert main(argv) == 0\n"
+                  "loaded = [name for name in absent if name in sys.modules]\n"
+                  "assert not loaded, f'{loaded} loaded'\n")
         src = os.path.dirname(os.path.dirname(opinionflow.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], check=True,
-                       env={**os.environ, "PYTHONPATH": path})
+        pool = "concurrent.futures,multiprocessing"
+        runs = [(["basin", "--resolution", "8", "--jobs", "1"], "numpy.random," + pool),
+                (["evolve", "--steps", "50", "--jobs", "1"], pool)]
+        for argv, absent in runs:
+            out = str(tmp_path / argv[0])
+            subprocess.run([sys.executable, "-c", script, *argv, "--out", out, absent],
+                           check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 # small configs whose hypotheses hold, one per evolution verify target

@@ -1,5 +1,6 @@
 """Monte Carlo drivers: sampling, windows, verifiers, basin rasters."""
 
+import concurrent.futures
 import io
 import json
 import math
@@ -440,7 +441,7 @@ class TestCertifiedSweep:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)   # looked up per pool
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         chunks = []
         pmap = harness._pmap
