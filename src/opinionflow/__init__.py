@@ -8,9 +8,8 @@ bounds empirically.
 
 __version__ = "0.1.0"
 
-from .dynamics import (ConvergenceResult, PopulationState, active_set,
-                       classify_fixed_point, flow, is_fixed_point,
-                       local_potential_psi, migrate_step, potential_phi,
+from .dynamics import (ConvergenceResult, PopulationState, classify_fixed_point, flow,
+                       is_fixed_point, local_potential_psi, migrate_step, potential_phi,
                        run_to_convergence)
 from .errors import (ConfigurationError, EigenSolveError, HypothesisError,
                      NotAFixedPointError)
@@ -34,7 +33,7 @@ __all__ = [
     "linear", "cubic", "soft", "validate",
     "PopulationState", "ConvergenceResult", "flow", "migrate_step",
     "potential_phi", "local_potential_psi", "is_fixed_point",
-    "run_to_convergence", "active_set", "classify_fixed_point",
+    "run_to_convergence", "classify_fixed_point",
     "jacobian", "jacobian_fd", "projected_jacobian", "eigenvalues",
     "Spectrum", "StabilityReport", "classify_stability",
     "check_diagonal_dominance",

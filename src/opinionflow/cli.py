@@ -80,7 +80,7 @@ def parse_graph(spec) -> InfluenceGraph:
             graph = InfluenceGraph.from_json_dict(spec)
         else:
             name, _, arg = spec.partition(":")
-            if name == "triangle":
+            if spec == "triangle":
                 graph = InfluenceGraph.triangle()
             elif name in ("path", "cycle", "complete", "star"):
                 graph = getattr(InfluenceGraph, name)(int(arg))

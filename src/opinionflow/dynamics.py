@@ -10,6 +10,7 @@ Defaults pinned here and used package-wide:
   TOL_STEP   = 1e-10  L1 step size below which a trajectory counts as converged
   TOL_FLOW   = 1e-12  max |edge flow| below which a state counts as fixed
   THETA_ACTIVE = 1e-9 mass above which a type counts as active
+  TOL_MASS   = 1e-6   mass spread inside an active component above which a state is not fixed
   MAX_ITERS  = 10**6
   CERT_STRIDE = 16    steps between certificate tests of a batch row, up to step 512
 """
@@ -29,6 +30,7 @@ from .influence import InfluenceAssignment
 TOL_STEP = 1e-10
 TOL_FLOW = 1e-12
 THETA_ACTIVE = 1e-9
+TOL_MASS = 1e-6
 MAX_ITERS = 10**6
 CERT_STRIDE = 16
 STOP_REASONS = ("certified", "l1", "budget")
@@ -61,8 +63,7 @@ class PopulationState:
 
     @classmethod
     def from_masses(cls, graph: InfluenceGraph,
-                    masses: Mapping[int, float] | Sequence[float],
-                    t: int = 0, normalize: bool = False) -> "PopulationState":
+                    masses: Mapping[int, float] | Sequence[float]) -> "PopulationState":
         ids = tuple(graph.vertex_list())
         if isinstance(masses, Mapping):
             missing = set(ids) - set(masses)
@@ -77,18 +78,14 @@ class PopulationState:
         if not np.all((x >= 0.0) & (x <= 1.0)):      # a NaN fails both
             raise ValueError("masses must lie in [0, 1]")
         total = x.sum()
-        if normalize:
-            if total <= 0:
-                raise ValueError("cannot normalize all-zero masses")
-            x /= total
-        elif abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses must sum to 1 (got {total!r})")
-        return cls(graph, ids, x, t)
+        return cls(graph, ids, x)
 
     @classmethod
-    def uniform(cls, graph: InfluenceGraph, t: int = 0) -> "PopulationState":
+    def uniform(cls, graph: InfluenceGraph) -> "PopulationState":
         n = len(graph)
-        return cls(graph, tuple(graph.vertex_list()), np.full(n, 1.0 / n), t)
+        return cls(graph, tuple(graph.vertex_list()), np.full(n, 1.0 / n))
 
     def index_of(self, v: int) -> int:
         try:
@@ -107,8 +104,9 @@ class PopulationState:
         return {str(v): m for v, m in sorted(self.as_dict().items())}
 
     def active_set(self, theta_active: float = THETA_ACTIVE) -> set[int]:
-        if theta_active <= 0:
-            raise ValueError("theta_active must be positive")
+        """Types holding more than theta_active of mass."""
+        if not theta_active > 0:        # a NaN fails too
+            raise ValueError(f"theta_active must be positive, got {theta_active!r}")
         return {v for v, m in zip(self.ids, self.x) if m > theta_active}
 
 
@@ -251,9 +249,9 @@ class _EdgeKernel:
         return (np.bincount(bu[:w.size], w, size)
                 - np.bincount(bv[:w.size], w, size)).reshape(-1, self.n)
 
-    def raw_update(self, x: np.ndarray, delta: float = 0.0) -> np.ndarray:
-        """One application of the update map, no renormalization."""
-        return x + self.net(self.flows(x, delta))
+    def raw_update(self, x: np.ndarray) -> np.ndarray:
+        """One application of the update map (dead zone off), no renormalization."""
+        return x + self.net(self.flows(x))
 
     def step(self, x: np.ndarray, delta: float = 0.0):
         """One synchronous migration step, renormalized: (x_new, flows, residual).
@@ -393,7 +391,9 @@ class _EdgeKernel:
 
 
 def kernel_for(state: PopulationState, assignment: InfluenceAssignment) -> _EdgeKernel:
-    """A kernel for the state's graph: the one build point the benchmark tracer counts."""
+    """A fresh kernel for the state's graph. The benchmark tracer counts these
+    calls; an evolution run builds its kernel through ``_EdgeKernel.__init__``
+    (``evolution._Run.of``), which the count does not see."""
     return _EdgeKernel(state.graph, assignment)
 
 
@@ -445,8 +445,8 @@ def local_potential_psi(state: PopulationState, p: PopulationState) -> float:
 def is_fixed_point(state: PopulationState, assignment: InfluenceAssignment,
                    tol_flow: float = TOL_FLOW) -> bool:
     """True iff every edge flow (dead-zone off) is below tol_flow in magnitude."""
-    if tol_flow <= 0:
-        raise ValueError("tol_flow must be positive")
+    if not tol_flow > 0:            # a NaN fails too
+        raise ValueError(f"tol_flow must be positive, got {tol_flow!r}")
     flows = kernel_for(state, assignment).flows(state.x, 0.0)
     return bool(flows.size == 0 or np.max(np.abs(flows)) < tol_flow)
 
@@ -550,11 +550,6 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
                              stops, reasons, support)
 
 
-def active_set(state: PopulationState, theta_active: float = THETA_ACTIVE) -> set[int]:
-    """Types holding more than theta_active of mass."""
-    return state.active_set(theta_active)
-
-
 @dataclass
 class FixedPointClassification:
     components: list[tuple[frozenset[int], float]] = field(default_factory=list)
@@ -563,13 +558,12 @@ class FixedPointClassification:
 
 def classify_fixed_point(state: PopulationState, assignment: InfluenceAssignment,
                          theta_active: float = THETA_ACTIVE,
-                         tol_mass: float = 1e-6,
                          tol_flow: float = TOL_FLOW) -> FixedPointClassification:
     """Group the active types of a fixed point into equal-mass components.
 
     At any fixed point the active types split into connected components of
-    the induced subgraph, each internally at a common mass. A spread above
-    tol_mass inside a component means the state is not actually fixed.
+    the induced subgraph, each internally at a common mass. A spread of
+    TOL_MASS or more inside a component means the state is not actually fixed.
     """
     if not is_fixed_point(state, assignment, tol_flow):
         raise NotAFixedPointError("state is not a fixed point at tol_flow")
@@ -578,8 +572,8 @@ def classify_fixed_point(state: PopulationState, assignment: InfluenceAssignment
     for comp in state.graph.induced_components(active):
         masses = [state.mass(v) for v in comp]
         spread = max(masses) - min(masses)
-        if spread >= tol_mass:
+        if spread >= TOL_MASS:
             raise NotAFixedPointError(
-                f"component {sorted(comp)} has mass spread {spread:g} >= {tol_mass:g}")
+                f"component {sorted(comp)} has mass spread {spread:g} >= {TOL_MASS:g}")
         components.append((frozenset(comp), float(np.mean(masses))))
     return FixedPointClassification(components, state.graph.is_independent_set(active))

@@ -462,7 +462,7 @@ class _Run(_EdgeKernel):
     """One evolution run's state, edited in place by its phases: the edge kernel
     of its graph (the one adjacency), the masses ``x`` in ``ids`` order and
     the step ``t``. Migration is the kernel's ``step`` itself; ``birth_phase``,
-    ``death_phase`` and ``evolution_step`` edit the run and return it."""
+    ``death_phase`` and ``evolution_step`` edit the run in place."""
 
     @classmethod
     def of(cls, state: PopulationState, config: EvolutionConfig) -> "_Run":
@@ -485,8 +485,9 @@ class _Run(_EdgeKernel):
 
 
 def birth_phase(run: _Run, config: EvolutionConfig, streams: RunStreams,
-                step: int) -> tuple[_Run, BirthEvent | None]:
-    """With probability p, create a type funded by every existing one.
+                step: int) -> BirthEvent | None:
+    """With probability p, create a type funded by every existing one; returns
+    its event, or None without a birth.
 
     The stream of (step, PHASE_BIRTH) drives the Bernoulli coin and then the
     Z draws (in sorted-id order). The coin comes from ``streams.coin``, which
@@ -495,7 +496,7 @@ def birth_phase(run: _Run, config: EvolutionConfig, streams: RunStreams,
     draw shifts when a birth appears or vanishes.
     """
     if not has_birth(config, streams, step):
-        return run, None
+        return None
     rng = streams.stream(step, PHASE_BIRTH)
     rng.random()                        # the coin: the Z draws follow it
     x, ids = run.x, run.ids
@@ -509,11 +510,12 @@ def birth_phase(run: _Run, config: EvolutionConfig, streams: RunStreams,
     np.multiply(x, 1.0 - z, out=out[:-1])
     out[-1] = mass
     run.renormalize(out)
-    return run, event
+    return event
 
 
-def death_phase(run: _Run, config: EvolutionConfig) -> tuple[_Run, list[DeathEvent]]:
-    """Remove every type at or below epsilon, lowest mass first.
+def death_phase(run: _Run, config: EvolutionConfig) -> list[DeathEvent]:
+    """Remove every type at or below epsilon, lowest mass first; returns the
+    deaths in order.
 
     Each dying type's mass is split equally among its neighbors at the
     instant of death (degree taken after earlier removals in the same
@@ -537,7 +539,7 @@ def death_phase(run: _Run, config: EvolutionConfig) -> tuple[_Run, list[DeathEve
         events.append(DeathEvent(v, m, [run.ids[j] for j in near.tolist()]))
     if events:
         run.renormalize(x)
-    return run, events
+    return events
 
 
 def evolution_step(run: _Run, config: EvolutionConfig, streams: RunStreams,
@@ -552,10 +554,10 @@ def evolution_step(run: _Run, config: EvolutionConfig, streams: RunStreams,
     run.x, flows, _residual = run.step(x, config.delta)    # as migrate_step does
     run.t += 1
     phi_mig = phi_birth = phi_after = potential_phi(run)
-    _, birth = birth_phase(run, config, streams, step)
+    birth = birth_phase(run, config, streams, step)
     if birth is not None:
         phi_birth = phi_after = potential_phi(run)
-    _, deaths = death_phase(run, config)
+    deaths = death_phase(run, config)
     if deaths:
         phi_after = potential_phi(run)
     record = StepRecord(

@@ -165,31 +165,33 @@ def _label(active) -> str:
 
 # -- convergence to independent sets -------------------------------------------
 
-def _settled_limit(state: PopulationState, used: int, assignment, theta: float,
+def _settled_limit(state: PopulationState, applied: int, assignment, theta: float,
                    tol: float, max_iters: int):
-    """Iterate past the step-size stop of an uncertified row until its limit
-    classifies structurally.
+    """Iterate past the step-size stop of an uncertified row, which has taken
+    ``applied`` steps, until its limit classifies structurally.
 
     The L1-step criterion can fire while a vanishing type still sits above
     the activity threshold (its decay is slow when its absorbing neighbor
     is small), which would misread the limit's support. Such states fail
     the equal-mass component test, so we keep iterating, within the same
-    total budget, until the state classifies as a fixed point. The
-    fixed-point flow gate uses tol: a limit accepted at L1 step < tol
-    carries residual flows of that scale. Returns (state, used, settled).
+    total budget of max_iters steps, until the state classifies as a fixed
+    point. The fixed-point flow gate uses tol: a limit accepted at L1 step
+    < tol carries residual flows of that scale. Returns (state, iterations,
+    settled), where iterations is the index of the last step applied, or
+    max_iters when the budget ran out, as ``run_to_convergence`` counts.
     """
     kernel = kernel_for(state, assignment)
     x = state.x
     while True:
         state = PopulationState(state.graph, state.ids, x, state.t)
         try:
-            classify_fixed_point(state, assignment, theta, tol_mass=1e-6, tol_flow=tol)
-            return state, used, True
+            classify_fixed_point(state, assignment, theta, tol_flow=tol)
+            return state, applied - 1, True
         except NotAFixedPointError:
-            if used >= max_iters:
-                return state, used, False
-            x, applied = kernel.advance(x, min(1024, max_iters - used))[:2]
-            used += applied
+            if applied >= max_iters:
+                return state, max_iters, False
+            x, steps = kernel.advance(x, min(1024, max_iters - applied))[:2]
+            applied += steps
 
 
 def _convergence_batch(args) -> list[dict]:
@@ -205,14 +207,13 @@ def _convergence_batch(args) -> list[dict]:
             active, settled = [ids[k] for k in np.flatnonzero(s).tolist()], True
         else:
             limit, settled = PopulationState(graph, ids, x), reason == "l1"
-            if settled:
-                limit, stop, settled = _settled_limit(limit, stop, assignment, theta,
+            if settled:         # the row has taken stop + 1 steps
+                limit, stop, settled = _settled_limit(limit, stop + 1, assignment, theta,
                                                       tol, max_iters)
             active, reason = sorted(limit.active_set(theta)), "l1" if settled else "budget"
         artifacts.append({"converged": settled, "iterations": stop, "active": active,
                           "independent": graph.is_independent_set(active),
-                          "label": _label(active), "stop": reason,
-                          "equal_mass_components": settled})
+                          "label": _label(active), "stop": reason})
     return artifacts
 
 
@@ -488,8 +489,7 @@ def _type_counts(timeline: Timeline, bound_types: float, cap: int) -> dict:
             "cap_ok": peak <= cap, "success": final <= bound_types}
 
 
-def verify_type_bound(config: EvolutionConfig, trials: int,
-                      start: str = "random", initial_types: int = 8,
+def verify_type_bound(config: EvolutionConfig, trials: int, start: str = "random",
                       initial_graph: InfluenceGraph | None = None,
                       root_seed: int = 0, jobs: int = 1) -> TrialStats:
     """Check: at the horizon, the type count is <= 72*ln(1/eps) w.p. >= 1-3*eps.
@@ -497,8 +497,8 @@ def verify_type_bound(config: EvolutionConfig, trials: int,
     Hypothesis: alpha_max <= p/512 and horizon >= (16/p)*ln(1/eps)^2.
     When 72*ln(1/eps) already exceeds the hard floor(1/eps) cap the bound
     says nothing; the sweep still runs but the verdict is "vacuous".
-    ``start`` is "random" (uniform simplex point) or "adversarial"
-    (``initial_types`` types at equal mass).
+    ``start`` is "random" (uniform simplex point) or "adversarial" (equal
+    masses) on ``initial_graph``, by default path:8.
     """
     if start not in ("random", "adversarial"):
         raise ConfigurationError(f"start must be 'random' or 'adversarial', got {start!r}")
@@ -514,7 +514,7 @@ def verify_type_bound(config: EvolutionConfig, trials: int,
 
     bound_types = 72.0 * log_inv_eps
     cap = config.max_types()
-    graph = initial_graph or InfluenceGraph.path(initial_types)
+    graph = initial_graph or InfluenceGraph.path(8)
     artifacts = _evolution_sweep(partial(_type_counts, bound_types=bound_types, cap=cap),
                                  config, graph, trials, root_seed, jobs, start)
     successes = sum(1 for a in artifacts if a["success"])

@@ -25,7 +25,7 @@ from .errors import ConfigurationError, coerce
 
 FAMILIES = ("linear", "cubic", "soft", "custom")
 
-_DEFAULT_GRID = 10001
+_DEFAULT_GRID = 10001   # grid points of sup_abs and deriv_range for a custom F
 
 
 def _as_array(x):
@@ -90,9 +90,10 @@ class InfluenceFunction:
                 out = self._fd_deriv(x)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _fd_deriv(self, x: np.ndarray, h: float = 1e-6):
-        lo = np.clip(_as_array(x) - h, -1.0, 1.0)
-        hi = np.clip(_as_array(x) + h, -1.0, 1.0)
+    def _fd_deriv(self, x: np.ndarray):
+        """Central difference of ``fn`` with step 1e-6, clipped to [-1, 1]."""
+        lo = np.clip(_as_array(x) - 1e-6, -1.0, 1.0)
+        hi = np.clip(_as_array(x) + 1e-6, -1.0, 1.0)
         return (_as_array(self.fn(hi)) - _as_array(self.fn(lo))) / (hi - lo)
 
     @staticmethod
@@ -103,7 +104,7 @@ class InfluenceFunction:
 
     # -- bounds ----------------------------------------------------------------
 
-    def sup_abs(self, grid_size: int = _DEFAULT_GRID) -> float:
+    def sup_abs(self) -> float:
         """sup of |F| on [-1, 1]; analytic for built-ins."""
         if self.family == "linear":
             return self.a
@@ -111,10 +112,10 @@ class InfluenceFunction:
             return self.a
         if self.family == "soft":
             return self.a / 2.0
-        grid = np.linspace(-1.0, 1.0, grid_size)
+        grid = np.linspace(-1.0, 1.0, _DEFAULT_GRID)
         return float(np.max(np.abs(self._eval_unchecked(grid))))
 
-    def deriv_range(self, grid_size: int = _DEFAULT_GRID) -> tuple[float, float]:
+    def deriv_range(self) -> tuple[float, float]:
         """(min, max) of F' over [-1, 1]; analytic for built-ins."""
         if self.family == "linear":
             return self.a, self.a
@@ -122,7 +123,7 @@ class InfluenceFunction:
             return 0.0, 3.0 * self.a
         if self.family == "soft":
             return self.a / 4.0, self.a
-        grid = np.linspace(-1.0, 1.0, grid_size)
+        grid = np.linspace(-1.0, 1.0, _DEFAULT_GRID)
         d = _as_array(self._deriv_unchecked(grid))
         return float(d.min()), float(d.max())
 
@@ -165,21 +166,14 @@ class AdmissibilityReport:
     simplex_admissible: bool            # sup|F| <= 1 and all structure checks
     failures: list[str] = field(default_factory=list)
 
-    @property
-    def admissible(self) -> bool:
-        return self.simplex_admissible
 
-
-def validate(f: InfluenceFunction, grid_size: int = 101) -> AdmissibilityReport:
-    """Check the structural axioms on a uniform grid over [-1, 1].
+def validate(f: InfluenceFunction) -> AdmissibilityReport:
+    """Check the structural axioms on a uniform grid of 101 points over [-1, 1].
 
     The model assumes these properties rather than proving them per
-    function, so a grid check (density configurable) is the practical
-    gate for custom families.
+    function, so a grid check is the practical gate for custom families.
     """
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, 101)
     vals = _as_array(f._eval_unchecked(grid))
     derivs = _as_array(f._deriv_unchecked(grid))
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (THETA_ACTIVE, TOL_FLOW, PopulationState, is_fixed_point,
-                       kernel_for)
+from .dynamics import TOL_FLOW, PopulationState, is_fixed_point, kernel_for
 from .errors import EigenSolveError, NotAFixedPointError
 from .influence import InfluenceAssignment
 
@@ -52,19 +51,16 @@ def jacobian(state: PopulationState, assignment: InfluenceAssignment) -> np.ndar
     return J
 
 
-def jacobian_fd(state: PopulationState, assignment: InfluenceAssignment,
-                h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the raw (un-renormalized) update map.
+def jacobian_fd(state: PopulationState, assignment: InfluenceAssignment) -> np.ndarray:
+    """Central-difference Jacobian of the raw (un-renormalized) update map, step 1e-6.
 
     Testing oracle for the analytic formulas; perturbs each coordinate off
     the simplex, which the update map tolerates in a neighborhood.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
     kernel = kernel_for(state, assignment)
-    shift = np.eye(kernel.n) * h            # row j moves coordinate j: one batch
+    shift = np.eye(kernel.n) * 1e-6         # row j moves coordinate j: one batch
     return (kernel.raw_update(state.x + shift)
-            - kernel.raw_update(state.x - shift)).T / (2.0 * h)
+            - kernel.raw_update(state.x - shift)).T / 2e-6
 
 
 def projected_jacobian(J: np.ndarray, eliminated: int) -> np.ndarray:
@@ -149,14 +145,13 @@ class StabilityReport:
 
 
 def classify_stability(p: PopulationState, assignment: InfluenceAssignment,
-                       theta_active: float = THETA_ACTIVE,
                        tol_flow: float = TOL_FLOW,
                        eliminate: int | None = None) -> StabilityReport:
     """Linear stability of a fixed point, judged on the projected Jacobian.
 
     ``eliminate`` picks the substituted-out vertex id (default: highest id;
     the spectrum does not depend on the choice). Raises if ``p`` is not a
-    fixed point at tol_flow.
+    fixed point at tol_flow. Types above THETA_ACTIVE count as active.
     """
     if not is_fixed_point(p, assignment, tol_flow):
         raise NotAFixedPointError("stability classification needs a fixed point")
@@ -165,7 +160,7 @@ def classify_stability(p: PopulationState, assignment: InfluenceAssignment,
     k = p.index_of(eliminate)
     J = jacobian(p, assignment)
     spec = eigenvalues(projected_jacobian(J, k))
-    active = p.active_set(theta_active)
+    active = p.active_set()
     return StabilityReport(
         spectral_radius_projected=spec.spectral_radius,
         linearly_stable=spec.spectral_radius <= 1.0 + STABILITY_SLACK,

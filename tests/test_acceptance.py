@@ -121,7 +121,7 @@ def test_criterion_03_jacobian_matches_finite_differences():
     for _ in range(100):
         state, assignment, _f, _a = random_setup(rng, n_max=16)
         J = jacobian(state, assignment)
-        J_fd = jacobian_fd(state, assignment, h=1e-6)
+        J_fd = jacobian_fd(state, assignment)
         gap = np.abs(J - J_fd) - np.maximum(1e-6, 1e-4 * np.abs(J))
         worst_entry = max(worst_entry, float(gap.max()))
         worst_colsum = max(worst_colsum, float(np.max(np.abs(J.sum(axis=0) - 1.0))))
@@ -310,7 +310,7 @@ def test_criterion_12_lack_of_explosion():
     results = {}
     for start, initial in (("random", 8), ("adversarial", 50)):
         stats = verify_type_bound(config, trials=50, start=start,
-                                  initial_types=initial, root_seed=121)
+                                  initial_graph=InfluenceGraph.path(initial), root_seed=121)
         results[start] = stats
     ok = all(s.estimate == 1.0 and s.extras["cap_violations"] == 0
              and s.verdict == "pass" for s in results.values())

@@ -76,6 +76,13 @@ class TestSimulate:
         assert "unknown graph spec" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["triangle:7", "triangle:", "path:abc"])
+    def test_bad_graph_spec_names_itself(self, tmp_path, capsys, spec):
+        code, out = run(tmp_path, "simulate", "--graph", spec, "--x0", "uniform")
+        assert code == 64
+        assert repr(spec) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inline_graph_json(self, tmp_path):
         spec = '{"vertices": [0, 1], "edges": [[0, 1]]}'
         code, out = run(tmp_path, "simulate", "--graph", spec, "--x0", "0.6,0.4")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from opinionflow import (EvolutionConfig, InfluenceAssignment, InfluenceFunction, InfluenceGraph,
-                         PopulationState, active_set, classify_fixed_point, cubic, flow,
-                         is_fixed_point, linear, local_potential_psi, migrate_step, potential_phi,
-                         run_to_convergence, soft)
+                         PopulationState, classify_fixed_point, classify_stability, cubic,
+                         flow, is_fixed_point, linear, local_potential_psi, migrate_step,
+                         potential_phi, run_to_convergence, soft)
 from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel
 from opinionflow.graph import REWIRING_POLICIES
 from opinionflow.errors import ConfigurationError, NotAFixedPointError
@@ -670,16 +670,29 @@ class TestBatchAdvance:
 
 class TestActiveSet:
     def test_corner(self):
-        assert active_set(edge_state(1.0, 0.0)) == {0}
+        assert edge_state(1.0, 0.0).active_set() == {0}
 
     def test_tiny_mass_excluded(self):
         g = InfluenceGraph.triangle()
         s = PopulationState.from_masses(g, [0.5, 0.5 - 1e-12, 1e-12])
-        assert active_set(s) == {0, 1}
+        assert s.active_set() == {0, 1}
 
     def test_uniform_all_active(self):
         s = PopulationState.uniform(InfluenceGraph.triangle())
-        assert active_set(s) == {0, 1, 2}
+        assert s.active_set() == {0, 1, 2}
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_nonpositive_thresholds_rejected(self, bad):
+        # a NaN compared as "<= 0" would pass: no type active, every set fixed or not
+        s = edge_state(0.5, 0.5)
+        asg = InfluenceAssignment(linear(0.5))
+        with pytest.raises(ValueError, match="theta_active must be positive"):
+            s.active_set(bad)
+        with pytest.raises(ValueError, match="theta_active must be positive"):
+            classify_fixed_point(s, asg, theta_active=bad)
+        for check in (is_fixed_point, classify_fixed_point, classify_stability):
+            with pytest.raises(ValueError, match="tol_flow must be positive"):
+                check(s, asg, tol_flow=bad)
 
 
 class TestStateValidation:
@@ -699,7 +712,7 @@ class TestStateValidation:
         with pytest.raises(ValueError, match=r"in \[0, 1\]"):
             PopulationState.from_masses(g, [bad, 0.5, 0.5])
         with pytest.raises(ValueError, match=r"in \[0, 1\]"):
-            PopulationState.from_masses(g, {0: 0.5, 1: bad, 2: 0.5}, normalize=True)
+            PopulationState.from_masses(g, {0: 0.5, 1: bad, 2: 0.5})
 
     def test_mass_lookup(self):
         g = InfluenceGraph([3, 7], [(3, 7)])
@@ -755,9 +768,9 @@ class TestKernelFollowsEdits:
                     run.x = np.full(run.n, (1.0 - 1e-9) / (run.n - 1))
                     run.x[dying] = 1e-9
                     want = run.ids[dying]
-                    assert [d.type_id for d in death_phase(run, deaths)[1]] == [want]
+                    assert [d.type_id for d in death_phase(run, deaths)] == [want]
                 else:
-                    assert birth_phase(run, births, RunStreams(step), step)[1] is not None
+                    assert birth_phase(run, births, RunStreams(step), step) is not None
                 fresh = _EdgeKernel(g, self.ASSIGNMENT)
                 assert_same_kernel(run, fresh)
                 x = rng.dirichlet(np.ones(len(g)))
@@ -784,13 +797,13 @@ class TestKernelFollowsEdits:
         births = EvolutionConfig(p=1.0, assignment=self.ASSIGNMENT)
         run = _Run.of(PopulationState.uniform(g), births)
         assert_steps_as_fresh(run, 9)
-        assert birth_phase(run, births, RunStreams(0), 0)[1] is not None     # _append
+        assert birth_phase(run, births, RunStreams(0), 0) is not None        # _append
         for rows in (4, 9):
             assert_steps_as_fresh(run, rows)
         run.x = np.full(run.n, (1.0 - 1e-9) / (run.n - 1))
         run.x[2] = 1e-9
         deaths = EvolutionConfig(epsilon=1e-6, assignment=self.ASSIGNMENT)
-        assert len(death_phase(run, deaths)[1]) == 1                         # _remove
+        assert len(death_phase(run, deaths)) == 1                            # _remove
         for rows in (4, 9):
             assert_steps_as_fresh(run, rows)
 

@@ -111,8 +111,8 @@ class TestBirthPhase:
         cfg = make_config(p=1.0, attachment="connect-to-all")
         cfg.distribution = _FixedZ([0.2, 0.1])
         run = evolution._Run.of(s, cfg)
-        out, event = birth_phase(run, cfg, RunStreams(0), 0)
-        assert event is not None and out is run
+        event = birth_phase(run, cfg, RunStreams(0), 0)
+        assert event is not None
         np.testing.assert_allclose(run.x, [0.4, 0.45, 0.15])
         assert run.ids == (0, 1, 2) and run.graph is g
         assert event.new_id == 2
@@ -125,9 +125,8 @@ class TestBirthPhase:
         cfg = make_config(p=0.0)
         run = evolution._Run.of(s, cfg)
         for seed in range(20):
-            out, event = birth_phase(run, cfg, RunStreams(seed), 0)
-            assert event is None
-            assert out is run and run.x is s.x and run.ids == s.ids
+            assert birth_phase(run, cfg, RunStreams(seed), 0) is None
+            assert run.x is s.x and run.ids == s.ids
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -139,16 +138,17 @@ class TestBirthPhase:
         draws = rng.exponential(size=n)
         s = PopulationState(g, tuple(range(n)), draws / draws.sum())
         cfg = make_config(p=1.0, beta_min=0.05, beta_max=0.2)
-        out, event = birth_phase(evolution._Run.of(s, cfg), cfg, RunStreams(seed + 1), 0)
+        run = evolution._Run.of(s, cfg)
+        event = birth_phase(run, cfg, RunStreams(seed + 1), 0)
         assert cfg.beta_min - 1e-12 <= event.mass <= cfg.beta_max + 1e-12
-        assert abs(out.x.sum() - 1.0) < 1e-12
+        assert abs(run.x.sum() - 1.0) < 1e-12
 
     def test_newborn_attaches_and_graph_stays_connected(self):
         g = InfluenceGraph.path(4)
         s = PopulationState.uniform(g)
         cfg = make_config(p=1.0)
-        out, event = birth_phase(evolution._Run.of(s, cfg), cfg, RunStreams(3), 0)
-        assert out.graph.is_connected()
+        event = birth_phase(evolution._Run.of(s, cfg), cfg, RunStreams(3), 0)
+        assert g.is_connected() and len(g) == 5
         assert 1 <= len(event.neighbors) <= 3
 
 
@@ -208,7 +208,8 @@ class TestDeathPhase:
         g = InfluenceGraph.path(3)  # 0-1-2
         s = PopulationState.from_masses(g, [0.005, 0.495, 0.5])
         cfg = make_config(epsilon=0.01)
-        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
+        out = evolution._Run.of(s, cfg)
+        events = death_phase(out, cfg)
         assert [e.type_id for e in events] == [0]
         assert out.graph.edges() == [[1, 2]]
         np.testing.assert_allclose(sorted(out.x), [0.5, 0.5])
@@ -217,7 +218,8 @@ class TestDeathPhase:
         g = InfluenceGraph.star(3)  # center 0, leaves 1..3
         s = PopulationState.from_masses(g, {0: 0.009, 1: 0.4, 2: 0.3, 3: 0.291})
         cfg = make_config(epsilon=0.01)
-        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
+        out = evolution._Run.of(s, cfg)
+        events = death_phase(out, cfg)
         assert [e.type_id for e in events] == [0]
         assert events[0].recipients == [1, 2, 3]
         out = out.state()
@@ -230,7 +232,8 @@ class TestDeathPhase:
         g = InfluenceGraph.path(3)
         s = PopulationState.from_masses(g, [0.009, 0.002, 0.989])
         cfg = make_config(epsilon=0.01)
-        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
+        out = evolution._Run.of(s, cfg)
+        events = death_phase(out, cfg)
         assert [e.type_id for e in events] == [1, 0]  # lowest mass first
         assert len(out.graph) == 1
         assert out.x[0] == pytest.approx(1.0)
@@ -240,7 +243,8 @@ class TestDeathPhase:
         g = InfluenceGraph.path(3)
         s = PopulationState.from_masses(g, [0.0099, 0.0005, 0.9896])
         cfg = make_config(epsilon=0.01)
-        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
+        out = evolution._Run.of(s, cfg)
+        events = death_phase(out, cfg)
         assert [e.type_id for e in events] == [1]
         assert out.state().mass(0) == pytest.approx(0.01015)
 
@@ -248,7 +252,8 @@ class TestDeathPhase:
         g = InfluenceGraph([0])
         s = PopulationState(g, (0,), np.array([1.0]))
         cfg = make_config(epsilon=0.99)
-        out, events = death_phase(evolution._Run.of(s, cfg), cfg)
+        out = evolution._Run.of(s, cfg)
+        events = death_phase(out, cfg)
         assert events == []
         assert len(out.graph) == 1
 
@@ -269,7 +274,9 @@ class TestDeathPhase:
             draws = rng.exponential(size=n)
             s = PopulationState(g, tuple(range(n)), draws / draws.sum())
             before = s.as_dict()
-            out = death_phase(evolution._Run.of(s, cfg), cfg)[0].state()
+            run = evolution._Run.of(s, cfg)
+            death_phase(run, cfg)
+            out = run.state()
             for v in out.ids:
                 assert out.mass(v) >= before[v] - 1e-15
 
@@ -310,7 +317,7 @@ class TestEvolutionStep:
         cfg = make_config(p=1.0, delta=1.0)  # no migration
         streams = RunStreams(42)
         manual = evolution._Run.of(PopulationState(s.graph.copy(), s.ids, s.x.copy(), s.t), cfg)
-        _, event = birth_phase(manual, cfg, streams, s.t)
+        event = birth_phase(manual, cfg, streams, s.t)
         _, record = evolution_step(evolution._Run.of(s, cfg), cfg, streams, potential_phi(s))
         assert record.step == 5
         assert record.birth.z == event.z
@@ -497,7 +504,7 @@ class TestCompactRecords:
         s = PopulationState(InfluenceGraph.path(4), (0, 1, 2, 3), np.array([0.4, 0.3, 0.2, 0.1]))
         cfg = make_config(p=1.0)
         streams = RunStreams(8)
-        _, event = birth_phase(evolution._Run.of(s, cfg), cfg, streams, 3)
+        event = birth_phase(evolution._Run.of(s, cfg), cfg, streams, 3)
         rng = streams.stream(3, PHASE_BIRTH)
         rng.random()
         z = cfg.distribution.sample(rng, 4, cfg.beta_min, cfg.beta_max)

@@ -19,6 +19,7 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
                          verify_birth_counts,
                          verify_phi_bounds, verify_phi_bounds_sweep,
                          verify_stability_theorem, verify_type_bound, wilson95)
+from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _EdgeKernel
 from opinionflow.errors import ConfigurationError, HypothesisError
 from opinionflow import evolution
 from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord, birth_phase
@@ -304,9 +305,11 @@ class TestMonteCarloConvergence:
         assert stats.trials == 10
 
     def test_limits_have_equal_mass_components(self):
+        # a trial converges only once its limit classifies as a fixed point:
+        # each active component at one mass (classify_fixed_point)
         stats = monte_carlo_convergence(path_acb(), InfluenceAssignment(linear(0.4)),
                                         trials=60, root_seed=9)
-        assert all(a["equal_mass_components"] for a in stats.artifacts)
+        assert all(a["converged"] for a in stats.artifacts)
 
     def test_parallel_matches_serial(self):
         g = InfluenceGraph.triangle()
@@ -411,6 +414,26 @@ class TestCertifiedSweep:
         at_l1 = run_to_convergence(PopulationState(g, ids, starts), custom).limit.x
         labels = ["+".join(str(v) for v in ids if x[v] > 1e-9) for x in at_l1]
         assert labels != [a["label"] for a in settled.artifacts]
+
+    @pytest.mark.parametrize("max_iters, stop, iterations, label", [
+        (1659, "budget", 1659, "0+1+3"), (1700, "budget", 1700, "0+1+3"),
+        (2677, "l1", 2676, "1+3"), (MAX_ITERS, "l1", 2677, "1+3")])
+    def test_settle_loop_keeps_to_the_budget(self, monkeypatch, max_iters, stop, iterations,
+                                             label):
+        # this cycle:5 trial takes its L1 stop before step 1659 and settles by step 2677
+        steps = []
+        step = _EdgeKernel.step
+
+        def counted(self, x, delta=0.0):
+            steps.append(1 if x.ndim == 1 else len(x))
+            return step(self, x, delta)
+
+        monkeypatch.setattr(_EdgeKernel, "step", counted)
+        custom = InfluenceAssignment(InfluenceFunction("custom", fn=linear_049))
+        [a] = harness._convergence_batch(([trial_seed(71, 2)], self.graphs["cycle5"], custom,
+                                          TOL_STEP, max_iters, THETA_ACTIVE))
+        assert (a["stop"], a["iterations"], a["label"]) == (stop, iterations, label)
+        assert sum(steps) == min(iterations + 1, max_iters)
 
     @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("f", [linear(0.49), InfluenceFunction("custom", fn=linear_049)],
@@ -629,7 +652,7 @@ class TestVerifyTypeBound:
 
     def test_adversarial_start(self):
         stats = verify_type_bound(self.make_config(0.01), trials=2, root_seed=1,
-                                  start="adversarial", initial_types=30)
+                                  start="adversarial", initial_graph=InfluenceGraph.path(30))
         assert stats.successes == 2
 
 
@@ -669,8 +692,9 @@ class TestVerifyPhiBounds:
         g = InfluenceGraph.path(4)
         s = PopulationState.uniform(g)
         phi0 = potential_phi(s)
-        out, _ = birth_phase(evolution._Run.of(s, cfg), cfg, RunStreams(0), 0)
-        drop = phi0 - potential_phi(out)
+        run = evolution._Run.of(s, cfg)
+        birth_phase(run, cfg, RunStreams(0), 0)
+        drop = phi0 - potential_phi(run)
         assert drop == pytest.approx(phi0 * (2 * z - z * z) - z * z, abs=1e-14)
         assert drop <= 2 * cfg.beta_max
 

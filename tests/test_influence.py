@@ -81,15 +81,11 @@ class TestValidate:
     def test_flat_custom_is_not_strictly_increasing(self):
         f = InfluenceFunction("custom", fn=lambda x: 0.4 * np.clip(np.asarray(x), -0.5, 0.5))
         rep = validate(f)
-        assert rep.monotone and not rep.strictly_increasing and not rep.admissible
+        assert rep.monotone and not rep.strictly_increasing and not rep.simplex_admissible
 
     def test_too_strong_rejected(self):
         rep = validate(linear(1.5))
         assert not rep.simplex_admissible
-
-    def test_grid_size_floor(self):
-        with pytest.raises(ValueError):
-            validate(linear(0.5), grid_size=2)
 
 
 class TestAlphaBounds:

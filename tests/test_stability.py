@@ -43,7 +43,7 @@ class TestJacobian:
         for _ in range(30):
             state, asg, _, _ = random_setup(rng)
             J = jacobian(state, asg)
-            J_fd = jacobian_fd(state, asg, h=1e-6)
+            J_fd = jacobian_fd(state, asg)
             tol = np.maximum(1e-6, 1e-4 * np.abs(J))
             assert np.all(np.abs(J - J_fd) <= tol)
 
