@@ -8,13 +8,13 @@ bounds empirically.
 
 __version__ = "0.1.0"
 
-from .dynamics import (ConvergenceResult, PopulationState, classify_fixed_point, flow,
+from .dynamics import (ConvergenceResult, PopulationState, classify_fixed_point,
                        is_fixed_point, local_potential_psi, migrate_step, potential_phi,
                        run_to_convergence)
 from .errors import (ConfigurationError, EigenSolveError, HypothesisError,
                      NotAFixedPointError)
 from .evolution import BirthDistribution, EvolutionConfig, Timeline, run_evolution
-from .graph import InfluenceGraph, choose_attachment
+from .graph import InfluenceGraph
 from .harness import (BasinMap, StableWindow, TrialStats, basin_map,
                       detect_stable_windows, monte_carlo_convergence,
                       sample_simplex, sample_state, verify_birth_counts,
@@ -23,18 +23,18 @@ from .harness import (BasinMap, StableWindow, TrialStats, basin_map,
 from .influence import (AdmissibilityReport, InfluenceAssignment,
                         InfluenceFunction, cubic, linear, soft, validate)
 from .stability import (Spectrum, StabilityReport, check_diagonal_dominance,
-                        classify_stability, eigenvalues, jacobian, jacobian_fd,
+                        classify_stability, eigenvalues, jacobian,
                         projected_jacobian)
 
 __all__ = [
     "__version__",
-    "InfluenceGraph", "choose_attachment",
+    "InfluenceGraph",
     "InfluenceFunction", "InfluenceAssignment", "AdmissibilityReport",
     "linear", "cubic", "soft", "validate",
-    "PopulationState", "ConvergenceResult", "flow", "migrate_step",
+    "PopulationState", "ConvergenceResult", "migrate_step",
     "potential_phi", "local_potential_psi", "is_fixed_point",
     "run_to_convergence", "classify_fixed_point",
-    "jacobian", "jacobian_fd", "projected_jacobian", "eigenvalues",
+    "jacobian", "projected_jacobian", "eigenvalues",
     "Spectrum", "StabilityReport", "classify_stability",
     "check_diagonal_dominance",
     "BirthDistribution", "EvolutionConfig", "Timeline", "run_evolution",

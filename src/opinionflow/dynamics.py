@@ -78,8 +78,8 @@ class PopulationState:
         if not np.all((x >= 0.0) & (x <= 1.0)):      # a NaN fails both
             raise ValueError("masses must lie in [0, 1]")
         total = x.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses must sum to 1 (got {total!r})")
+        if not abs(total - 1.0) <= _RENORM_TOL:       # the step's own drift bound
+            raise ValueError(f"masses must sum to 1 (got {float(total)!r})")
         return cls(graph, ids, x)
 
     @classmethod
@@ -249,10 +249,6 @@ class _EdgeKernel:
         return (np.bincount(bu[:w.size], w, size)
                 - np.bincount(bv[:w.size], w, size)).reshape(-1, self.n)
 
-    def raw_update(self, x: np.ndarray) -> np.ndarray:
-        """One application of the update map (dead zone off), no renormalization."""
-        return x + self.net(self.flows(x))
-
     def step(self, x: np.ndarray, delta: float = 0.0):
         """One synchronous migration step, renormalized: (x_new, flows, residual).
 
@@ -395,19 +391,6 @@ def kernel_for(state: PopulationState, assignment: InfluenceAssignment) -> _Edge
     calls; an evolution run builds its kernel through ``_EdgeKernel.__init__``
     (``evolution._Run.of``), which the count does not see."""
     return _EdgeKernel(state.graph, assignment)
-
-
-def flow(state: PopulationState, u: int, v: int,
-         assignment: InfluenceAssignment, delta: float = 0.0) -> float:
-    """Mass moving from v into u this step (negative = the other way)."""
-    if not state.graph.has_edge(u, v):
-        raise ValueError(f"no edge {u}-{v}")
-    xu, xv = state.mass(u), state.mass(v)
-    d = xu - xv
-    if abs(d) <= delta:
-        return 0.0
-    f = assignment.function_for(u, v)
-    return xu * xv * float(f._eval_unchecked(np.asarray(d)))
 
 
 class StepOutcome(NamedTuple):

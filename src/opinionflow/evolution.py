@@ -423,16 +423,11 @@ def has_birth(config: EvolutionConfig, streams: RunStreams, step: int) -> bool:
     return not (config.p == 0.0 or streams.coin(step, PHASE_BIRTH) >= config.p)
 
 
-def birth_steps(config: EvolutionConfig) -> list[int]:
-    """The steps of ``run_evolution(x0, config)`` that have a birth, whatever
-    x0 is: the birth rule at steps 0 .. horizon-1, with no step run."""
-    coins = RunStreams(config.seed).coins(0, config.horizon, PHASE_BIRTH)
-    return np.flatnonzero(coins < config.p).tolist()
-
-
 def birth_counts(config: EvolutionConfig, seeds: list[int]) -> np.ndarray:
-    """``len(birth_steps(config))`` under each of ``seeds`` as the run seed:
-    the coins of many runs drawn together, at most COIN_WINDOW at a time."""
+    """The number of steps of ``run_evolution(x0, config)`` that have a birth,
+    whatever x0 is, under each of ``seeds`` as the run seed: the birth rule at
+    steps 0 .. horizon-1, with no step run. The coins of many runs are drawn
+    together, at most COIN_WINDOW at a time."""
     counts = np.zeros(len(seeds), dtype=np.int64)
     width = min(config.horizon, COIN_WINDOW)
     rows = COIN_WINDOW // width

@@ -9,7 +9,7 @@ disconnected graphs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -84,11 +84,6 @@ class InfluenceGraph:
     def neighbors(self, v: int) -> set[int]:
         self._require(v)
         return set(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._require(u)
-        self._require(v)
-        return v in self._adj[u]
 
     def edges(self) -> list[list[int]]:
         """Canonical edge list: [u, v] with u < v, sorted."""
@@ -232,9 +227,3 @@ def attachment_indices(n: int, policy: str, rng: np.random.Generator) -> list[in
         raise ValueError(f"unknown attachment policy {policy!r}")
     k = int(rng.integers(1, min(3, n) + 1))
     return sorted(rng.choice(n, size=k, replace=False).tolist())
-
-
-def choose_attachment(ids: Sequence[int], policy: str,
-                      rng: np.random.Generator) -> set[int]:
-    """``attachment_indices`` as a set of the sorted vertex ids ``ids``."""
-    return {ids[i] for i in attachment_indices(len(ids), policy, rng)}

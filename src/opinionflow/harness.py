@@ -179,6 +179,12 @@ def _settled_limit(state: PopulationState, applied: int, assignment, theta: floa
     < tol carries residual flows of that scale. Returns (state, iterations,
     settled), where iterations is the index of the last step applied, or
     max_iters when the budget ran out, as ``run_to_convergence`` counts.
+
+    The state is checked right after the L1 stop and then once per 1024
+    steps, a chunk that the budget may cut short. So a settled row's
+    iterations is the step of the checkpoint at which it first classified:
+    up to 1023 steps past the first step that classifies, and it can move
+    with max_iters.
     """
     kernel = kernel_for(state, assignment)
     x = state.x
@@ -231,6 +237,9 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     masses forever. A trial stops when the invariant of
     ``_EdgeKernel.certificate`` proves its limit support, or else at its
     L1 stop and a settle past it (``_settled_limit``), or at the budget.
+    A trial's ``iterations`` is the index of the last step it applied; for
+    a trial that settles, that is the settle checkpoint at which it first
+    classified, up to 1023 steps past the first step that classifies.
     Unconverged trials count as failures. The extras carry a basin census
     (limit label -> trial count), the count of trials per stop reason, and
     every unresolved trial (unconverged, or on a non-independent set) with
@@ -295,15 +304,6 @@ class BasinMap:
     def label_fractions(self) -> dict[str, float]:
         total = self.cell_count()
         return {lab: count / total for lab, count in self.counts.items()}
-
-    def label_at(self, weights) -> str:
-        """Label of the cell nearest to barycentric ``weights`` over ``ids``."""
-        w = np.asarray(weights, dtype=float)
-        i = int(round(w[0] * self.resolution))
-        j = int(round(w[1] * self.resolution))
-        i = min(max(i, 0), self.resolution)
-        j = min(max(j, 0), self.resolution - i)
-        return self.rows[i][j]
 
     def to_csv(self) -> str:
         return "\n".join(",".join(row) for row in self.rows) + "\n"

@@ -133,16 +133,6 @@ class RunStreams:
         first, coins = self.window(step, phase)
         return float(coins[step - first])
 
-    def coins(self, start: int, stop: int, phase: int) -> np.ndarray:
-        """The coins of steps ``start`` .. ``stop``-1, ``coin(step, phase)`` each,
-        read window by window."""
-        parts = []
-        while start < stop:
-            first, coins = self.window(start, phase)
-            parts.append(coins[start - first:stop - first])
-            start = first + len(coins)
-        return np.concatenate(parts) if parts else np.empty(0)
-
     def window(self, step: int, phase: int) -> tuple[int, np.ndarray]:
         """(first, coins): the coins of the COIN_WINDOW steps from ``first``, the
         multiple of COIN_WINDOW at or below ``step``, drawn in one Philox pass
@@ -165,8 +155,9 @@ def _coins(keys: np.ndarray, first: int, count: int, phase: int) -> np.ndarray:
 
 
 def run_coins(seeds: list[int], first: int, count: int, phase: int) -> np.ndarray:
-    """``RunStreams(seed).coins(first, first + count, phase)`` of each of
-    ``seeds``, one row each, drawn together."""
+    """The coins of steps ``first`` .. ``first + count``-1 under each of
+    ``seeds``, ``RunStreams(seed).coin(step, phase)`` each, one row per seed,
+    drawn together."""
     keys = np.array([_philox_key_type()(int(seed)).generate_state(2, np.uint64)
                      for seed in seeds]).reshape(-1, 2)
     return _coins(keys, first, count, phase)

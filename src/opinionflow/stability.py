@@ -51,18 +51,6 @@ def jacobian(state: PopulationState, assignment: InfluenceAssignment) -> np.ndar
     return J
 
 
-def jacobian_fd(state: PopulationState, assignment: InfluenceAssignment) -> np.ndarray:
-    """Central-difference Jacobian of the raw (un-renormalized) update map, step 1e-6.
-
-    Testing oracle for the analytic formulas; perturbs each coordinate off
-    the simplex, which the update map tolerates in a neighborhood.
-    """
-    kernel = kernel_for(state, assignment)
-    shift = np.eye(kernel.n) * 1e-6         # row j moves coordinate j: one batch
-    return (kernel.raw_update(state.x + shift)
-            - kernel.raw_update(state.x - shift)).T / 2e-6
-
-
 def projected_jacobian(J: np.ndarray, eliminated: int) -> np.ndarray:
     """Jacobian of the map with coordinate ``eliminated`` substituted out.
 
@@ -84,9 +72,6 @@ def projected_jacobian(J: np.ndarray, eliminated: int) -> np.ndarray:
 class Spectrum:
     values: np.ndarray          # complex eigenvalues, unordered
     spectral_radius: float
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def eigenvalues(M: np.ndarray) -> Spectrum:

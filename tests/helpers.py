@@ -16,9 +16,12 @@ def path_acb():
     return InfluenceGraph([0, 1, 2], [(0, 2), (1, 2)])
 
 
-def flow_oracle(masses, u, v, family, a):
-    """Independent re-evaluation of the flow formula (no package code)."""
+def flow_oracle(masses, u, v, family, a, delta=0.0):
+    """Independent re-evaluation of the flow formula (no package code): the
+    mass moving from v into u, zero when |x_u - x_v| <= delta."""
     d = masses[u] - masses[v]
+    if abs(d) <= delta:
+        return 0.0
     if family == "linear":
         F = a * d
     elif family == "cubic":
@@ -157,6 +160,46 @@ def reference_run(x0, assignment, tol=1e-10, max_iters=10**6, trace=None):
     return x, max_iters, False
 
 
+def jacobian_fd(state, assignment):
+    """Central-difference Jacobian of the raw (un-renormalized) update map,
+    step 1e-6: the oracle for the analytic ``jacobian``. It perturbs each
+    coordinate off the simplex, which the update map tolerates in a
+    neighborhood."""
+    from opinionflow.dynamics import kernel_for
+
+    kernel = kernel_for(state, assignment)
+
+    def update(x):
+        return x + kernel.net(kernel.flows(x))
+
+    shift = np.eye(kernel.n) * 1e-6         # row j moves coordinate j: one batch
+    return (update(state.x + shift) - update(state.x - shift)).T / 2e-6
+
+
+def birth_steps(config):
+    """The steps of ``run_evolution(x0, config)`` that have a birth, whatever
+    x0 is: the steps 0 .. horizon-1 whose birth coin falls below p."""
+    from opinionflow.seeding import PHASE_BIRTH, run_coins
+
+    coins = run_coins([config.seed], 0, config.horizon, PHASE_BIRTH)[0]
+    return np.flatnonzero(coins < config.p).tolist()
+
+
+def choose_attachment(ids, policy, rng):
+    """``attachment_indices`` as a set of the sorted vertex ids ``ids``."""
+    from opinionflow.graph import attachment_indices
+
+    return {ids[i] for i in attachment_indices(len(ids), policy, rng)}
+
+
+def label_at(raster, weights):
+    """Label of the ``BasinMap`` cell nearest to barycentric ``weights`` over its ids."""
+    w = np.asarray(weights, dtype=float)
+    i = min(max(int(round(w[0] * raster.resolution)), 0), raster.resolution)
+    j = min(max(int(round(w[1] * raster.resolution)), 0), raster.resolution - i)
+    return raster.rows[i][j]
+
+
 def certificate_oracle(graph, x, theta):
     """The certified support of one state, set by set: the first top-k set
     (highest masses, ties by lower index) that is independent, dominates every
@@ -187,7 +230,6 @@ def reference_evolution(x0, config):
     """
     from opinionflow.errors import ConfigurationError
     from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord, Timeline
-    from opinionflow.graph import choose_attachment
     from opinionflow.seeding import PHASE_ATTACH, PHASE_BIRTH, RunStreams
 
     def migrate(x, graph):

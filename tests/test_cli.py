@@ -68,6 +68,18 @@ class TestSimulate:
                       "--x0", "0.5,0.5")
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--graph", "triangle", "--x0", "0.5,0.3,0.2000000001"),
+        ("evolve", "--graph", "triangle", "--x0", "0.5,0.3,0.2000000001"),
+        ("analyze", "--graph", "path:3", "--x0", "0.5,0,0.5000000001")])
+    def test_x0_off_the_simplex_names_its_sum(self, tmp_path, capsys, argv):
+        # a sum 1e-10 off: the step's own drift check (1e-12) would reject it, or
+        # analyze would report a fixed point off the simplex
+        code, out = run(tmp_path, *argv, "--f", "linear:0.4")
+        assert code == 64
+        assert "must sum to 1 (got 1.0000000001)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_graph_file_naming_itself(self, tmp_path, capsys):
         spec = tmp_path / "graph.json"
         spec.write_text(json.dumps(f"@{spec}"))

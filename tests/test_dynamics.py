@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from opinionflow import (EvolutionConfig, InfluenceAssignment, InfluenceFunction, InfluenceGraph,
                          PopulationState, classify_fixed_point, classify_stability, cubic,
-                         flow, is_fixed_point, linear, local_potential_psi, migrate_step,
+                         is_fixed_point, linear, local_potential_psi, migrate_step,
                          potential_phi, run_to_convergence, soft)
 from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _cert_stride, _EdgeKernel
 from opinionflow.graph import REWIRING_POLICIES
@@ -20,33 +20,38 @@ from .helpers import (assert_same_kernel, certificate_oracle, edge_state, flow_o
 
 
 class TestFlow:
+    """``_EdgeKernel.flows``: the flow into each edge's u endpoint."""
+
     def test_hand_value(self):
         s = edge_state(0.6, 0.4)
-        asg = InfluenceAssignment(linear(0.5))
-        assert flow(s, 0, 1, asg) == pytest.approx(0.024)
-        assert flow(s, 1, 0, asg) == pytest.approx(-0.024)
+        kernel = _EdgeKernel(s.graph, InfluenceAssignment(linear(0.5)))
+        flows = kernel.flows(s.x)
+        assert flows.tolist() == [pytest.approx(0.024)]
+        np.testing.assert_allclose(kernel.net(flows), [0.024, -0.024])
 
     def test_equal_masses_no_flow(self):
         s = edge_state(0.5, 0.5)
-        assert flow(s, 0, 1, InfluenceAssignment(cubic(0.9))) == 0.0
+        assert _EdgeKernel(s.graph, InfluenceAssignment(cubic(0.9))).flows(s.x).tolist() == [0.0]
 
     def test_dead_zone(self):
         s = edge_state(0.55, 0.45)
-        assert flow(s, 0, 1, InfluenceAssignment(linear(0.5)), delta=0.2) == 0.0
-
-    def test_non_edge_rejected(self):
-        g = InfluenceGraph.path(3)
-        s = PopulationState.uniform(g)
-        with pytest.raises(ValueError):
-            flow(s, 0, 2, InfluenceAssignment(linear(0.5)))
+        kernel = _EdgeKernel(s.graph, InfluenceAssignment(linear(0.5)))
+        assert kernel.flows(s.x, 0.2).tolist() == [0.0]
+        assert kernel.flows(s.x, 0.05).tolist() == kernel.flows(s.x).tolist() != [0.0]
 
     def test_matches_oracle_on_random_states(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             state, asg, family, a = random_setup(rng)
-            for u, v in state.graph.edges():
-                expected = flow_oracle(state.as_dict(), u, v, family, a)
-                assert flow(state, u, v, asg) == pytest.approx(expected, abs=1e-15)
+            kernel = _EdgeKernel(state.graph, asg)
+            masses = state.as_dict()
+            gaps = np.abs(state.x[kernel.iu] - state.x[kernel.iv])
+            for delta in (0.0, float(np.median(gaps)) if kernel.m else 0.1):
+                flows = kernel.flows(state.x, delta)
+                for e in range(kernel.m):
+                    u, v = kernel.ids[kernel.iu[e]], kernel.ids[kernel.iv[e]]
+                    expected = flow_oracle(masses, u, v, family, a, delta)
+                    assert flows[e] == pytest.approx(expected, abs=1e-15)
 
 
 class TestMigrateStep:

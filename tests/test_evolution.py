@@ -14,12 +14,12 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
 from opinionflow import evolution
 from opinionflow.errors import ConfigurationError
 from opinionflow.evolution import (BirthEvent, DeathEvent, StepRecord, ZMap, birth_phase,
-                                   birth_steps, death_phase, evolution_step, has_birth)
-from opinionflow.graph import choose_attachment
+                                   death_phase, evolution_step, has_birth)
+from opinionflow.graph import attachment_indices
 from opinionflow.seeding import (COIN_WINDOW, PHASE_ATTACH, PHASE_BIRTH, RunStreams, generator,
                                  run_coins)
 
-from .helpers import assert_same_text, reference_evolution
+from .helpers import assert_same_text, birth_steps, reference_evolution
 
 
 class _FixedZ:
@@ -326,8 +326,8 @@ class TestEvolutionStep:
         rng.random()
         z = cfg.distribution.sample(rng, 3, cfg.beta_min, cfg.beta_max)
         assert event.z == dict(zip((0, 1, 2), map(float, z)))
-        assert event.neighbors == sorted(choose_attachment(
-            [0, 1, 2], cfg.attachment, streams.stream(5, PHASE_ATTACH)))
+        assert event.neighbors == attachment_indices(        # ids 0, 1, 2 are their indices
+            3, cfg.attachment, streams.stream(5, PHASE_ATTACH))
 
 
 class TestRunEvolution:
@@ -696,7 +696,7 @@ class TestRunStreams:
         (2**64 - COIN_WINDOW - 1, 2**64)])
     def test_coins_of_a_range_give_the_birth_rule(self, p, start, stop):
         cfg = make_config(p=p, seed=11)
-        coins = RunStreams(11).coins(start, stop, PHASE_BIRTH)
+        coins = run_coins([11], start, stop - start, PHASE_BIRTH)[0]
         one_by_one = RunStreams(11)
         assert coins.tolist() == [one_by_one.coin(s, PHASE_BIRTH) for s in range(start, stop)]
         assert [start + i for i in np.flatnonzero(coins < p).tolist()] == \
@@ -708,14 +708,15 @@ class TestRunStreams:
         coins = run_coins(seeds, first, count, PHASE_BIRTH)
         assert coins.shape == (len(seeds), count)
         for seed, row in zip(seeds, coins):
-            assert row.tolist() == RunStreams(seed).coins(first, first + count, PHASE_BIRTH).tolist()
+            streams = RunStreams(seed)
+            assert row.tolist() == [streams.coin(s, PHASE_BIRTH) for s in range(first, first + count)]
 
     def test_coins_read_the_block_coin_holds(self):
         w = COIN_WINDOW
         streams, fresh = RunStreams(4), RunStreams(4)
         streams.coin(w + 6, PHASE_BIRTH)                # holds window 1
-        assert streams.coins(w + 1, w + 6, PHASE_BIRTH).tolist() == \
-            fresh.coins(w + 1, w + 6, PHASE_BIRTH).tolist()
+        assert [streams.coin(s, PHASE_BIRTH) for s in range(w + 1, w + 6)] == \
+            run_coins([4], w + 1, 5, PHASE_BIRTH)[0].tolist()
         assert streams.coin(2 * w - 1, PHASE_BIRTH) == fresh.stream(2 * w - 1, PHASE_BIRTH).random()
         assert streams.coin_draws == 1
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from opinionflow import InfluenceGraph, choose_attachment
+from opinionflow import InfluenceGraph
 from opinionflow.graph import attachment_indices
 
 
@@ -130,7 +130,8 @@ class TestRemoveType:
                     ids = g.vertex_list()
                     g.remove_type(ids[rng.integers(len(ids))], rewiring=policy)
                 else:
-                    g.add_type(choose_attachment(g.vertex_list(), "random-subset", rng))
+                    ids = g.vertex_list()
+                    g.add_type([ids[i] for i in attachment_indices(len(ids), "random-subset", rng)])
                 assert len(g.connected_components()) == 1
 
     @pytest.mark.parametrize("policy", ["neighbor-path", "neighbor-clique"])
@@ -187,33 +188,27 @@ class TestSerialization:
 
 class TestAttachment:
     def test_connect_to_all(self):
-        ids = InfluenceGraph.path(4).vertex_list()
-        assert choose_attachment(ids, "connect-to-all", np.random.default_rng(0)) == {0, 1, 2, 3}
+        assert attachment_indices(4, "connect-to-all", np.random.default_rng(0)) == [0, 1, 2, 3]
 
     def test_random_subset_bounds(self):
-        g = InfluenceGraph.path(6)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            picked = choose_attachment(g.vertex_list(), "random-subset", rng)
+            picked = attachment_indices(6, "random-subset", rng)
             assert 1 <= len(picked) <= 3
-            assert picked <= set(g.vertex_list())
+            assert set(picked) <= set(range(6))
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            choose_attachment([0, 1], "bogus", np.random.default_rng(0))
+            attachment_indices(2, "bogus", np.random.default_rng(0))
 
     @pytest.mark.parametrize("policy", ["random-subset", "connect-to-all"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_ids_are_the_index_forms_ids(self, policy, n):
-        ids = list(range(3, 3 * n + 3, 3))
         for seed in range(20):
             near = attachment_indices(n, policy, np.random.default_rng(seed))
             assert near == sorted(set(near)) and 1 <= len(near) <= n
-            assert choose_attachment(ids, policy, np.random.default_rng(seed)) == \
-                {ids[i] for i in near}
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError, match="empty graph"):
-            attachment_indices(0, "connect-to-all", np.random.default_rng(0))
-        with pytest.raises(ValueError, match="empty graph"):
-            choose_attachment([], "random-subset", np.random.default_rng(0))
+        for policy in ("connect-to-all", "random-subset"):
+            with pytest.raises(ValueError, match="empty graph"):
+                attachment_indices(0, policy, np.random.default_rng(0))

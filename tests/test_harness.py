@@ -26,7 +26,7 @@ from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord, birth_phas
 from opinionflow.harness import required_window_length
 from opinionflow.seeding import RunStreams, generator, trial_seed
 
-from .helpers import path_acb, reference_evolution, reference_phi_sweep
+from .helpers import birth_steps, label_at, path_acb, reference_evolution, reference_phi_sweep
 
 
 def weak_linear(x):
@@ -508,8 +508,8 @@ class TestBasinMap:
     def test_path_corner_regions(self):
         raster = basin_map(path_acb(), InfluenceAssignment(linear(0.5)), resolution=10)
         # C-dominant corner converges to C alone; A-corner leaves A and B standing
-        assert raster.label_at([0.0, 0.0, 1.0]) == "2"
-        assert raster.label_at([0.9, 0.1, 0.0]) in ("0", "0+1")
+        assert label_at(raster, [0.0, 0.0, 1.0]) == "2"
+        assert label_at(raster, [0.9, 0.1, 0.0]) in ("0", "0+1")
         fracs = raster.label_fractions()
         assert "2" in fracs and fracs["2"] > 0
 
@@ -779,7 +779,7 @@ class TestVerifyBirthCounts:
         # 64 cells split every run's horizon; 1000 hold two runs; 1 << 14 hold 40
         monkeypatch.setattr(evolution, "COIN_WINDOW", cells)
         seeds = [trial_seed(11, 2 * i) for i in range(45)]
-        want = [len(evolution.birth_steps(replace(self.CFG, horizon=400, seed=seed)))
+        want = [len(birth_steps(replace(self.CFG, horizon=400, seed=seed)))
                 for seed in seeds]
         assert evolution.birth_counts(replace(self.CFG, horizon=400), seeds).tolist() == want
 

@@ -5,11 +5,11 @@ import pytest
 
 from opinionflow import (InfluenceAssignment, InfluenceGraph, PopulationState,
                          check_diagonal_dominance, classify_stability, cubic,
-                         eigenvalues, jacobian, jacobian_fd, linear,
+                         eigenvalues, jacobian, linear,
                          projected_jacobian)
 from opinionflow.errors import NotAFixedPointError
 
-from .helpers import edge_state, match_multisets, random_setup
+from .helpers import edge_state, jacobian_fd, match_multisets, random_setup
 
 
 class TestJacobian:
