@@ -448,9 +448,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Reject, before any work, an --out whose nearest existing ancestor is not a directory."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigurationError(f"--out {out!r}: {path!r} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except (ConfigurationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

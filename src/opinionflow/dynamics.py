@@ -53,13 +53,13 @@ class PopulationState:
 
     ``ids`` is the sorted vertex list of the graph at construction time and
     fixes the coordinate order of ``x``, which may also hold a batch ``(B, n)``
-    of states for ``run_to_convergence``.
+    of states for ``run_to_convergence``. A state keeps no step count: a run
+    counts its own steps.
     """
 
     graph: InfluenceGraph
     ids: tuple[int, ...]
     x: np.ndarray
-    t: int = 0
 
     @classmethod
     def from_masses(cls, graph: InfluenceGraph,
@@ -103,11 +103,9 @@ class PopulationState:
         """The masses as the JSON outputs write them: {"<id>": mass}, ids ascending."""
         return {str(v): m for v, m in sorted(self.as_dict().items())}
 
-    def active_set(self, theta_active: float = THETA_ACTIVE) -> set[int]:
-        """Types holding more than theta_active of mass."""
-        if not theta_active > 0:        # a NaN fails too
-            raise ValueError(f"theta_active must be positive, got {theta_active!r}")
-        return {v for v, m in zip(self.ids, self.x) if m > theta_active}
+    def active_set(self) -> set[int]:
+        """Types holding more than THETA_ACTIVE of mass."""
+        return {v for v, m in zip(self.ids, self.x) if m > THETA_ACTIVE}
 
 
 class _EdgeKernel:
@@ -250,11 +248,11 @@ class _EdgeKernel:
                 - np.bincount(bv[:w.size], w, size)).reshape(-1, self.n)
 
     def step(self, x: np.ndarray, delta: float = 0.0):
-        """One synchronous migration step, renormalized: (x_new, flows, residual).
+        """One synchronous migration step, renormalized: (x_new, flows).
 
-        All flows come from ``x`` and apply at once. ``residual`` is the
-        largest |sum - 1| before renormalization: the model conserves mass,
-        so drift beyond 1e-12 is a real bug and raises.
+        All flows come from ``x`` and apply at once. The model conserves
+        mass, so a largest |sum - 1| before renormalization beyond 1e-12 is
+        a real bug and raises.
         """
         flows = self.flows(x, delta)
         x_new = x + self.net(flows)
@@ -267,29 +265,28 @@ class _EdgeKernel:
         if not residual <= _RENORM_TOL:
             raise _drift_error(residual)
         x_new /= total
-        return x_new, flows, residual
+        return x_new, flows
 
     def advance(self, x: np.ndarray, steps: int, tol: float = 0.0):
         """Up to ``steps`` steps of one state or a batch, as ``step`` gives them, bit for bit.
 
         Stops after the first step at which some row's L1 size is below
-        ``tol``. Returns (x, applied, residual_max, stopped): the new state,
-        the number of steps applied, the largest residual, and whether the
-        ``tol`` stop fired, as a per-row mask for a batch.
+        ``tol``. Returns (x, applied, stopped): the new state, the number of
+        steps applied, and whether the ``tol`` stop fired, as a per-row mask
+        for a batch.
         """
         if x.ndim == 2 and len(x) == 1:     # one state costs less per step than a batch of one
-            x1, applied, residual_max, stopped = self.advance(x[0], steps, tol)
-            return x1[None], applied, residual_max, np.array([stopped])
-        residual_max, stopped = 0.0, np.zeros(x.shape[:-1], dtype=bool)
+            x1, applied, stopped = self.advance(x[0], steps, tol)
+            return x1[None], applied, np.array([stopped])
+        stopped = np.zeros(x.shape[:-1], dtype=bool)
         for applied in range(1, steps + 1):
-            x_new, _, residual = self.step(x)
-            residual_max = max(residual_max, residual)
+            x_new = self.step(x)[0]
             if tol > 0.0:
                 stopped = np.abs(x_new - x).sum(axis=-1) < tol
             x = x_new
             if tol > 0.0 and stopped.any():
                 break
-        return x, applied, residual_max, stopped if x.ndim == 2 else bool(stopped)
+        return x, applied, stopped if x.ndim == 2 else bool(stopped)
 
     @property
     def certifiable(self) -> bool:
@@ -396,15 +393,14 @@ def kernel_for(state: PopulationState, assignment: InfluenceAssignment) -> _Edge
 class StepOutcome(NamedTuple):
     state: PopulationState
     active: bool        # True iff any edge carried nonzero flow
-    residual: float     # |sum(x) - 1| before renormalization
 
 
 def migrate_step(state: PopulationState, assignment: InfluenceAssignment,
                  delta: float = 0.0) -> StepOutcome:
     """Apply one synchronous migration step (see ``_EdgeKernel.step``)."""
-    x_new, flows, residual = kernel_for(state, assignment).step(state.x, delta)
-    return StepOutcome(PopulationState(state.graph, state.ids, x_new, state.t + 1),
-                       bool(np.count_nonzero(flows)), residual)
+    x_new, flows = kernel_for(state, assignment).step(state.x, delta)
+    return StepOutcome(PopulationState(state.graph, state.ids, x_new),
+                       bool(np.count_nonzero(flows)))
 
 
 def potential_phi(state: PopulationState) -> float:
@@ -439,7 +435,6 @@ class ConvergenceResult:
     limit: PopulationState
     iterations: int
     converged: bool
-    residual_max: float = 0.0
     trajectory: list[np.ndarray] | None = None
     stops: np.ndarray | None = None
     reasons: np.ndarray | None = None       # per row: one of STOP_REASONS
@@ -455,7 +450,7 @@ def _cert_stride(t: int) -> int:
 def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
                        tol: float = TOL_STEP, max_iters: int = MAX_ITERS,
                        record_trajectory: bool = False,
-                       certify: float | None = None) -> ConvergenceResult:
+                       certify: bool = False) -> ConvergenceResult:
     """Iterate the migration map (dead-zone off) until the L1 step is < tol.
 
     ``iterations`` is the index of the step whose L1 size fell below tol,
@@ -470,8 +465,8 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     ``stops.max()`` and ``converged`` says whether every row converged.
     ``reasons[b]`` is "l1" or "budget".
 
-    ``certify``, the activity threshold theta, adds a second stop to a
-    batch: ``_EdgeKernel.certificate`` tests every live row at step 0 and
+    ``certify`` adds a second stop to a batch: ``_EdgeKernel.certificate``,
+    at the activity threshold THETA_ACTIVE, tests every live row at step 0 and
     then every CERT_STRIDE steps, a stride that doubles with t from step
     512 on (``_cert_stride``), and each row once more at its L1 stop.
     A row that passes has reason "certified" and its limit support S in
@@ -487,7 +482,7 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     batch = x0.x.ndim == 2
     if batch and record_trajectory:
         raise ValueError("trajectory recording needs a single state")
-    if certify is not None and not batch:
+    if certify and not batch:
         raise ValueError("certified stops need a batch")
     kernel = kernel_for(x0, assignment)
     sup = max((f.sup_abs() for f, _ in kernel._groups), default=0.0)
@@ -497,12 +492,12 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     out, stops, live = x.copy(), np.full(len(x), max_iters), np.arange(len(x))
     support = np.zeros(x.shape[::-1], dtype=bool).T     # column-major: each any(axis=1)
                                                         # runs across columns, not per row
-    check = certify is not None and kernel.certifiable
+    check = certify and kernel.certifiable
     trajectory = [x0.x.copy()] if record_trajectory else None
-    residual_max, t = 0.0, 0
+    t = 0
     while t < max_iters and len(live):
         if check and t % _cert_stride(t) == 0:
-            s = kernel.certificate(x, certify)
+            s = kernel.certificate(x, THETA_ACTIVE)
             hit = s.any(axis=1)
             out[live[hit]], stops[live[hit]], support[live[hit]] = x[hit], t, s[hit]
             x, live = x[~hit], live[~hit]
@@ -510,9 +505,7 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
                 break
         # one call per step when recording, else one per certificate test or to the budget
         chunk = 1 if record_trajectory else _cert_stride(t) if check else max_iters
-        x, applied, residual, stopped = kernel.advance(
-            x, min(chunk - t % chunk, max_iters - t), tol)
-        residual_max = max(residual_max, residual)
+        x, applied, stopped = kernel.advance(x, min(chunk - t % chunk, max_iters - t), tol)
         t += applied
         if trajectory is not None:
             trajectory.append(x[0])
@@ -522,15 +515,13 @@ def run_to_convergence(x0: PopulationState, assignment: InfluenceAssignment,
     out[live] = x
     if check:       # the L1-stop test, in one call for every row that stopped so
         l1 = np.flatnonzero((stops < max_iters) & ~support.any(axis=1))
-        support[l1] = kernel.certificate(out[l1], certify)
+        support[l1] = kernel.certificate(out[l1], THETA_ACTIVE)
     iterations = int(stops.max(initial=0))
     converged = bool(np.all(stops < max_iters))
-    applied = iterations + 1 if converged else max_iters
-    limit = PopulationState(x0.graph, x0.ids, out if batch else out[0], x0.t + applied)
+    limit = PopulationState(x0.graph, x0.ids, out if batch else out[0])
     code = np.where(support.any(axis=1), 0, np.where(stops < max_iters, 1, 2))
     reasons = np.array(STOP_REASONS)[code]
-    return ConvergenceResult(limit, iterations, converged, residual_max, trajectory,
-                             stops, reasons, support)
+    return ConvergenceResult(limit, iterations, converged, trajectory, stops, reasons, support)
 
 
 @dataclass
@@ -540,9 +531,8 @@ class FixedPointClassification:
 
 
 def classify_fixed_point(state: PopulationState, assignment: InfluenceAssignment,
-                         theta_active: float = THETA_ACTIVE,
                          tol_flow: float = TOL_FLOW) -> FixedPointClassification:
-    """Group the active types of a fixed point into equal-mass components.
+    """Group the active types (``active_set``) of a fixed point into equal-mass components.
 
     At any fixed point the active types split into connected components of
     the induced subgraph, each internally at a common mass. A spread of
@@ -550,7 +540,7 @@ def classify_fixed_point(state: PopulationState, assignment: InfluenceAssignment
     """
     if not is_fixed_point(state, assignment, tol_flow):
         raise NotAFixedPointError("state is not a fixed point at tol_flow")
-    active = state.active_set(theta_active)
+    active = state.active_set()
     components = []
     for comp in state.graph.induced_components(active):
         masses = [state.mass(v) for v in comp]

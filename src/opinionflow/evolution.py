@@ -390,7 +390,8 @@ class Timeline:
         return max(r.type_count for r in self.records)
 
     def to_jsonl(self, fh: BinaryIO | None = None) -> str | None:
-        """One canonical JSON object per step; final line is the terminal state.
+        """One canonical JSON object per step; final line is the terminal state,
+        at step ``len(self)``.
 
         Written to the buffered binary file ``fh`` a block at a time, or
         returned as one string when no file is given.
@@ -401,7 +402,7 @@ class Timeline:
             "terminal": {
                 "graph": self.terminal.graph.to_json_dict(),
                 "masses": self.terminal.masses_json(),
-                "step": self.terminal.t,
+                "step": len(self),
             },
             "seed": self.seed,
         }
@@ -461,9 +462,9 @@ class _Run(_EdgeKernel):
 
     @classmethod
     def of(cls, state: PopulationState, config: EvolutionConfig) -> "_Run":
-        """A run on ``state``'s graph (not a copy) and masses."""
+        """A run on ``state``'s graph (not a copy) and masses, at step 0."""
         run = cls(state.graph, config.assignment)
-        run.x, run.t = state.x, state.t
+        run.x, run.t = state.x, 0
         return run
 
     def renormalize(self, x: np.ndarray) -> None:
@@ -476,7 +477,7 @@ class _Run(_EdgeKernel):
 
     def state(self) -> PopulationState:
         """The run as a new state on its graph and masses (not copies)."""
-        return PopulationState(self.graph, self.ids, self.x, self.t)
+        return PopulationState(self.graph, self.ids, self.x)
 
 
 def birth_phase(run: _Run, config: EvolutionConfig, streams: RunStreams,
@@ -546,7 +547,7 @@ def evolution_step(run: _Run, config: EvolutionConfig, streams: RunStreams,
     """
     step, x = run.t, run.x
     min_mass_before = float(x[x.argmin()])     # x.min(), at a fraction of its cost
-    run.x, flows, _residual = run.step(x, config.delta)    # as migrate_step does
+    run.x, flows = run.step(x, config.delta)    # as migrate_step does
     run.t += 1
     phi_mig = phi_birth = phi_after = potential_phi(run)
     birth = birth_phase(run, config, streams, step)
@@ -585,7 +586,7 @@ def run_evolution(x0: PopulationState, config: EvolutionConfig) -> Timeline:
     graph = x0.graph.copy()
     if not graph.is_connected():
         raise ConfigurationError("birth/death mode needs a connected starting graph")
-    run = _Run.of(PopulationState(graph, x0.ids, x0.x.copy(), 0), config)
+    run = _Run.of(PopulationState(graph, x0.ids, x0.x.copy()), config)
     streams = RunStreams(config.seed)
     records: list[StepRecord] = []
     phi, key = potential_phi(run), None   # key: the input masses of the next step, as bytes

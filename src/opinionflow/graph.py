@@ -13,6 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import coerce
+
 REWIRING_POLICIES = ("neighbor-path", "neighbor-clique")
 
 
@@ -55,8 +57,8 @@ class InfluenceGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "InfluenceGraph":
         try:
-            vertices = [int(v) for v in data["vertices"]]
-            edges = [(int(u), int(v)) for u, v in data["edges"]]
+            vertices = [coerce("vertices", int, v) for v in data["vertices"]]
+            edges = [(coerce("edges", int, u), coerce("edges", int, v)) for u, v in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph literal: {exc}") from exc
         return cls(vertices, edges)

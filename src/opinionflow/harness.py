@@ -165,20 +165,19 @@ def _label(active) -> str:
 
 # -- convergence to independent sets -------------------------------------------
 
-def _settled_limit(state: PopulationState, applied: int, assignment, theta: float,
-                   tol: float, max_iters: int):
+def _settled_limit(state: PopulationState, applied: int, assignment, max_iters: int):
     """Iterate past the step-size stop of an uncertified row, which has taken
     ``applied`` steps, until its limit classifies structurally.
 
     The L1-step criterion can fire while a vanishing type still sits above
-    the activity threshold (its decay is slow when its absorbing neighbor
-    is small), which would misread the limit's support. Such states fail
-    the equal-mass component test, so we keep iterating, within the same
-    total budget of max_iters steps, until the state classifies as a fixed
-    point. The fixed-point flow gate uses tol: a limit accepted at L1 step
-    < tol carries residual flows of that scale. Returns (state, iterations,
-    settled), where iterations is the index of the last step applied, or
-    max_iters when the budget ran out, as ``run_to_convergence`` counts.
+    THETA_ACTIVE (its decay is slow when its absorbing neighbor is small),
+    which would misread the limit's support. Such states fail the equal-mass
+    component test, so we keep iterating, within the same total budget of
+    max_iters steps, until the state classifies as a fixed point. The flow
+    gate is TOL_STEP: a limit accepted at L1 step < TOL_STEP carries residual
+    flows of that scale. Returns (state, iterations, settled), where
+    iterations is the index of the last step applied, or max_iters when the
+    budget ran out, as ``run_to_convergence`` counts.
 
     The state is checked right after the L1 stop and then once per 1024
     steps, a chunk that the budget may cut short. So a settled row's
@@ -189,9 +188,9 @@ def _settled_limit(state: PopulationState, applied: int, assignment, theta: floa
     kernel = kernel_for(state, assignment)
     x = state.x
     while True:
-        state = PopulationState(state.graph, state.ids, x, state.t)
+        state = PopulationState(state.graph, state.ids, x)
         try:
-            classify_fixed_point(state, assignment, theta, tol_flow=tol)
+            classify_fixed_point(state, assignment, tol_flow=TOL_STEP)
             return state, applied - 1, True
         except NotAFixedPointError:
             if applied >= max_iters:
@@ -201,11 +200,11 @@ def _settled_limit(state: PopulationState, applied: int, assignment, theta: floa
 
 
 def _convergence_batch(args) -> list[dict]:
-    seeds, graph, assignment, tol, max_iters, theta = args
+    seeds, graph, assignment, max_iters = args
     ids = tuple(graph.vertex_list())
     starts = np.array([sample_simplex(generator(s), len(ids)) for s in seeds])
-    res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
-                             max_iters, certify=theta)
+    res = run_to_convergence(PopulationState(graph, ids, starts), assignment,
+                             max_iters=max_iters, certify=True)
     artifacts = []
     for x, stop, reason, s in zip(res.limit.x, res.stops.tolist(), res.reasons.tolist(),
                                   res.support):
@@ -214,9 +213,8 @@ def _convergence_batch(args) -> list[dict]:
         else:
             limit, settled = PopulationState(graph, ids, x), reason == "l1"
             if settled:         # the row has taken stop + 1 steps
-                limit, stop, settled = _settled_limit(limit, stop + 1, assignment, theta,
-                                                      tol, max_iters)
-            active, reason = sorted(limit.active_set(theta)), "l1" if settled else "budget"
+                limit, stop, settled = _settled_limit(limit, stop + 1, assignment, max_iters)
+            active, reason = sorted(limit.active_set()), "l1" if settled else "budget"
         artifacts.append({"converged": settled, "iterations": stop, "active": active,
                           "independent": graph.is_independent_set(active),
                           "label": _label(active), "stop": reason})
@@ -224,9 +222,7 @@ def _convergence_batch(args) -> list[dict]:
 
 
 def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignment,
-                            trials: int, root_seed: int = 0,
-                            tol: float = TOL_STEP, max_iters: int = MAX_ITERS,
-                            theta_active: float = THETA_ACTIVE,
+                            trials: int, root_seed: int = 0, max_iters: int = MAX_ITERS,
                             jobs: int = 1) -> TrialStats:
     """Estimate how often uniform starts reach an independent active set.
 
@@ -236,7 +232,8 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     linear with a = 0, no mass moves, and its two ends may keep unequal
     masses forever. A trial stops when the invariant of
     ``_EdgeKernel.certificate`` proves its limit support, or else at its
-    L1 stop and a settle past it (``_settled_limit``), or at the budget.
+    L1 stop (TOL_STEP) and a settle past it (``_settled_limit``), or at the
+    budget; its limit support is the types above THETA_ACTIVE.
     A trial's ``iterations`` is the index of the last step it applied; for
     a trial that settles, that is the settle checkpoint at which it first
     classified, up to 1023 steps past the first step that classifies.
@@ -257,11 +254,9 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
                                   f"F = {name} on edge {u}-{v} is not strictly increasing")
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
-    if not theta_active > 0:
-        raise ConfigurationError(f"theta_active must be positive, got {theta_active!r}")
     seeds = [trial_seed(root_seed, i) for i in range(trials)]
     artifacts = [a for part in _map_rows(_convergence_batch, seeds,
-                                         (graph, assignment, tol, max_iters, theta_active), jobs)
+                                         (graph, assignment, max_iters), jobs)
                  for a in part]
     successes = sum(1 for a in artifacts if a["converged"] and a["independent"])
     census = Counter(a["label"] for a in artifacts if a["converged"])
@@ -324,19 +319,18 @@ class BasinMap:
 def _basin_batch(args) -> np.ndarray:
     """Each cell's code: the bits of its active types' places in the graph's
     vertex order, or 8 if its stop reached max_iters."""
-    starts, graph, assignment, tol, max_iters, theta = args
+    starts, graph, assignment, tol, max_iters = args
     ids = tuple(graph.vertex_list())
     res = run_to_convergence(PopulationState(graph, ids, starts), assignment, tol,
-                             max_iters, certify=theta)
+                             max_iters, certify=True)
     bits = np.array([1, 2, 4])
-    certified, active = res.support @ bits, (res.limit.x > theta) @ bits    # S is never empty
+    certified, active = res.support @ bits, (res.limit.x > THETA_ACTIVE) @ bits  # S is never empty
     return np.where(res.stops < max_iters, np.where(certified > 0, certified, active), 8)
 
 
 def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
               resolution: int = 400, tol: float = TOL_STEP,
-              max_iters: int = MAX_ITERS, theta_active: float = THETA_ACTIVE,
-              jobs: int = 1) -> BasinMap:
+              max_iters: int = MAX_ITERS, jobs: int = 1) -> BasinMap:
     """Run every barycentric grid cell to convergence and label its basin.
 
     Boundary cells are included: the simplex boundary is invariant under
@@ -345,21 +339,19 @@ def basin_map(graph: InfluenceGraph, assignment: InfluenceAssignment,
     ``_map_rows`` and ``run_to_convergence``), split among ``jobs`` workers;
     each cell's limit is the one it reaches alone, so the raster does not
     depend on ``jobs``. A cell is labelled by its certified support (see
-    ``monte_carlo_convergence``) or else by its active types at the L1 stop;
-    a cell whose stop index reaches ``max_iters`` is labelled "unresolved".
+    ``monte_carlo_convergence``) or else by its types above THETA_ACTIVE at
+    the L1 stop; a cell whose stop reaches ``max_iters`` is "unresolved".
     """
     if len(graph) != 3:
         raise ConfigurationError("basin_map needs a graph of exactly 3 types")
     if resolution < 1:
         raise ConfigurationError("resolution must be at least 1")
-    if not theta_active > 0:
-        raise ConfigurationError(f"theta_active must be positive, got {theta_active!r}")
     # integer numerators over one denominator keep diagonal ties exact,
     # so tie cells legitimately converge to split limits
     i, i_plus_j = np.triu_indices(resolution + 1)
     starts = np.stack([i, i_plus_j - i, resolution - i_plus_j], axis=1) / resolution
     codes = np.concatenate(_map_rows(_basin_batch, starts,
-                                     (graph, assignment, tol, max_iters, theta_active), jobs))
+                                     (graph, assignment, tol, max_iters), jobs))
     ids = tuple(graph.vertex_list())
     names = [_label(v for k, v in enumerate(ids) if bits >> k & 1) for bits in range(8)]
     names.append("unresolved")
@@ -550,13 +542,13 @@ class PhiBoundsReport:
                 "violations": self.violations, "ok": self.ok}
 
 
-def verify_phi_bounds(timeline: Timeline, config: EvolutionConfig,
-                      atol: float = 1e-12) -> PhiBoundsReport:
+def verify_phi_bounds(timeline: Timeline, config: EvolutionConfig) -> PhiBoundsReport:
     """Check the per-phase potential bounds on a finished run.
 
     Every migration phase that moved mass while all types held at least
     epsilon must have raised the potential by at least 2*alpha_min*eps*
-    delta^3; every birth may lower it by at most 2*beta_max. A record with
+    delta^3; every birth may lower it by at most 2*beta_max. Each bound
+    holds with a slack of 1e-12, the rounding of a potential. A record with
     ``repeat`` > 1 counts, and fails, once per step it stands for; the logs of
     its cycle, quiet steps, are never checked.
     """
@@ -570,13 +562,13 @@ def verify_phi_bounds(timeline: Timeline, config: EvolutionConfig,
         if r.migration_active and r.min_mass_before >= config.epsilon:
             migration_checks += r.repeat
             gain = r.phi_after_migration - r.phi_before
-            if gain < migration_bound - atol:
+            if gain < migration_bound - 1e-12:
                 violations.extend({"step": s, "kind": "migration",
                                    "delta_phi": gain, "bound": migration_bound} for s in steps)
         if r.birth is not None:
             birth_checks += r.repeat
             drop = r.phi_after_migration - r.phi_after_birth
-            if drop > birth_bound + atol:
+            if drop > birth_bound + 1e-12:
                 violations.extend({"step": s, "kind": "birth",
                                    "delta_phi": -drop, "bound": birth_bound} for s in steps)
     return PhiBoundsReport(len(timeline), migration_checks, birth_checks,

@@ -280,7 +280,7 @@ class InfluenceAssignment:
         per_edge = {}
         for entry in entries:
             try:
-                edge = (int(entry["u"]), int(entry["v"]))
+                edge = (coerce("u", int, entry["u"]), coerce("v", int, entry["v"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     f"per_edge entry {entry!r} needs integer 'u' and 'v'") from exc

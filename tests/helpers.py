@@ -317,7 +317,7 @@ def reference_evolution(x0, config):
                 ids, x = rebuild(graph, masses)
         records.append(StepRecord(step, phi_before, phi_mig, phi_birth, float(np.dot(x, x)),
                                   active, min_mass_before, birth, deaths, len(graph)))
-    terminal = type(x0)(graph, ids, x, config.horizon)
+    terminal = type(x0)(graph, ids, x)
     return Timeline(records, terminal, config.seed)
 
 

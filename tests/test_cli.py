@@ -573,12 +573,32 @@ class TestConfigValues:
          "sup|F| = 2.5 > 1: the update map would leave the simplex"),
         *((["basin", "--f", "linear:3", "--resolution", "10", "--jobs", jobs],
            "sup|F| = 3 > 1: the update map would leave the simplex") for jobs in ("1", "2")),
+        (["basin", "--graph", '{"vertices":[0,1,2.9],"edges":[[0,1],[1,2.7]]}',
+          "--resolution", "4"], "vertices must be an integer, got 2.9"),
+        (["basin", "--graph", '{"vertices":[0,1,2],"edges":[[0,1],[1,2.7]]}',
+          "--resolution", "4"], "edges must be an integer, got 2.7"),
+        (["verify", "convergence", "--f", '{"default":{"family":"linear","a":0.4},'
+          '"per_edge":[{"u":0.9,"v":true,"family":"linear","a":0.1}]}'],
+         "needs integer 'u' and 'v'"),
     ])
     def test_malformed_flag_value_exits_64(self, tmp_path, capsys, argv, message):
         code, out = run(tmp_path, *argv)
         assert code == 64
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,below", [(["simulate", "--graph", "triangle"], ""),
+                                            (["verify", "convergence", "--trials", "1000"], "run1")])
+    def test_out_at_or_below_a_file_exits_64_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch, argv, below):
+        monkeypatch.setattr(cli, "run_to_convergence", lambda *a, **kw: pytest.fail("a run ran"))
+        monkeypatch.setattr(harness, "_map_rows", lambda *args: pytest.fail("a trial ran"))
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        out = afile / below
+        assert main([*argv, "--out", str(out)]) == 64
+        assert f"--out {str(out)!r}" in capsys.readouterr().err
+        assert afile.read_bytes() == b"kept"
 
     @pytest.mark.parametrize("argv", [["verify", "convergence"], ["evolve"],
                                       ["analyze", "--x0", "uniform"]])

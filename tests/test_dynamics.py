@@ -87,12 +87,9 @@ class TestMigrateStep:
         for _ in range(20):
             state, asg, _, _ = random_setup(rng)
             out = migrate_step(state, asg)
-            assert out.residual <= 1e-14
+            kernel = _EdgeKernel(state.graph, asg)
+            assert abs((state.x + kernel.net(kernel.flows(state.x))).sum() - 1.0) <= 1e-14
             assert abs(out.state.x.sum() - 1.0) <= 1e-15
-
-    def test_step_counter(self):
-        out = migrate_step(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.5)))
-        assert out.state.t == 1
 
     def test_dead_zone_edge_at_exactly_delta(self):
         s = PopulationState(InfluenceGraph.path(3), (0, 1, 2), np.array([0.5, 0.3, 0.2]))
@@ -256,7 +253,7 @@ class TestConvergence:
         x = np.array([0.01, 0.495, 0.495])
         asg = InfluenceAssignment(linear(0.5), {(0, 2): linear(2.5)})
         message = r"sup\|F\| = 2.5 > 1: the update map would leave the simplex"
-        for x0, certify in ((x, None), (np.stack([x, x]), None), (np.stack([x, x]), THETA_ACTIVE)):
+        for x0, certify in ((x, False), (np.stack([x, x]), False), (np.stack([x, x]), True)):
             with pytest.raises(ConfigurationError, match=message):
                 run_to_convergence(PopulationState(InfluenceGraph.star(2), (0, 1, 2), x0), asg,
                                    certify=certify)
@@ -279,7 +276,6 @@ class TestConvergence:
         for _ in range(10):
             state, asg, _, _ = random_setup(rng, n_max=12)
             res = run_to_convergence(state, asg, max_iters=2000)
-            assert res.residual_max <= 1e-9
             assert np.all(res.limit.x >= 0.0)
             assert np.all(res.limit.x <= 1.0)
 
@@ -486,11 +482,11 @@ class TestCertificate:
             assert not kernel.certifiable and kernel.certificate(starts, THETA_ACTIVE) is None
             batch = PopulationState(g, (0, 1, 2), starts)
             if asg.sup_abs() > 1.0:         # off the simplex: neither run takes a step
-                for certify in (THETA_ACTIVE, None):
+                for certify in (True, False):
                     with pytest.raises(ConfigurationError, match="leave the simplex"):
                         run_to_convergence(batch, asg, max_iters=5000, certify=certify)
                 continue
-            got = run_to_convergence(batch, asg, max_iters=5000, certify=THETA_ACTIVE)
+            got = run_to_convergence(batch, asg, max_iters=5000, certify=True)
             want = run_to_convergence(batch, asg, max_iters=5000)
             assert got.limit.x.tobytes() == want.limit.x.tobytes()
             assert got.stops.tolist() == want.stops.tolist()
@@ -500,14 +496,14 @@ class TestCertificate:
         # S = {1} dominates path:3, but the 1-2 edge moves nothing: 2 keeps its mass
         asg = InfluenceAssignment(linear(0.4), {(1, 2): linear(0.0)})
         batch = PopulationState(InfluenceGraph.path(3), (0, 1, 2), np.array([[0.1, 0.8, 0.1]]))
-        res = run_to_convergence(batch, asg, certify=THETA_ACTIVE)
+        res = run_to_convergence(batch, asg, certify=True)
         assert res.reasons.tolist() == ["l1"]
         assert (res.limit.x[0] > THETA_ACTIVE).tolist() == [False, True, True]
 
     def test_needs_a_batch(self):
         with pytest.raises(ValueError, match="batch"):
             run_to_convergence(edge_state(0.6, 0.4), InfluenceAssignment(linear(0.4)),
-                               certify=THETA_ACTIVE)
+                               certify=True)
 
     @pytest.mark.parametrize("asg", [InfluenceAssignment(linear(0.49)),
                                      InfluenceAssignment(cubic(0.45)),
@@ -516,7 +512,7 @@ class TestCertificate:
         g = InfluenceGraph.cycle(5)
         starts = np.vstack([random_starts(5, 40, 7), [[0.5, 0.5, 0, 0, 0], [0.2] * 5]])
         res = run_to_convergence(PopulationState(g, tuple(range(5)), starts), asg,
-                                 max_iters=50_000, certify=THETA_ACTIVE)
+                                 max_iters=50_000, certify=True)
         for b, x0 in enumerate(starts):
             start, stop = PopulationState(g, tuple(range(5)), x0), int(res.stops[b])
             x, iterations, converged = reference_run(start, asg, max_iters=min(stop + 1, 50_000))
@@ -535,11 +531,11 @@ class TestCertificate:
         g, asg = InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5))
         starts = raster(30)
         whole = run_to_convergence(PopulationState(g, (0, 1, 2), starts), asg,
-                                   certify=THETA_ACTIVE)
+                                   certify=True)
         assert {"certified", "l1"} <= set(whole.reasons.tolist())
         for lo, hi in [(0, 1), (1, 9), (9, 200), (200, len(starts))]:
             part = run_to_convergence(PopulationState(g, (0, 1, 2), starts[lo:hi]), asg,
-                                      certify=THETA_ACTIVE)
+                                      certify=True)
             assert part.limit.x.tobytes() == whole.limit.x[lo:hi].tobytes()
             assert part.stops.tolist() == whole.stops[lo:hi].tolist()
             assert part.reasons.tolist() == whole.reasons[lo:hi].tolist()
@@ -548,7 +544,7 @@ class TestCertificate:
     def test_trial_159_certifies_on_1_3(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
         batch = PopulationState(start.graph, start.ids, start.x[None])
-        res = run_to_convergence(batch, asg, certify=THETA_ACTIVE)
+        res = run_to_convergence(batch, asg, certify=True)
         assert res.reasons.tolist() == ["certified"] and res.stops.tolist() == [32]
         assert np.flatnonzero(res.support[0]).tolist() == [1, 3]
 
@@ -574,13 +570,12 @@ class TestMassDrift:
         batch = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), starts)
         with pytest.raises(ArithmeticError, match="mass drifted by 1e-09"):
             run_to_convergence(batch, InfluenceAssignment(linear(0.5)),
-                               certify=THETA_ACTIVE)
+                               certify=True)
 
     def test_settle(self):
         state = PopulationState(InfluenceGraph.triangle(), (0, 1, 2), self.off.copy())
         with pytest.raises(ArithmeticError):
-            _settled_limit(state, 0, InfluenceAssignment(linear(0.5)), THETA_ACTIVE,
-                           TOL_STEP, MAX_ITERS)
+            _settled_limit(state, 0, InfluenceAssignment(linear(0.5)), MAX_ITERS)
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_migrate_step(self, n):
@@ -611,8 +606,7 @@ class TestAdvance:
     def test_settle_matches_ndarray_loop(self):
         start, asg = trial_159_start(), InfluenceAssignment(linear(0.49))
         state = run_to_convergence(start, asg, max_iters=50_000).limit
-        limit, used, settled = _settled_limit(state, 47_000, asg, THETA_ACTIVE, TOL_STEP,
-                                              50_000)
+        limit, used, settled = _settled_limit(state, 47_000, asg, 50_000)
         kernel, x = _EdgeKernel(state.graph, asg), state.x
         for _ in range(3000):
             x = kernel.step(x)[0]
@@ -657,20 +651,19 @@ class TestBatchAdvance:
     @given(batch_advance_cases(), st.sampled_from([1, 3, 40]), st.sampled_from([0.0, 1e-3]))
     def test_rows_step_as_alone(self, case, steps, tol):
         kernel, xs = case
-        x, applied, residual, stopped = kernel.advance(xs, steps, tol)
+        x, applied, stopped = kernel.advance(xs, steps, tol)
         alone = [kernel.advance(row, steps, tol) for row in xs]
         assert applied == min(a[1] for a in alone)
         assert stopped.dtype == bool and stopped.tolist() == [
-            a[3] and a[1] == applied for a in alone]
+            a[2] and a[1] == applied for a in alone]
         upto = [kernel.advance(row, applied, tol) for row in xs]
         assert x.tobytes() == np.array([u[0] for u in upto]).tobytes()
-        assert residual == max(u[2] for u in upto)
 
     def test_one_state_returns_a_bool(self):
         x = np.array([1.0, 0.0, 0.0])
         kernel = _EdgeKernel(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)))
-        assert kernel.advance(x, 3, 1e-3)[3] is True
-        assert kernel.advance(x[None], 3, 1e-3)[3].tolist() == [True]
+        assert kernel.advance(x, 3, 1e-3)[2] is True
+        assert kernel.advance(x[None], 3, 1e-3)[2].tolist() == [True]
 
 
 class TestActiveSet:
@@ -688,13 +681,9 @@ class TestActiveSet:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_nonpositive_thresholds_rejected(self, bad):
-        # a NaN compared as "<= 0" would pass: no type active, every set fixed or not
+        # a NaN compared as "<= 0" would pass: every state fixed
         s = edge_state(0.5, 0.5)
         asg = InfluenceAssignment(linear(0.5))
-        with pytest.raises(ValueError, match="theta_active must be positive"):
-            s.active_set(bad)
-        with pytest.raises(ValueError, match="theta_active must be positive"):
-            classify_fixed_point(s, asg, theta_active=bad)
         for check in (is_fixed_point, classify_fixed_point, classify_stability):
             with pytest.raises(ValueError, match="tol_flow must be positive"):
                 check(s, asg, tol_flow=bad)
@@ -792,8 +781,7 @@ class TestKernelFollowsEdits:
         def assert_steps_as_fresh(kernel, rows):
             x = rng.dirichlet(np.ones(kernel.n), rows)
             got, want = kernel.step(x), _EdgeKernel(g, self.ASSIGNMENT).step(x)
-            assert [got[0].tobytes(), got[1].tobytes(), got[2]] == \
-                [want[0].tobytes(), want[1].tobytes(), want[2]]
+            assert [got[0].tobytes(), got[1].tobytes()] == [want[0].tobytes(), want[1].tobytes()]
 
         kernel = _EdgeKernel(g, self.ASSIGNMENT)
         for rows in (5, 2, 5, 9):

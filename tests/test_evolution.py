@@ -313,12 +313,14 @@ class TestEvolutionStep:
         # the composite step and a manual phase call see identical draws: the
         # coin, then Z from the birth stream; the neighbors from the attach stream
         g = InfluenceGraph.path(3)
-        s = PopulationState(g, (0, 1, 2), np.array([0.5, 0.3, 0.2]), t=5)
+        s = PopulationState(g, (0, 1, 2), np.array([0.5, 0.3, 0.2]))
         cfg = make_config(p=1.0, delta=1.0)  # no migration
         streams = RunStreams(42)
-        manual = evolution._Run.of(PopulationState(s.graph.copy(), s.ids, s.x.copy(), s.t), cfg)
-        event = birth_phase(manual, cfg, streams, s.t)
-        _, record = evolution_step(evolution._Run.of(s, cfg), cfg, streams, potential_phi(s))
+        manual = evolution._Run.of(PopulationState(s.graph.copy(), s.ids, s.x.copy()), cfg)
+        event = birth_phase(manual, cfg, streams, 5)
+        run = evolution._Run.of(s, cfg)
+        run.t = 5
+        _, record = evolution_step(run, cfg, streams, potential_phi(s))
         assert record.step == 5
         assert record.birth.z == event.z
         assert record.birth.neighbors == event.neighbors

@@ -19,7 +19,7 @@ from opinionflow import (BirthDistribution, EvolutionConfig, InfluenceAssignment
                          verify_birth_counts,
                          verify_phi_bounds, verify_phi_bounds_sweep,
                          verify_stability_theorem, verify_type_bound, wilson95)
-from opinionflow.dynamics import MAX_ITERS, THETA_ACTIVE, TOL_STEP, _EdgeKernel
+from opinionflow.dynamics import MAX_ITERS, _EdgeKernel
 from opinionflow.errors import ConfigurationError, HypothesisError
 from opinionflow import evolution
 from opinionflow.evolution import BirthEvent, DeathEvent, StepRecord, birth_phase
@@ -431,20 +431,9 @@ class TestCertifiedSweep:
         monkeypatch.setattr(_EdgeKernel, "step", counted)
         custom = InfluenceAssignment(InfluenceFunction("custom", fn=linear_049))
         [a] = harness._convergence_batch(([trial_seed(71, 2)], self.graphs["cycle5"], custom,
-                                          TOL_STEP, max_iters, THETA_ACTIVE))
+                                          max_iters))
         assert (a["stop"], a["iterations"], a["label"]) == (stop, iterations, label)
         assert sum(steps) == min(iterations + 1, max_iters)
-
-    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("f", [linear(0.49), InfluenceFunction("custom", fn=linear_049)],
-                             ids=["certificate", "l1-stop"])
-    def test_nonpositive_theta_rejected_before_a_trial(self, monkeypatch, f, theta):
-        # linear:0.49 would certify every row at any theta; the custom F takes the
-        # L1 stop, where active_set would raise partway through the sweep
-        monkeypatch.setattr(harness, "_map_rows", lambda *args: pytest.fail("a trial ran"))
-        with pytest.raises(ConfigurationError, match="theta_active must be positive"):
-            monte_carlo_convergence(self.graphs["cycle5"], InfluenceAssignment(f), trials=20,
-                                    root_seed=71, theta_active=theta)
 
     def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
         pools = []
@@ -535,11 +524,6 @@ class TestBasinMap:
             chunked = basin_map(path_acb(), asg, resolution=12, jobs=jobs)
             assert chunked.rows == whole.rows
             assert chunked.to_pgm() == whole.to_pgm()
-
-    def test_rejects_nonpositive_theta(self):
-        with pytest.raises(ValueError, match="theta_active"):
-            basin_map(InfluenceGraph.triangle(), InfluenceAssignment(linear(0.5)), 4,
-                      theta_active=0.0)
 
     @pytest.fixture
     def seen(self, monkeypatch):
