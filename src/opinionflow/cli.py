@@ -22,17 +22,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, evolution, harness, seeding, stability
 from .dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, PopulationState,
                        run_to_convergence)
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError, coerce
-from .evolution import EvolutionConfig, run_evolution
 from .graph import InfluenceGraph
-from .harness import (basin_map, monte_carlo_convergence, sample_state,
-                      verify_phi_bounds_sweep, verify_stability_theorem, verify_type_bound)
 from .influence import InfluenceAssignment, InfluenceFunction
-from .seeding import generator
-from .stability import classify_stability
 
 EXIT_OK = 0
 EXIT_MAX_ITERS = 2
@@ -113,7 +108,7 @@ def parse_x0(spec, graph: InfluenceGraph, seed: int) -> PopulationState:
     if text == "uniform":
         return PopulationState.uniform(graph)
     if text == "random":
-        return sample_state(graph, generator(seed))
+        return harness.sample_state(graph, seeding.generator(seed))
     try:
         masses = ({int(k): float(v) for k, v in spec.items()} if isinstance(spec, dict)
                   else [float(v) for v in (spec if text is None else text.split(","))])
@@ -146,10 +141,11 @@ def _file_config(args) -> dict:
 
 
 # Each scalar key's one type and each key's default, for the keys read outside
-# EvolutionConfig (which types and defaults its fields, the seed's default too).
+# EvolutionConfig (which types and defaults its fields). The seed's default is
+# EvolutionConfig.seed's, written out: reading it here would execute evolution.
 _TYPES = {"seed": int, "tol": float, "max_iters": int, "resolution": int,
           "trials": int, "eliminate": int}
-_DEFAULTS = {"influence": "linear:0.5", "x0": "uniform", "seed": EvolutionConfig.seed,
+_DEFAULTS = {"influence": "linear:0.5", "x0": "uniform", "seed": 0,
              "tol": TOL_STEP, "max_iters": MAX_ITERS, "resolution": 400, "trials": 100,
              "eliminate": None}
 
@@ -241,12 +237,12 @@ def _evolution_inputs(args, *keys: str, **defaults):
     """An evolution subcommand's resolved config, graph, EvolutionConfig and echo;
     the echo writes each model key as the built config does."""
     cfg = _config(args, "influence", "x0", *keys, graph="path:4",
-                  **dict.fromkeys(EvolutionConfig.numeric_keys()), **defaults)
+                  **dict.fromkeys(evolution.EvolutionConfig.numeric_keys()), **defaults)
     graph = parse_graph(cfg["graph"])
     assignment = parse_influence(cfg["influence"])
-    model = {k: cfg[k] for k in EvolutionConfig.json_keys()
+    model = {k: cfg[k] for k in evolution.EvolutionConfig.json_keys()
              if k != "influence" and cfg.get(k) is not None}
-    config = replace(EvolutionConfig.from_json_dict(model), assignment=assignment)
+    config = replace(evolution.EvolutionConfig.from_json_dict(model), assignment=assignment)
     echo = {**cfg, **{k: v for k, v in config.to_json_dict().items() if k in cfg},
             "graph": graph.to_json_dict(), "x0": _echo_x0(cfg["x0"])}
     return cfg, graph, config, echo
@@ -254,7 +250,7 @@ def _evolution_inputs(args, *keys: str, **defaults):
 
 def _cmd_evolve(args) -> int:
     cfg, graph, config, echo = _evolution_inputs(args)
-    timeline = run_evolution(parse_x0(cfg["x0"], graph, config.seed), config)
+    timeline = evolution.run_evolution(parse_x0(cfg["x0"], graph, config.seed), config)
     summary = {
         "steps": len(timeline),
         "births": timeline.birth_count(),
@@ -280,7 +276,7 @@ def _cmd_analyze(args) -> int:
     assignment = parse_influence(cfg["influence"])
     state = parse_x0(cfg["x0"], graph, cfg["seed"])
     try:
-        report = classify_stability(state, assignment, eliminate=cfg["eliminate"])
+        report = stability.classify_stability(state, assignment, eliminate=cfg["eliminate"])
     except (NotAFixedPointError, ValueError) as exc:
         raise ConfigurationError(f"analyze: {exc}")
     echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
@@ -296,8 +292,8 @@ def _cmd_basin(args) -> int:
     cfg = _config(args, "influence", "resolution", "tol", "max_iters", graph="triangle")
     graph = parse_graph(cfg["graph"])
     assignment = parse_influence(cfg["influence"])
-    raster = basin_map(graph, assignment, cfg["resolution"], cfg["tol"],
-                       cfg["max_iters"], jobs=args.jobs)
+    raster = harness.basin_map(graph, assignment, cfg["resolution"], cfg["tol"],
+                               cfg["max_iters"], jobs=args.jobs)
     echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
             "resolution": cfg["resolution"], "tol": cfg["tol"],
             "max_iters": cfg["max_iters"]}
@@ -325,8 +321,8 @@ def _cmd_verify(args) -> int:
             graph = parse_graph(cfg["graph"])
             assignment = parse_influence(cfg["influence"])
             root_seed = cfg["seed"]
-            stats = monte_carlo_convergence(graph, assignment, cfg["trials"],
-                                            root_seed, jobs=args.jobs)
+            stats = harness.monte_carlo_convergence(graph, assignment, cfg["trials"],
+                                                    root_seed, jobs=args.jobs)
             flags = (f"--graph {_replay_arg(cfg['graph'], graph.to_json_dict())} "
                      f"--f {_replay_arg(cfg['influence'], assignment.to_json_dict())}")
             for entry in stats.extras["unresolved"]:
@@ -337,14 +333,14 @@ def _cmd_verify(args) -> int:
         elif what == "types":
             cfg, graph, config, echo = _evolution_inputs(args, "trials", start="random")
             root_seed = config.seed
-            stats = verify_type_bound(config, cfg["trials"], start=cfg["start"],
-                                      initial_graph=graph, root_seed=root_seed,
-                                      jobs=args.jobs)
+            stats = harness.verify_type_bound(config, cfg["trials"], start=cfg["start"],
+                                              initial_graph=graph, root_seed=root_seed,
+                                              jobs=args.jobs)
         else:
             cfg, graph, config, echo = _evolution_inputs(args, "trials")
             root_seed = config.seed
-            verifier = (verify_stability_theorem if what == "stability"
-                        else verify_phi_bounds_sweep)
+            verifier = (harness.verify_stability_theorem if what == "stability"
+                        else harness.verify_phi_bounds_sweep)
             stats = verifier(config, cfg["trials"], graph, root_seed, jobs=args.jobs)
     except HypothesisError as exc:
         print(f"hypothesis rejected: {exc}", file=sys.stderr)

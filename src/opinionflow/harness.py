@@ -24,13 +24,12 @@ from itertools import groupby
 
 import numpy as np
 
+from . import evolution, seeding
 from .dynamics import (MAX_ITERS, STOP_REASONS, THETA_ACTIVE, TOL_STEP, PopulationState,
                        classify_fixed_point, kernel_for, run_to_convergence)
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError
-from .evolution import EvolutionConfig, Timeline, birth_counts, run_evolution
 from .graph import InfluenceGraph
 from .influence import InfluenceAssignment, validate
-from .seeding import generator, trial_seed
 
 CONVERGENCE_SUCCESS_BAR = 0.995   # empirical stand-in for "probability one"
 
@@ -180,29 +179,44 @@ def _settled_limit(state: PopulationState, applied: int, assignment, max_iters: 
     budget ran out, as ``run_to_convergence`` counts.
 
     The state is checked right after the L1 stop and then once per 1024
-    steps, a chunk that the budget may cut short. So a settled row's
-    iterations is the step of the checkpoint at which it first classified:
-    up to 1023 steps past the first step that classifies, and it can move
-    with max_iters.
+    steps, a chunk that the budget may cut short. The chunk at whose end the
+    state first classifies is then replayed from its start, bit for bit,
+    and the first state in it that classifies is the limit. Only a state
+    whose largest |flow| is below TOL_STEP can classify, so only those are
+    tested. A settled row's limit and iterations are thus those of the
+    first step at which it classifies, whatever max_iters is beyond it.
     """
     kernel = kernel_for(state, assignment)
-    x = state.x
-    while True:
-        state = PopulationState(state.graph, state.ids, x)
+
+    def classifies(x) -> PopulationState | None:
+        limit = PopulationState(state.graph, state.ids, x)
         try:
-            classify_fixed_point(state, assignment, tol_flow=TOL_STEP)
-            return state, applied - 1, True
+            classify_fixed_point(limit, assignment, tol_flow=TOL_STEP)
+            return limit
         except NotAFixedPointError:
-            if applied >= max_iters:
-                return state, max_iters, False
-            x, steps = kernel.advance(x, min(1024, max_iters - applied))[:2]
-            applied += steps
+            return None
+
+    x, start, steps = state.x, None, 0
+    while (limit := classifies(x)) is None:
+        if applied >= max_iters:
+            return PopulationState(state.graph, state.ids, x), max_iters, False
+        start, steps = x, min(1024, max_iters - applied)
+        x = kernel.advance(x, steps)[0]
+        applied += steps
+    if start is not None:       # the chunk's start does not classify; each later state may
+        y = kernel.step(start)[0]
+        for k in range(applied - steps + 1, applied):   # y is the state after k steps
+            y_next, flows = kernel.step(y)
+            if np.abs(flows).max() < TOL_STEP and (first := classifies(y)) is not None:
+                return first, k - 1, True
+            y = y_next
+    return limit, applied - 1, True
 
 
 def _convergence_batch(args) -> list[dict]:
     seeds, graph, assignment, max_iters = args
     ids = tuple(graph.vertex_list())
-    starts = np.array([sample_simplex(generator(s), len(ids)) for s in seeds])
+    starts = np.array([sample_simplex(seeding.generator(s), len(ids)) for s in seeds])
     res = run_to_convergence(PopulationState(graph, ids, starts), assignment,
                              max_iters=max_iters, certify=True)
     artifacts = []
@@ -235,8 +249,8 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
     L1 stop (TOL_STEP) and a settle past it (``_settled_limit``), or at the
     budget; its limit support is the types above THETA_ACTIVE.
     A trial's ``iterations`` is the index of the last step it applied; for
-    a trial that settles, that is the settle checkpoint at which it first
-    classified, up to 1023 steps past the first step that classifies.
+    a trial that settles, that is the first step after which its state
+    classifies, whatever max_iters is beyond it.
     Unconverged trials count as failures. The extras carry a basin census
     (limit label -> trial count), the count of trials per stop reason, and
     every unresolved trial (unconverged, or on a non-independent set) with
@@ -254,7 +268,7 @@ def monte_carlo_convergence(graph: InfluenceGraph, assignment: InfluenceAssignme
                                   f"F = {name} on edge {u}-{v} is not strictly increasing")
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
-    seeds = [trial_seed(root_seed, i) for i in range(trials)]
+    seeds = [seeding.trial_seed(root_seed, i) for i in range(trials)]
     artifacts = [a for part in _map_rows(_convergence_batch, seeds,
                                          (graph, assignment, max_iters), jobs)
                  for a in part]
@@ -381,7 +395,7 @@ class StableWindow:
         return self.duration + 1
 
 
-def detect_stable_windows(timeline: Timeline) -> list[StableWindow]:
+def detect_stable_windows(timeline: evolution.Timeline) -> list[StableWindow]:
     """All maximal windows of migration-inactive steps, in order."""
     windows = []
     for active, run in groupby(timeline.records, key=lambda record: record.migration_active):
@@ -406,8 +420,8 @@ def _evolution_trial(args):
     if start == "adversarial":
         x0 = PopulationState.uniform(graph)
     else:
-        x0 = sample_state(graph, generator(seed_x0))
-    return summarize(run_evolution(x0, replace(config, seed=seed_run)))
+        x0 = sample_state(graph, seeding.generator(seed_x0))
+    return summarize(evolution.run_evolution(x0, replace(config, seed=seed_run)))
 
 
 def _run_seeds(trials: int, root_seed: int) -> list[int]:
@@ -415,28 +429,29 @@ def _run_seeds(trials: int, root_seed: int) -> list[int]:
     for trial i."""
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
-    return [trial_seed(root_seed, 2 * i) for i in range(trials)]
+    return [seeding.trial_seed(root_seed, 2 * i) for i in range(trials)]
 
 
-def _evolution_sweep(summarize, config: EvolutionConfig, graph: InfluenceGraph | None,
-                     trials: int, root_seed: int, jobs: int, start: str = "random") -> list:
+def _evolution_sweep(summarize, config: evolution.EvolutionConfig,
+                     graph: InfluenceGraph | None, trials: int, root_seed: int, jobs: int,
+                     start: str = "random") -> list:
     """summarize(timeline) of each trial, in order: trial i runs with seed
     trial_seed(root_seed, 2i) on ``graph`` (default path:4) from equal masses
     ("adversarial") or from a simplex point drawn with trial_seed(root_seed, 2i+1)."""
     graph = graph or InfluenceGraph.path(4)
-    items = [(config, graph, start, seed_run, trial_seed(root_seed, 2 * i + 1), summarize)
-             for i, seed_run in enumerate(_run_seeds(trials, root_seed))]
+    items = [(config, graph, start, seed_run, seeding.trial_seed(root_seed, 2 * i + 1),
+              summarize) for i, seed_run in enumerate(_run_seeds(trials, root_seed))]
     return _pmap(_evolution_trial, items, jobs)
 
 
-def _best_window(timeline: Timeline, needed: int) -> dict:
+def _best_window(timeline: evolution.Timeline, needed: int) -> dict:
     windows = detect_stable_windows(timeline)
     best = max((w.length for w in windows), default=0)
     return {"best_window": best, "windows": len(windows),
             "births": timeline.birth_count(), "success": best >= needed}
 
 
-def verify_stability_theorem(config: EvolutionConfig, trials: int,
+def verify_stability_theorem(config: evolution.EvolutionConfig, trials: int,
                              initial_graph: InfluenceGraph | None = None,
                              root_seed: int = 0, jobs: int = 1) -> TrialStats:
     """Check: with prob >= 1-e^(-tp/6) a quiet window of extent 1/(3p) starts by t.
@@ -474,14 +489,14 @@ def verify_stability_theorem(config: EvolutionConfig, trials: int,
 
 # -- theorem: the number of types stays logarithmic --------------------------------
 
-def _type_counts(timeline: Timeline, bound_types: float, cap: int) -> dict:
+def _type_counts(timeline: evolution.Timeline, bound_types: float, cap: int) -> dict:
     final = timeline.last_step().type_count
     peak = timeline.max_type_count()
     return {"final_types": final, "peak_types": peak,
             "cap_ok": peak <= cap, "success": final <= bound_types}
 
 
-def verify_type_bound(config: EvolutionConfig, trials: int, start: str = "random",
+def verify_type_bound(config: evolution.EvolutionConfig, trials: int, start: str = "random",
                       initial_graph: InfluenceGraph | None = None,
                       root_seed: int = 0, jobs: int = 1) -> TrialStats:
     """Check: at the horizon, the type count is <= 72*ln(1/eps) w.p. >= 1-3*eps.
@@ -542,7 +557,8 @@ class PhiBoundsReport:
                 "violations": self.violations, "ok": self.ok}
 
 
-def verify_phi_bounds(timeline: Timeline, config: EvolutionConfig) -> PhiBoundsReport:
+def verify_phi_bounds(timeline: evolution.Timeline,
+                      config: evolution.EvolutionConfig) -> PhiBoundsReport:
     """Check the per-phase potential bounds on a finished run.
 
     Every migration phase that moved mass while all types held at least
@@ -575,7 +591,7 @@ def verify_phi_bounds(timeline: Timeline, config: EvolutionConfig) -> PhiBoundsR
                            migration_bound, birth_bound, violations)
 
 
-def verify_phi_bounds_sweep(config: EvolutionConfig, trials: int,
+def verify_phi_bounds_sweep(config: evolution.EvolutionConfig, trials: int,
                             initial_graph: InfluenceGraph | None = None,
                             root_seed: int = 0, jobs: int = 1) -> TrialStats:
     """``verify_phi_bounds`` on seeded runs from random starts; the artifacts are
@@ -588,7 +604,8 @@ def verify_phi_bounds_sweep(config: EvolutionConfig, trials: int,
 
 # -- birth-count concentration ----------------------------------------------------
 
-def verify_birth_counts(config: EvolutionConfig, trials: int, root_seed: int = 0) -> dict:
+def verify_birth_counts(config: evolution.EvolutionConfig, trials: int,
+                        root_seed: int = 0) -> dict:
     """Empirical check of the Chernoff bounds on births over the horizon.
 
     Trial i counts the births of the run with seed trial_seed(root_seed, 2i),
@@ -601,7 +618,7 @@ def verify_birth_counts(config: EvolutionConfig, trials: int, root_seed: int = 0
     births <= 3*t*p/2 against 1-e^(-tp/6).
     """
     t, p = config.horizon, config.p
-    births = birth_counts(config, _run_seeds(trials, root_seed))
+    births = evolution.birth_counts(config, _run_seeds(trials, root_seed))
     low_ok = int(np.sum(births >= t * p / 2.0))
     high_ok = int(np.sum(births <= 3.0 * t * p / 2.0))
     lower = _finish(low_ok, trials, 1.0 - math.exp(-t * p / 8.0), [],

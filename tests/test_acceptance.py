@@ -310,8 +310,10 @@ def test_criterion_12_lack_of_explosion():
     bound_types = math.ceil(72 * math.log(1e4))
     results = {}
     for start, initial in (("random", 8), ("adversarial", 50)):
+        # two workers: the sweep's results do not depend on jobs (criterion 13)
         stats = verify_type_bound(config, trials=50, start=start,
-                                  initial_graph=InfluenceGraph.path(initial), root_seed=121)
+                                  initial_graph=InfluenceGraph.path(initial), root_seed=121,
+                                  jobs=2)
         results[start] = stats
     ok = all(s.estimate == 1.0 and s.extras["cap_violations"] == 0
              and s.verdict == "pass" for s in results.values())

@@ -13,13 +13,17 @@ def test_every_exported_name_resolves():
 
 
 def test_exports_are_unique_and_cover_the_imports():
+    # the package's names: its eager imports and the table of its lazily executed modules
     tree = ast.parse(Path(opinionflow.__file__).read_text())
-    imported = {alias.asname or alias.name for node in tree.body
+    imported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names}
+                for alias in node.names]
+    lazy = [name for names in opinionflow._LAZY.values() for name in names]
+    names = imported + lazy
     exported = opinionflow.__all__
     assert len(exported) == len(set(exported))
-    assert set(exported) == imported | {"__version__"}
+    assert len(names) == len(set(names))
+    assert set(exported) == set(names) | {"__version__"}
 
 
 ROOT = Path(__file__).resolve().parent.parent

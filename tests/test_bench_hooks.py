@@ -9,11 +9,14 @@ and check the hooks against the package, without installing the tracer.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import opinionflow
 from opinionflow import (InfluenceAssignment, InfluenceGraph, PopulationState, evolution, linear,
                          monte_carlo_convergence, potential_phi, run_to_convergence)
 from opinionflow.evolution import EvolutionConfig, StepRecord
@@ -44,6 +47,21 @@ def test_span_and_count_targets_resolve(tracer):
             owner = getattr(owner, part)
         assert callable(owner), name
     assert tracer.OP_START <= {name for _, _, name in tracer.SPANS}
+
+
+def test_traced_modules_are_registered_at_import(tracer):
+    # install() looks each module up in sys.modules right after `import opinionflow.cli`;
+    # the lazily executed ones must be there then, registered though not yet run
+    modules = sorted({mod_name for mod_name, _, _ in tracer.SPANS + tracer.COUNTS})
+    script = ("import sys, types\n"
+              "import opinionflow.cli\n"
+              "missing = [name for name in sys.argv[1:] if name not in sys.modules]\n"
+              "assert not missing, f'{missing} not in sys.modules'\n"
+              "assert type(sys.modules['opinionflow.evolution']) is not types.ModuleType\n")
+    src = os.path.dirname(os.path.dirname(opinionflow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script, *modules], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 def test_first_ops_resolve():

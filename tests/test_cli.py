@@ -291,18 +291,27 @@ class TestBasin:
 
     def test_never_loads_numpy_random(self, tmp_path):
         # numpy.random costs about 6 MB of resident memory, and a raster draws nothing;
-        # a run that starts no pool loads no pool modules (evolve needs numpy.random)
-        script = ("import sys\n"
+        # a run that starts no pool loads no pool modules (evolve needs numpy.random);
+        # and a subcommand executes only the package modules it uses. A module counts
+        # as executed once it is a plain module: one the package registered lazily
+        # and nobody has touched is still a LazyModule
+        script = ("import sys, types\n"
                   "from opinionflow.cli import main\n"
                   "argv, absent = sys.argv[1:-1], sys.argv[-1].split(',')\n"
                   "assert main(argv) == 0\n"
-                  "loaded = [name for name in absent if name in sys.modules]\n"
+                  "loaded = [name for name in absent\n"
+                  "          if type(sys.modules.get(name)) is types.ModuleType]\n"
                   "assert not loaded, f'{loaded} loaded'\n")
         src = os.path.dirname(os.path.dirname(opinionflow.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         pool = "concurrent.futures,multiprocessing"
-        runs = [(["basin", "--resolution", "8", "--jobs", "1"], "numpy.random," + pool),
-                (["evolve", "--steps", "50", "--jobs", "1"], pool)]
+        runs = [(["basin", "--resolution", "8", "--jobs", "1"],
+                 "numpy.random,opinionflow.evolution,opinionflow.seeding,"
+                 "opinionflow.stability," + pool),
+                (["evolve", "--steps", "50", "--jobs", "1"],
+                 "opinionflow.harness,opinionflow.stability," + pool),
+                (["verify", "convergence", "--trials", "10", "--jobs", "1"],
+                 "opinionflow.evolution,opinionflow.stability," + pool)]
         for argv, absent in runs:
             out = str(tmp_path / argv[0])
             subprocess.run([sys.executable, "-c", script, *argv, "--out", out, absent],
@@ -414,7 +423,7 @@ class TestVerify:
         "cycle:5", '{"vertices": [0, 1, 2, 3, 4], "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}'])
     def test_unresolved_trials_replay(self, tmp_path, monkeypatch, graph):
         # a 5-step budget leaves the trials not certified at step 0 unresolved
-        monkeypatch.setattr(cli, "monte_carlo_convergence",
+        monkeypatch.setattr(harness, "monte_carlo_convergence",
                             partial(harness.monte_carlo_convergence, max_iters=5))
         code, out = run(tmp_path, "verify", "convergence", "--graph", graph,
                         "--f", "linear:0.49", "--trials", "6", "--seed", "3", "--jobs", "1")
@@ -539,6 +548,10 @@ MALFORMED = [pytest.param(command, base, key, bad, id=f"{command}-{key}-{bad!r}"
 
 
 class TestConfigValues:
+    def test_seed_default_is_the_evolution_seed(self):
+        # written out in cli, so that resolving a seed does not execute evolution
+        assert cli._DEFAULTS["seed"] == EvolutionConfig.seed
+
     @pytest.mark.parametrize("command,base,key,bad", MALFORMED)
     def test_malformed_value_exits_64(self, tmp_path, capsys, command, base, key, bad):
         code, out = run(tmp_path, *command.split(), "--config",

@@ -417,23 +417,27 @@ class TestCertifiedSweep:
 
     @pytest.mark.parametrize("max_iters, stop, iterations, label", [
         (1659, "budget", 1659, "0+1+3"), (1700, "budget", 1700, "0+1+3"),
-        (2677, "l1", 2676, "1+3"), (MAX_ITERS, "l1", 2677, "1+3")])
+        (1824, "budget", 1824, "0+1+3"), (1825, "l1", 1824, "1+3"),
+        (2677, "l1", 1824, "1+3"), (MAX_ITERS, "l1", 1824, "1+3")])
     def test_settle_loop_keeps_to_the_budget(self, monkeypatch, max_iters, stop, iterations,
                                              label):
-        # this cycle:5 trial takes its L1 stop before step 1659 and settles by step 2677
-        steps = []
+        # this cycle:5 trial takes its L1 stop after 1654 steps, reaches its settle
+        # checkpoint 1024 steps later, and first classifies after step 1824
+        stepped = []        # the state each step starts from; a batch of one steps as one state
         step = _EdgeKernel.step
 
-        def counted(self, x, delta=0.0):
-            steps.append(1 if x.ndim == 1 else len(x))
+        def recorded(self, x, delta=0.0):
+            assert x.ndim == 1
+            stepped.append(x.tobytes())
             return step(self, x, delta)
 
-        monkeypatch.setattr(_EdgeKernel, "step", counted)
+        monkeypatch.setattr(_EdgeKernel, "step", recorded)
         custom = InfluenceAssignment(InfluenceFunction("custom", fn=linear_049))
         [a] = harness._convergence_batch(([trial_seed(71, 2)], self.graphs["cycle5"], custom,
                                           max_iters))
         assert (a["stop"], a["iterations"], a["label"]) == (stop, iterations, label)
-        assert sum(steps) == min(iterations + 1, max_iters)
+        # the replay of the last chunk steps only states the run has stepped before
+        assert len(set(stepped)) == min(1654 + 1024, max_iters)
 
     def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
         pools = []
@@ -771,7 +775,6 @@ class TestVerifyBirthCounts:
         def refuse(*args, **kwargs):
             raise AssertionError("verify_birth_counts ran an evolution")
 
-        monkeypatch.setattr(harness, "run_evolution", refuse)
         monkeypatch.setattr(evolution, "run_evolution", refuse)
         assert verify_birth_counts(self.CFG, trials=150, root_seed=11)["mean_births"] == 9.86
 
