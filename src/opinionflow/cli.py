@@ -6,9 +6,10 @@ override file values override defaults), writes the outputs next to a
 manifest.json echoing the fully-resolved config, and re-running with that
 manifest as --config reproduces the outputs byte for byte.
 
-Exit codes: 0 success/converged/pass; 2 iteration budget exhausted;
-3 verification verdict "fail"; 4 vacuous bound or hypothesis rejected;
-64 malformed configuration or usage error, naming the key or flag.
+Exit codes: 0 success/converged/pass; 2 iteration budget exhausted, or a
+simulate stop that is not a fixed point; 3 verification verdict "fail";
+4 vacuous bound or hypothesis rejected; 64 malformed configuration or
+usage error, naming the key or flag.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__, evolution, harness, seeding, stability
 from .dynamics import (MAX_ITERS, THETA_ACTIVE, TOL_STEP, PopulationState,
-                       run_to_convergence)
+                       classify_fixed_point, run_to_convergence)
 from .errors import ConfigurationError, HypothesisError, NotAFixedPointError, coerce
 from .graph import InfluenceGraph
 from .influence import InfluenceAssignment, InfluenceFunction
@@ -208,6 +209,12 @@ def _cmd_simulate(args) -> int:
     state = parse_x0(cfg["x0"], graph, cfg["seed"])
     res = run_to_convergence(state, assignment, cfg["tol"], cfg["max_iters"],
                              record_trajectory=True)
+    converged = res.converged
+    if converged:                       # an L1 stop counts only at a fixed point
+        try:
+            classify_fixed_point(res.limit, assignment, tol_flow=cfg["tol"])
+        except NotAFixedPointError:
+            converged = False
 
     ids = res.limit.ids
     header = "step,phi,active_count," + ",".join(f"mass_{v}" for v in ids)
@@ -220,7 +227,7 @@ def _cmd_simulate(args) -> int:
     summary = {
         "limit": res.limit.masses_json(),
         "iterations": res.iterations,
-        "converged": res.converged,
+        "converged": converged,
         "independent": graph.is_independent_set(active),
     }
     echo = {"graph": graph.to_json_dict(), "influence": assignment.to_json_dict(),
@@ -230,7 +237,7 @@ def _cmd_simulate(args) -> int:
         "trajectory.csv": ("\n".join(rows) + "\n").encode(),
         "summary.json": _json_bytes(summary),
     })
-    return EXIT_OK if res.converged else EXIT_MAX_ITERS
+    return EXIT_OK if converged else EXIT_MAX_ITERS
 
 
 def _evolution_inputs(args, *keys: str, **defaults):

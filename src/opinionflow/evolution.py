@@ -15,6 +15,7 @@ run a pure function of (config, seed).
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from bisect import bisect_left
@@ -259,7 +260,27 @@ class StepRecord:
         }
 
 
-WRITE_BLOCK = 4096    # most periods of a run that a writer renders into one block
+# Most periods of a run that a writer renders into one block, and fewer when
+# a block of 10^4 // k periods of k steps is smaller: one digit-table slice
+# covers each slot of a block.
+WRITE_BLOCK = 4096
+_TABLE_NUMBERS = 10_000    # the numbers 0 .. 9999 of the digit table
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """The four zero-padded ASCII digits of 0 .. 9999, twice over, one row
+    each (80 KB, read-only, made on first use): row n holds n % 10^4, so a
+    slice from a row below 10^4 that steps by k reads 10^4 // k rows
+    without wrapping."""
+    table = np.empty((2 * _TABLE_NUMBERS, 4), dtype=np.uint8)
+    numbers = np.arange(_TABLE_NUMBERS, dtype=np.uint16)
+    for place in range(3, -1, -1):      # uint16 temporaries: 20 KB each
+        table[:_TABLE_NUMBERS, place] = numbers % 10 + ord("0")
+        numbers //= 10
+    table[_TABLE_NUMBERS:] = table[:_TABLE_NUMBERS]
+    table.flags.writeable = False
+    return table
 
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -311,28 +332,39 @@ def _write_periods(write, parts: list[tuple[bytes, bytes]], first: int, periods:
     numbers all have ``digits`` digits, handed to ``write`` a block at a time.
 
     One period is one byte row with a ``digits``-wide slot for each step
-    number. A buffer of up to WRITE_BLOCK rows is filled with that row once;
-    each block then overwrites only the slots, one decimal place at a time
-    by integer divmod on its strided step numbers, and is written as it is.
+    number. A block of up to WRITE_BLOCK rows is filled with that row once;
+    each block then overwrites only the slots and is written as it is. A
+    slot's step numbers advance by k from row to row, so their low four
+    digits are every k-th row of the digit table, copied in one strided
+    store of whole table rows; the digits above them change once per 10^4
+    steps and are stored as constants.
     """
     k = len(parts)
     row = b"".join(head + bytes(digits) + tail for head, tail in parts)
-    slots, at = [], 0                   # where each step number starts in the row
+    rows = min(periods, WRITE_BLOCK, max(1, _TABLE_NUMBERS // k))   # one table slice a slot
+    block = bytearray(row) * rows
+    low = min(digits, 4)
+    high = digits - low
+    table = _digit_table()
+    table = np.ndarray(len(table), f"V{low}", table, 4 - low, (4,))
+    slots, at = [], 0                   # each slot's low and high digits, one per row
     for head, tail in parts:
-        slots.append(at + len(head))
-        at += len(head) + digits + len(tail)
-    rows = min(periods, WRITE_BLOCK)
-    buf = np.frombuffer(bytearray(row) * rows, dtype=np.uint8).reshape(rows, len(row))
+        at += len(head)
+        slots.append((np.ndarray(rows, f"V{low}", block, at + high, (len(row),)),
+                      np.ndarray(rows, f"V{high}", block, at, (len(row),)) if high else None))
+        at += digits + len(tail)
     stop = first + periods * k
     for lo in range(first, stop, rows * k):
-        q = np.arange(lo, min(lo + rows * k, stop), dtype=np.int64).reshape(-1, k)
-        d, count = np.empty_like(q), len(q)
-        for column in range(digits - 1, -1, -1):
-            np.divmod(q, 10, out=(q, d))
-            d += ord("0")
-            for i, at in enumerate(slots):
-                buf[:count, at + column] = d[:, i]
-        write(buf[:count])
+        count = min(rows, (stop - lo) // k)
+        for step, (low_digits, high_digits) in enumerate(slots, lo):
+            n = step % _TABLE_NUMBERS
+            low_digits[:count] = table[n:n + count * k:k]
+            if high_digits is not None:
+                cut = min(count, -(-(_TABLE_NUMBERS - n) // k))   # the rows below the next 10^4
+                high_digits[:cut] = str(step // _TABLE_NUMBERS).encode()
+                if cut < count:
+                    high_digits[cut:count] = str(step // _TABLE_NUMBERS + 1).encode()
+        write(memoryview(block)[:count * len(row)])
 
 
 def _json_line(record: StepRecord) -> str:

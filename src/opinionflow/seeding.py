@@ -29,13 +29,15 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _mulhilo(m: int, b: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+def _mulhilo(m: int, b: np.ndarray, hi: np.ndarray, lo: np.ndarray | None,
              t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     """The high and low words of the 128-bit products m * b, from 32-bit
-    halves, into ``hi`` and ``lo``; ``t``, ``u`` and ``v`` are scratch. All
-    are arrays of b's shape, and none of them is ``b``."""
+    halves, into ``hi`` and ``lo`` (the high words alone when ``lo`` is
+    None); ``t``, ``u`` and ``v`` are scratch. All are arrays that b
+    broadcasts to, and none of them is ``b``."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    np.multiply(b, np.uint64(m), out=lo)
+    if lo is not None:
+        np.multiply(b, np.uint64(m), out=lo)
     np.bitwise_and(b, _LOW32, out=t)                 # b_lo
     np.right_shift(b, _32, out=u)                    # b_hi
     np.multiply(u, m_hi, out=hi)
@@ -57,26 +59,52 @@ def _philox_first_words(keys: np.ndarray, steps: np.ndarray, phase: int) -> np.n
     under each key: ``keys`` of shape (rows, 2), uint64, give (rows, len(steps)).
 
     That is the first uint64 a ``Philox(counter=[0, 0, step, phase])``
-    returns: it bumps the counter before its first block. The rounds run in
+    returns: it bumps the counter before its first block. A round maps
+    (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1,
+    lo(M0 c0)). Only c2 varies along a row, so the first two rounds take
+    their constant products once: M0 * 1 in round 1, M1 * step in round 1
+    once for all keys, and M1 * (phase ^ k1) in round 2 once per key. The
+    last two rounds compute only what word 0 reads. The other rounds run in
     place on buffers allocated once.
     """
+    m0, m1 = _PHILOX_M
     shape = (len(keys), len(steps))
-    c0, c1 = np.ones(shape, np.uint64), np.zeros(shape, np.uint64)
-    c2, c3 = np.broadcast_to(steps, shape).copy(), np.full(shape, phase, np.uint64)
-    hi0, lo0, hi1, lo1, t, u, v = (np.empty(shape, np.uint64) for _ in range(7))
-    k0, k1 = keys[:, :1].copy(), keys[:, 1:].copy()
-    for r in range(10):
-        if r:
-            k0 += np.uint64(_PHILOX_W[0])
-            k1 += np.uint64(_PHILOX_W[1])
-        _mulhilo(_PHILOX_M[0], c0, hi0, lo0, t, u, v)
-        _mulhilo(_PHILOX_M[1], c2, hi1, lo1, t, u, v)
+    c0, c1, c2, c3, hi0, lo0, hi1, lo1, t, u, v = (np.empty(shape, np.uint64) for _ in range(11))
+    bumps = np.arange(10, dtype=np.uint64)
+    k0 = keys[:, :1] + bumps * np.uint64(_PHILOX_W[0])     # round r's keys: column r
+    k1 = keys[:, 1:] + bumps * np.uint64(_PHILOX_W[1])
+    # round 1 at [1, 0, step, phase]: M0 * 1 is (0, M0), and M1 * step is
+    # the same under every key: one row
+    _mulhilo(m1, steps, hi1[0], lo1[0], t[0], u[0], v[0])
+    np.bitwise_xor(hi1[0], k0[:, :1], out=c0)
+    row = lo1[0]                                        # c1
+    column = k1[:, :1] ^ np.uint64(phase)               # c2, and c3 = M0
+    # round 2: M1 * c2 once per key
+    _mulhilo(m0, c0, hi0, lo0, t, u, v)
+    h, lo, *scratch = (np.empty_like(column) for _ in range(5))
+    _mulhilo(m1, column, h, lo, *scratch)
+    np.bitwise_xor(h ^ k0[:, 1:2], row, out=c0)
+    c1[...] = lo
+    np.bitwise_xor(hi0, k1[:, 1:2] ^ np.uint64(m0), out=c2)
+    c3, lo0 = lo0, c3
+    for r in range(2, 8):
+        _mulhilo(m0, c0, hi0, lo0, t, u, v)
+        _mulhilo(m1, c2, hi1, lo1, t, u, v)
         np.bitwise_xor(hi1, c1, out=c0)
-        c0 ^= k0
+        c0 ^= k0[:, r:r + 1]
         np.bitwise_xor(hi0, c3, out=c2)
-        c2 ^= k1
+        c2 ^= k1[:, r:r + 1]
         c1, lo1 = lo1, c1
         c3, lo0 = lo0, c3
+    # round 9: word 0 of round 10 reads only its c1 and c2
+    np.multiply(c2, np.uint64(m1), out=c1)
+    _mulhilo(m0, c0, hi0, None, t, u, v)
+    np.bitwise_xor(hi0, c3, out=c2)
+    c2 ^= k1[:, 8:9]
+    # round 10
+    _mulhilo(m1, c2, hi1, None, t, u, v)
+    np.bitwise_xor(hi1, c1, out=c0)
+    c0 ^= k0[:, 9:]
     return c0
 
 

@@ -58,6 +58,16 @@ class TestSimulate:
                       "--tol", "1e-15", "--max-iters", "3")
         assert code == 2
 
+    def test_stop_that_is_not_a_fixed_point_is_not_converged(self, tmp_path):
+        # on the path 0-2-1 the L1 step falls below tol at step 326 while the
+        # adjacent heavy types 1 and 2 still differ by 5.9e-4 in mass
+        code, out = run(tmp_path, "simulate", "--graph",
+                        '{"vertices": [0, 1, 2], "edges": [[0, 2], [1, 2]]}',
+                        "--f", "cubic:0.9", "--x0", "0.05,0.5,0.45")
+        assert code == 2
+        summary = read_json(out / "summary.json")
+        assert (summary["converged"], summary["iterations"]) == (False, 326)
+
     def test_bad_graph_json(self, tmp_path):
         code, _ = run(tmp_path, "simulate", "--graph", '{"vertices": [0]}',
                       "--x0", "1.0")

@@ -1,5 +1,6 @@
 """Birth/death phases, the composite step, and full stochastic runs."""
 
+import io
 import json
 import pickle
 from dataclasses import replace
@@ -670,6 +671,45 @@ class TestFrozenJump:
         assert tl.diagnostics["coin_draws"] == 1
 
 
+class TestStepNumbers:
+    """The block writer of a run's step numbers gives, line by line, the bytes
+    of ``_lines``, whatever the period, the digit count and the block size."""
+
+    # (first step, steps): every width from 1 to 8 digits; runs cut at each
+    # power of ten, and long ones that cross multiples of 10^4 inside blocks
+    # that start off any multiple of the block
+    RUNS = [(0, 23), (95, 12), (996, 9), (9_993, 15), (17_771, 12_500), (99_990, 10_030),
+            (999_998, 9), (9_999_990, 10_015), (12_345_678, 40)]
+
+    @staticmethod
+    def run(first, steps, k):
+        logs = [StepRecord(first + i, 0.3 + i / 7, 0.3, 0.3, 0.25 - i / 9, False, 0.1 + i / 11,
+                           None, [], 3) for i in range(k)]
+        return replace(logs[0], repeat=steps, cycle=tuple(logs[1:steps]))
+
+    @staticmethod
+    def split(render, key, log):
+        line, number = render(log), str(log.step)
+        cut = line.index(key + number) + len(key)
+        return line[:cut].encode(), (line[cut + len(number):] + "\n").encode()
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("render, key", [(evolution._json_line, '"step":'),
+                                             (evolution._csv_line, "")])
+    def test_blocks_write_the_lines_of_each_period(self, render, key, k, block, monkeypatch):
+        monkeypatch.setattr(evolution, "WRITE_BLOCK", block)
+        records = [self.run(first, steps, k) for first, steps in self.RUNS]
+        out = io.BytesIO()
+        evolution._write_lines(out.write, records, render, key)
+        want = []
+        for r in records:
+            parts = [self.split(render, key, log) for log in (r, *r.cycle)]
+            end = r.step + r.repeat
+            want += [evolution._lines(parts, lo, min(lo + k, end)) for lo in range(r.step, end, k)]
+        assert_same_text(out.getvalue().decode(), b"".join(want).decode())
+
+
 class TestRunStreams:
     def test_draws_match_seed_sequence_philox(self):
         for seed in (0, 1, 131, 2**63 + 5):
@@ -685,7 +725,7 @@ class TestRunStreams:
                  2**40 + 7, 2**64 - 1)
         for seed in np.random.default_rng(17).integers(0, 2**63, 20).tolist():
             streams = RunStreams(seed)
-            for phase in (PHASE_BIRTH, PHASE_ATTACH):
+            for phase in (PHASE_BIRTH, PHASE_ATTACH, 2**63 + 7):
                 for step in steps:
                     assert streams.coin(step, phase) == streams.stream(step, phase).random()
 
@@ -704,14 +744,22 @@ class TestRunStreams:
         assert [start + i for i in np.flatnonzero(coins < p).tolist()] == \
             [s for s in range(start, stop) if has_birth(cfg, one_by_one, s)]
 
-    @pytest.mark.parametrize("first, count", [(0, 1500), (1023, 3), (2**64 - 5, 5)])
+    @pytest.mark.parametrize("first, count", [(0, 1500), (1023, 3), (2**64 - 5, 5),
+                                              (COIN_WINDOW - 2, 4), (2**40, 3)])
     def test_coins_of_many_runs_are_each_runs_coins(self, first, count):
-        seeds = [0, 1, 131, 2**63 + 5]
-        coins = run_coins(seeds, first, count, PHASE_BIRTH)
-        assert coins.shape == (len(seeds), count)
-        for seed, row in zip(seeds, coins):
-            streams = RunStreams(seed)
-            assert row.tolist() == [streams.coin(s, PHASE_BIRTH) for s in range(first, first + count)]
+        # 17 keys: the per-key constants of the first rounds are a column of 17
+        seeds = [0, 1, 131, 2**63 + 5, *np.random.default_rng(29).integers(0, 2**63, 13).tolist()]
+        for phase in (PHASE_BIRTH, 2**63 + 7):
+            coins = run_coins(seeds, first, count, phase)
+            assert coins.shape == (len(seeds), count)
+            for seed, row in zip(seeds, coins):
+                streams = RunStreams(seed)
+                assert row.tolist() == [streams.coin(s, phase) for s in range(first, first + count)]
+                if count < 10:
+                    assert row.tolist() == [np.random.Generator(np.random.Philox(
+                        seed=np.random.SeedSequence(seed),
+                        counter=np.array([0, 0, s, phase], dtype=np.uint64))).random()
+                        for s in range(first, first + count)]
 
     def test_coins_read_the_block_coin_holds(self):
         w = COIN_WINDOW
